@@ -55,13 +55,13 @@ from .lpapprox import (
     approx2_sds,
     approx4_sds_via_vc,
     build_sds_ip,
-    ip_optimum_bruteforce,
     round_lp,
     sds_to_vertex_cover,
     solve_lp_simplex,
 )
 from .oracle import (
     enumerate_spanning_trees,
+    ip_optimum_bruteforce,
     is_sd_set_by_enumeration,
     min_crsds_bruteforce,
     min_sds_bruteforce,
@@ -87,13 +87,11 @@ from .treewidth import (
 from .vertexcover import (
     VcResult,
     bipartition,
-    is_chordal,
     is_vertex_cover,
     matching_2approx_vc,
     min_vc_bipartite,
     min_vc_branch_and_bound,
     min_vertex_cover,
-    perfect_elimination_ordering,
 )
 
 __version__ = "0.1.0"
@@ -134,7 +132,6 @@ __all__ = [
     "gap_graph",
     "induced_subgraph",
     "ip_optimum_bruteforce",
-    "is_chordal",
     "is_colour_respecting",
     "is_sd_set",
     "is_sd_set_by_enumeration",
@@ -150,7 +147,6 @@ __all__ = [
     "min_vertex_cover",
     "nice_decomposition",
     "parse_graph",
-    "perfect_elimination_ordering",
     "random_2connected_graph",
     "random_bipartite_graph",
     "random_chordal_graph",

@@ -1,45 +1,7 @@
-"""Vertex-cover search kernels.
+"""The branch-and-bound vertex-cover search kernel.
 
-A compiled Cython kernel handles graphs with at most 64 vertices; the
-pure-Python twin handles any size. Both run the same search, so the
-choice never changes the answer, only the speed. The compiled module is
-optional: if the extension was not built, everything falls back to pure
-Python.
+One pure-Python implementation (``pure.vc_search``) serves every graph
+size. DEFAULT_BACKEND names it for reports that record which search ran.
 """
 
-from __future__ import annotations
-
-from . import pure
-
-try:
-    from . import _vc_core as _compiled
-except ImportError:
-    _compiled = None
-
-COMPILED_AVAILABLE = _compiled is not None
-DEFAULT_BACKEND = "compiled" if COMPILED_AVAILABLE else "pure"
-COMPILED_MAX_VERTICES = 64
-
-
-def kernel_for(n: int, prefer: str = "auto"):
-    """Pick the search function for an n-vertex instance.
-
-    prefer is one of "auto", "compiled", "pure". Asking for the
-    compiled kernel when it is unavailable or n is too large raises
-    ValueError.
-    """
-    if prefer == "pure":
-        return pure.vc_search
-    if prefer == "compiled":
-        if _compiled is None:
-            raise ValueError("compiled kernel is not available")
-        if n > COMPILED_MAX_VERTICES:
-            raise ValueError(
-                f"compiled kernel handles at most {COMPILED_MAX_VERTICES} vertices"
-            )
-        return _compiled.vc_search
-    if prefer != "auto":
-        raise ValueError(f"unknown kernel preference: {prefer!r}")
-    if _compiled is not None and n <= COMPILED_MAX_VERTICES:
-        return _compiled.vc_search
-    return pure.vc_search
+DEFAULT_BACKEND = "pure"

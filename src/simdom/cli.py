@@ -14,7 +14,7 @@ import sys
 import time
 from typing import Sequence
 
-from ._kernels import COMPILED_AVAILABLE, COMPILED_MAX_VERTICES, kernel_for
+from ._kernels import DEFAULT_BACKEND, pure
 from .blocks import blocks_and_cut_vertices
 from .domination import COLOUR_TOKENS, TOKEN_OF_COLOUR, all_zero_hat, sd_witness
 from .errors import (
@@ -296,25 +296,21 @@ def cmd_blocks(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    """Time the branch-and-bound search on one graph, best of --repeat."""
     g = _load_graph(args)
     masks = g.adjacency_masks()
-    names = []
-    if COMPILED_AVAILABLE and g.n <= COMPILED_MAX_VERTICES:
-        names.append("compiled")
-    names.append("pure")
-    rows = []
-    for name in names:
-        search = kernel_for(g.n, prefer=name)
-        best_ms = None
-        cover_mask = nodes = 0
-        for _ in range(max(1, args.repeat)):
-            start = time.perf_counter()
-            cover_mask, nodes = search(g.n, masks, args.budget)
-            elapsed = (time.perf_counter() - start) * 1000.0
-            if best_ms is None or elapsed < best_ms:
-                best_ms = elapsed
-        rows.append((name, cover_mask.bit_count(), cover_mask, nodes, best_ms))
-    agree = len({(mask, nodes) for _, _, mask, nodes, _ in rows}) == 1
+    best_ms = None
+    cover_mask = nodes = 0
+    for _ in range(max(1, args.repeat)):
+        start = time.perf_counter()
+        try:
+            cover_mask, nodes = pure.vc_search(g.n, masks, args.budget)
+        except RuntimeError as exc:
+            raise BudgetExceededError(str(exc)) from None
+        elapsed = (time.perf_counter() - start) * 1000.0
+        if best_ms is None or elapsed < best_ms:
+            best_ms = elapsed
+    size = cover_mask.bit_count()
     if args.json:
         _emit_json(
             {
@@ -322,30 +318,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "n": g.n,
                 "m": g.m,
                 "kernels": [
-                    {"name": name, "size": size, "nodes": nodes, "ms": round(ms, 3)}
-                    for name, size, _, nodes, ms in rows
+                    {
+                        "name": DEFAULT_BACKEND,
+                        "size": size,
+                        "nodes": nodes,
+                        "ms": round(best_ms, 3),
+                    }
                 ],
-                "agree": agree,
             }
         )
     else:
         print(f"graph n={g.n} m={g.m}")
         print(f"{'kernel':<10} {'size':>4} {'nodes':>8} {'ms':>10}")
-        for name, size, _, nodes, ms in rows:
-            print(f"{name:<10} {size:>4} {nodes:>8} {ms:>10.3f}")
-        if not COMPILED_AVAILABLE:
-            print("compiled kernel unavailable, pure only")
-        elif g.n > COMPILED_MAX_VERTICES:
-            print("graph too large for the compiled kernel, pure only")
-        if len(rows) > 1:
-            print(
-                "agreement ok (same cover, same node count)"
-                if agree
-                else "agreement FAILED"
-            )
-    if not agree:
-        print("kernel results diverge", file=sys.stderr)
-        return EXIT_INVALID
+        print(f"{DEFAULT_BACKEND:<10} {size:>4} {nodes:>8} {best_ms:>10.3f}")
     return EXIT_OK
 
 
@@ -412,7 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blocks", parents=[common], help="print the block-cut tree")
     p.set_defaults(func=cmd_blocks)
 
-    p = sub.add_parser("bench", parents=[common], help="time the cover kernels")
+    p = sub.add_parser(
+        "bench", parents=[common], help="time the branch-and-bound search"
+    )
     p.add_argument("--repeat", type=int, default=3)
     p.add_argument("--budget", type=int, default=0, help="branch and bound node cap")
     p.set_defaults(func=cmd_bench)

@@ -117,9 +117,3 @@ def random_bipartite_graph(a: int, b: int, p: float, seed: int) -> Graph:
         if rng.random() < p
     ]
     return Graph(a + b, edges)
-
-
-def random_colouring_values(n: int, seed: int) -> list[int]:
-    """Random values in {0, 1, 2} used to build colourings in tests."""
-    rng = random.Random(seed)
-    return [rng.randrange(3) for _ in range(n)]

@@ -12,15 +12,13 @@ vertex cover of size at most 2|S| - 1, which in turn gives a
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import AbstractSet
 
 from .blocks import BlockCutTree, blocks_and_cut_vertices, root_block_tree
 from .domination import is_sd_set
-from .errors import BudgetExceededError, InvalidSdSetError
+from .errors import InvalidSdSetError
 from .graph import Graph
 from .simplex import OPTIMAL, simplex_min
 from .vertexcover import is_vertex_cover, matching_2approx_vc
@@ -255,140 +253,3 @@ def approx4_sds_via_vc(g: Graph) -> frozenset[int]:
     bct = blocks_and_cut_vertices(g)
     assert is_sd_set(g, bct, out)
     return out
-
-
-def ip_optimum_bruteforce(m: LpModel, *, vertex_budget: int = 16) -> int:
-    """Minimum objective over binary assignments satisfying every row.
-
-    y-variables carry no objective weight, so for each x the best
-    candidate sets y_{v,B} = 1 exactly when every block-neighbour row of
-    that column allows it; all rows are then evaluated literally.
-    """
-    if m.n > vertex_budget:
-        raise BudgetExceededError(
-            f"{m.n} vertices exceeds the IP enumeration budget of {vertex_budget}"
-        )
-    supporters: dict[int, list[int]] = {m.n + i: [] for i in range(len(m.y_keys))}
-    for row in m.rows:
-        if row.kind == "block-neighbour":
-            ycol = next(c for c, a in row.coeffs.items() if a == -1)
-            xcol = next(c for c, a in row.coeffs.items() if a == 1)
-            supporters[ycol].append(xcol)
-    best: int | None = None
-    for bits in range(1 << m.n):
-        value = [0] * m.num_cols
-        for v in range(m.n):
-            value[v] = (bits >> v) & 1
-        for ycol, xs in supporters.items():
-            value[ycol] = 1 if all(value[u] for u in xs) else 0
-        ok = all(
-            sum(a * value[c] for c, a in row.coeffs.items()) >= row.rhs
-            for row in m.rows
-        )
-        if ok:
-            size = sum(value[: m.n])
-            if best is None or size < best:
-                best = size
-    assert best is not None, "the all-ones assignment is always feasible"
-    return best
-
-
-def lp_vertex_enumeration_optimum(
-    m: LpModel, *, system_budget: int = 200_000
-) -> Fraction:
-    """LP optimum by enumerating basic solutions of the small polytope.
-
-    Every subset of n_vars constraint planes (model rows plus the
-    nonnegativity bounds) is solved as an equality system; feasible
-    solutions are scored by the objective. Exists to cross-check the
-    simplex on tiny models only.
-    """
-    nv = m.num_cols
-    planes: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    seen = set()
-    for row in m.rows:
-        vec = tuple(
-            Fraction(row.coeffs.get(c, 0)) for c in range(nv)
-        )
-        if (vec, row.rhs) not in seen:
-            seen.add((vec, row.rhs))
-            planes.append((vec, Fraction(row.rhs)))
-    for c in range(nv):
-        vec = tuple(Fraction(1 if i == c else 0) for i in range(nv))
-        planes.append((vec, Fraction(0)))
-    if comb(len(planes), nv) > system_budget:
-        raise BudgetExceededError(
-            f"{comb(len(planes), nv)} candidate systems exceed the budget"
-        )
-
-    best: Fraction | None = None
-    for chosen in itertools.combinations(planes, nv):
-        a = [list(vec) + [rhs] for vec, rhs in chosen]
-        point = _solve_square(a, nv)
-        if point is None:
-            continue
-        if any(v < 0 for v in point):
-            continue
-        if any(
-            sum(vec[c] * point[c] for c in range(nv)) < rhs
-            for vec, rhs in planes[: len(planes) - nv]
-        ):
-            continue
-        objective = sum(point[: m.n], start=Fraction(0))
-        if best is None or objective < best:
-            best = objective
-    assert best is not None, "the model family always has feasible vertices"
-    return best
-
-
-def _solve_square(a: list[list[Fraction]], nv: int) -> list[Fraction] | None:
-    """Gaussian elimination on an augmented nv x (nv+1) system."""
-    for col in range(nv):
-        pivot = next((r for r in range(col, nv) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(nv):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][nv] for r in range(nv)]
-
-
-def write_lp(m: LpModel) -> str:
-    """Human-readable LP text (CPLEX-style) for external cross-checking."""
-
-    def name(c: int) -> str:
-        if c < m.n:
-            return f"x{c}"
-        v, b = m.y_keys[c - m.n]
-        return f"y_{v}_{b}"
-
-    lines = ["Minimize", " obj: " + " + ".join(f"x{v}" for v in range(m.n))]
-    lines.append("Subject To")
-    for i, row in enumerate(m.rows, start=1):
-        terms = []
-        for c in sorted(row.coeffs):
-            a = row.coeffs[c]
-            if not terms:
-                terms.append(f"{a} {name(c)}" if a != 1 else name(c))
-            else:
-                sign = "+" if a > 0 else "-"
-                mag = abs(a)
-                terms.append(
-                    f"{sign} {mag} {name(c)}" if mag != 1 else f"{sign} {name(c)}"
-                )
-        lines.append(f" r{i}: " + " ".join(terms) + f" >= {row.rhs}")
-    lines.append("Bounds")
-    for c in range(m.num_cols):
-        if m.integral:
-            lines.append(f" 0 <= {name(c)} <= 1")
-        else:
-            lines.append(f" {name(c)} >= 0")
-    if m.integral:
-        lines.append("Binaries")
-        lines.append(" " + " ".join(name(c) for c in range(m.num_cols)))
-    lines.append("End")
-    return "\n".join(lines) + "\n"

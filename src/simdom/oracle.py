@@ -4,19 +4,24 @@ Everything here is exact and exponential. These routines exist to
 validate the polynomial machinery, so they deliberately avoid sharing
 code with it: spanning trees are enumerated directly, covers and
 dominating sets are found by subset search ordered by size then
-lexicographically, which makes the returned optimum canonical.
+lexicographically, which makes the returned optimum canonical. The 0/1
+program of lpapprox is solved by enumerating assignments, and its LP
+relaxation by enumerating basic solutions.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
 from typing import AbstractSet, Iterator
 
 from .blocks import blocks_and_cut_vertices
 from .domination import Colour, Colouring, domination_requirements
 from .errors import BudgetExceededError, DisconnectedGraphError
 from .graph import Graph
+from .lpapprox import LpModel
 
 EDGE_ENUMERATION_BUDGET = 16
 VC_VERTEX_BUDGET = 20
@@ -240,3 +245,103 @@ def min_crsds_bruteforce(
         if ok:
             return frozenset(v for v in range(g.n) if (mask >> v) & 1)
     raise AssertionError("the full vertex set always respects any colouring")
+
+
+def ip_optimum_bruteforce(m: LpModel, *, vertex_budget: int = 16) -> int:
+    """Minimum objective over binary assignments satisfying every row.
+
+    y-variables carry no objective weight, so for each x the best
+    candidate sets y_{v,B} = 1 exactly when every block-neighbour row of
+    that column allows it; all rows are then evaluated literally.
+    """
+    if m.n > vertex_budget:
+        raise BudgetExceededError(
+            f"{m.n} vertices exceeds the IP enumeration budget of {vertex_budget}"
+        )
+    supporters: dict[int, list[int]] = {m.n + i: [] for i in range(len(m.y_keys))}
+    for row in m.rows:
+        if row.kind == "block-neighbour":
+            ycol = next(c for c, a in row.coeffs.items() if a == -1)
+            xcol = next(c for c, a in row.coeffs.items() if a == 1)
+            supporters[ycol].append(xcol)
+    best: int | None = None
+    for bits in range(1 << m.n):
+        value = [0] * m.num_cols
+        for v in range(m.n):
+            value[v] = (bits >> v) & 1
+        for ycol, xs in supporters.items():
+            value[ycol] = 1 if all(value[u] for u in xs) else 0
+        ok = all(
+            sum(a * value[c] for c, a in row.coeffs.items()) >= row.rhs
+            for row in m.rows
+        )
+        if ok:
+            size = sum(value[: m.n])
+            if best is None or size < best:
+                best = size
+    assert best is not None, "the all-ones assignment is always feasible"
+    return best
+
+
+def lp_vertex_enumeration_optimum(
+    m: LpModel, *, system_budget: int = 200_000
+) -> Fraction:
+    """LP optimum by enumerating basic solutions of the small polytope.
+
+    Every subset of n_vars constraint planes (model rows plus the
+    nonnegativity bounds) is solved as an equality system; feasible
+    solutions are scored by the objective. Exists to cross-check the
+    simplex on tiny models only.
+    """
+    nv = m.num_cols
+    planes: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    seen = set()
+    for row in m.rows:
+        vec = tuple(
+            Fraction(row.coeffs.get(c, 0)) for c in range(nv)
+        )
+        if (vec, row.rhs) not in seen:
+            seen.add((vec, row.rhs))
+            planes.append((vec, Fraction(row.rhs)))
+    for c in range(nv):
+        vec = tuple(Fraction(1 if i == c else 0) for i in range(nv))
+        planes.append((vec, Fraction(0)))
+    if comb(len(planes), nv) > system_budget:
+        raise BudgetExceededError(
+            f"{comb(len(planes), nv)} candidate systems exceed the budget"
+        )
+
+    best: Fraction | None = None
+    for chosen in itertools.combinations(planes, nv):
+        a = [list(vec) + [rhs] for vec, rhs in chosen]
+        point = _solve_square(a, nv)
+        if point is None:
+            continue
+        if any(v < 0 for v in point):
+            continue
+        if any(
+            sum(vec[c] * point[c] for c in range(nv)) < rhs
+            for vec, rhs in planes[: len(planes) - nv]
+        ):
+            continue
+        objective = sum(point[: m.n], start=Fraction(0))
+        if best is None or objective < best:
+            best = objective
+    assert best is not None, "the model family always has feasible vertices"
+    return best
+
+
+def _solve_square(a: list[list[Fraction]], nv: int) -> list[Fraction] | None:
+    """Gaussian elimination on an augmented nv x (nv+1) system."""
+    for col in range(nv):
+        pivot = next((r for r in range(col, nv) if a[r][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(nv):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [a[r][nv] for r in range(nv)]

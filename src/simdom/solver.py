@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .blocks import BlockCutTree, blocks_and_cut_vertices, leaf_component_order
+from .blocks import blocks_and_cut_vertices, leaf_component_order
 from .domination import Colour, Colouring, all_zero_hat, is_colour_respecting, is_sd_set
 from .errors import DisconnectedGraphError, Not2ConnectedError
 from .graph import Graph, delete_edges_within, delete_vertices, induced_subgraph
@@ -53,7 +53,12 @@ def best_colour(colours: Iterable[Colour]) -> Colour:
 def _residual_core(
     h: Graph, fc: Colouring, backend: str, node_budget: int
 ) -> tuple[frozenset[int], str]:
-    """Minimum fc-respecting set of a block graph via vertex cover."""
+    """Minimum fc-respecting set of a block graph via vertex cover.
+
+    The residual drops the ONE vertices and the edges between ZERO
+    vertices; its cover plus the ONE vertices is the answer. Every block
+    solve goes through here, leaf recolourings included.
+    """
     ones = {v for v in range(h.n) if fc[v] is Colour.ONE}
     zeros = {v for v in range(h.n) if fc[v] is Colour.ZERO}
     h1, old_to_new = delete_vertices(h, ones)
@@ -75,43 +80,6 @@ def crsds_2connected(
         )
     s, _ = _residual_core(g, f, backend, node_budget)
     return s, len(s)
-
-
-def _three_recolourings(
-    h: Graph, fc: list[Colour], pivot: int, backend: str, node_budget: int
-) -> tuple[dict[Colour, frozenset[int]], list[str]]:
-    """Solve a block for each recolouring of the pivot vertex.
-
-    One shared residual is built for everything except the pivot; the
-    pivot's own colour only decides whether it is deleted, loses its
-    edges to ZERO vertices, or is left alone.
-    """
-    ones = {u for u in range(h.n) if fc[u] is Colour.ONE and u != pivot}
-    zeros = {u for u in range(h.n) if fc[u] is Colour.ZERO and u != pivot}
-    base, old_to_new = delete_vertices(h, ones)
-    zeros_base = {old_to_new[u] for u in zeros}
-    base = delete_edges_within(base, zeros_base)
-    pb = old_to_new[pivot]
-    new_to_old = {nv: ov for ov, nv in old_to_new.items()}
-
-    solutions: dict[Colour, frozenset[int]] = {}
-    tags: list[str] = []
-    for colour in (Colour.ONE, Colour.ZERO, Colour.ZERO_HAT):
-        if colour is Colour.ONE:
-            r, shrink = delete_vertices(base, {pb})
-            vc = min_vertex_cover(r, backend, node_budget=node_budget)
-            grow = {nv: ov for ov, nv in shrink.items()}
-            s = {new_to_old[grow[w]] for w in vc.cover} | ones | {pivot}
-        elif colour is Colour.ZERO:
-            r = delete_edges_within(base, zeros_base | {pb})
-            vc = min_vertex_cover(r, backend, node_budget=node_budget)
-            s = {new_to_old[w] for w in vc.cover} | ones
-        else:
-            vc = min_vertex_cover(base, backend, node_budget=node_budget)
-            s = {new_to_old[w] for w in vc.cover} | ones
-        solutions[colour] = frozenset(s)
-        tags.append(vc.backend)
-    return solutions, tags
 
 
 def solve_crsds(
@@ -141,8 +109,11 @@ def solve_crsds(
         h, kept = induced_subgraph(g, members)
         local_f = [fcur[kept[i]] for i in range(h.n)]
         pivot = members.index(conn)
-        sols, sol_tags = _three_recolourings(h, local_f, pivot, backend, node_budget)
-        tags.update(sol_tags)
+        sols: dict[Colour, frozenset[int]] = {}
+        for colour in (Colour.ONE, Colour.ZERO, Colour.ZERO_HAT):
+            local_f[pivot] = colour
+            sols[colour], tag = _residual_core(h, local_f, backend, node_budget)
+            tags.add(tag)
         s1 = len(sols[Colour.ONE])
         s0 = len(sols[Colour.ZERO])
         s0h = len(sols[Colour.ZERO_HAT])

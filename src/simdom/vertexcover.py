@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
-from ._kernels import kernel_for
+from ._kernels import pure
 from .errors import BudgetExceededError, InvalidBipartitionError
 from .graph import Graph, induced_subgraph
 
@@ -63,18 +63,14 @@ def matching_2approx_vc(g: Graph) -> frozenset[int]:
     return frozenset(cover)
 
 
-def min_vc_branch_and_bound(
-    g: Graph, *, kernel: str = "auto", node_budget: int = 0
-) -> VcResult:
+def min_vc_branch_and_bound(g: Graph, *, node_budget: int = 0) -> VcResult:
     """Exact minimum cover by branch and bound.
 
-    kernel selects the search implementation ("auto", "compiled",
-    "pure"); all of them run the identical search. node_budget of 0
-    means unlimited, otherwise exceeding it raises BudgetExceededError.
+    node_budget of 0 means unlimited, otherwise exceeding it raises
+    BudgetExceededError.
     """
-    search = kernel_for(g.n, prefer=kernel)
     try:
-        mask, nodes = search(g.n, g.adjacency_masks(), node_budget)
+        mask, nodes = pure.vc_search(g.n, g.adjacency_masks(), node_budget)
     except RuntimeError as exc:
         raise BudgetExceededError(str(exc)) from None
     cover = frozenset(v for v in range(g.n) if (mask >> v) & 1)
@@ -141,15 +137,32 @@ def _hopcroft_karp(
                     queue.append(nxt)
         return found
 
-    def dfs(u: int) -> bool:
-        for w in adj[u]:
-            nxt = match_r.get(w)
-            if nxt is None or (dist.get(nxt, INF) == dist[u] + 1 and dfs(nxt)):
-                match_l[u] = w
-                match_r[w] = u
-                return True
-        dist[u] = INF
-        return False
+    def dfs(root: int) -> None:
+        """Augment along one shortest path from root, if there is one.
+
+        Iterative, so path length is not bounded by the recursion limit.
+        Each frame holds a left vertex and its remaining neighbours; a
+        frame is only left once its vertex is matched or marked dead.
+        """
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            u, it = stack[-1]
+            for w in it:
+                nxt = match_r.get(w)
+                if nxt is None:
+                    # Free right vertex: flip the path held by the stack.
+                    for v, _ in reversed(stack):
+                        prev = match_l.get(v)
+                        match_l[v] = w
+                        match_r[w] = v
+                        w = prev
+                    return
+                if dist.get(nxt, INF) == dist[u] + 1:
+                    stack.append((nxt, iter(adj[nxt])))
+                    break
+            else:
+                dist[u] = INF
+                stack.pop()
 
     while bfs():
         for u in left:
@@ -206,47 +219,6 @@ def min_vc_bipartite(
         backend="bipartite",
         matching_bound=len(match_l),
     )
-
-
-def lex_bfs_order(g: Graph) -> list[int]:
-    """Lexicographic BFS visit order; ties broken by smallest index."""
-    labels: list[list[int]] = [[] for _ in range(g.n)]
-    order: list[int] = []
-    visited = [False] * g.n
-    for step in range(g.n):
-        pick = -1
-        for v in range(g.n):
-            if not visited[v] and (pick < 0 or labels[v] > labels[pick]):
-                pick = v
-        visited[pick] = True
-        order.append(pick)
-        for w in g.neighbours(pick):
-            if not visited[w]:
-                labels[w].append(g.n - step)
-    return order
-
-
-def perfect_elimination_ordering(g: Graph) -> tuple[int, ...] | None:
-    """A PEO when the graph is chordal, None otherwise.
-
-    Lex-BFS visit order reversed is a PEO exactly for chordal graphs;
-    the candidate is verified directly.
-    """
-    peo = list(reversed(lex_bfs_order(g)))
-    position = {v: i for i, v in enumerate(peo)}
-    for i, v in enumerate(peo):
-        later = [w for w in g.neighbours(v) if position[w] > i]
-        if not later:
-            continue
-        first = min(later, key=position.get)
-        rest = set(later) - {first}
-        if not rest <= g.neighbours(first):
-            return None
-    return tuple(peo)
-
-
-def is_chordal(g: Graph) -> bool:
-    return perfect_elimination_ordering(g) is not None
 
 
 def min_vc_treewidth(g: Graph, *, width_budget: int = 20) -> VcResult:

@@ -1,4 +1,6 @@
-"""Shared graph builders for the test suite."""
+"""Shared graph builders and helpers for the test suite."""
+
+import random
 
 from simdom import Graph
 
@@ -29,3 +31,9 @@ def petersen() -> Graph:
 
 def two_triangles_sharing_vertex() -> Graph:
     return Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+
+
+def random_colouring_values(n: int, seed: int) -> list[int]:
+    """Random values in {0, 1, 2} used to build colourings in tests."""
+    rng = random.Random(seed)
+    return [rng.randrange(3) for _ in range(n)]

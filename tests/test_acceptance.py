@@ -12,6 +12,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from conftest import random_colouring_values
 from simdom import (
     Colour,
     Graph,
@@ -36,7 +37,6 @@ from simdom.generators import (
     random_2connected_graph,
     random_bipartite_graph,
     random_chordal_graph,
-    random_colouring_values,
     random_connected_graph,
     random_graph,
 )

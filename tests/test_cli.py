@@ -185,10 +185,18 @@ def test_bench_agrees(gap3, capsys):
     code, out, _ = run(capsys, "bench", gap3, "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["agree"] is True
-    assert len(payload["kernels"]) >= 1
-    sizes = {row["size"] for row in payload["kernels"]}
-    assert sizes == {5}
+    assert (payload["n"], payload["m"]) == (9, 9)
+    assert "agree" not in payload
+    [row] = payload["kernels"]
+    assert (row["name"], row["size"]) == ("pure", 5)
+    assert row["nodes"] >= 1 and row["ms"] >= 0
+
+
+def test_bench_budget_exit_code(gap3, capsys):
+    code, out, err = run(capsys, "bench", gap3, "--budget", "1")
+    assert code == 4
+    assert out == ""
+    assert "budget" in err
 
 
 def test_exit_code_on_parse_error(tmp_path, capsys):

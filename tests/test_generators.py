@@ -1,14 +1,15 @@
 import math
 
+import networkx as nx
 import pytest
 
-from simdom import blocks_and_cut_vertices, is_chordal, perfect_elimination_ordering
+from conftest import random_colouring_values
+from simdom import blocks_and_cut_vertices
 from simdom.generators import (
     gap_graph,
     random_2connected_graph,
     random_bipartite_graph,
     random_chordal_graph,
-    random_colouring_values,
     random_connected_graph,
     random_graph,
 )
@@ -72,8 +73,16 @@ def test_random_2connected_has_no_cut_vertices():
 def test_random_chordal_is_chordal():
     for seed in range(15):
         g = random_chordal_graph(10, 0.35, seed=seed)
-        assert is_chordal(g)
-        assert perfect_elimination_ordering(g) is not None
+        # 0..n-1 is a perfect elimination ordering: the later neighbours
+        # of each vertex form a clique.
+        for v in range(g.n):
+            later = [w for w in g.neighbours(v) if w > v]
+            for i, a in enumerate(later):
+                for b in later[i + 1 :]:
+                    assert g.has_edge(a, b)
+        nxg = nx.Graph(g.edges)
+        nxg.add_nodes_from(range(g.n))
+        assert nx.is_chordal(nxg)
 
 
 def test_random_bipartite_edges_cross_sides():

@@ -22,7 +22,6 @@ from simdom import (
 )
 from simdom.errors import BudgetExceededError
 from simdom.generators import random_connected_graph
-from simdom.lpapprox import write_lp
 
 
 def test_model_shape_for_a_path():
@@ -182,19 +181,3 @@ def test_approx2_on_gap_graph_stays_in_the_window():
     opt = solve_sds(g).size
     assert bound <= opt <= len(rounded) <= 2 * bound
     assert 3 <= len(rounded) <= 6
-
-
-def test_write_lp_text():
-    g = path(3)
-    bct = blocks_and_cut_vertices(g)
-    m = build_sds_ip(g, bct, integral=True)
-    text = write_lp(m)
-    assert text.startswith("Minimize")
-    assert "obj: x0 + x1 + x2" in text
-    assert "y_1_0" in text and "y_1_1" in text
-    assert "Binaries" in text
-    relaxed = write_lp(build_sds_ip(g, bct, integral=False))
-    assert "Binaries" not in relaxed
-    assert "x0 >= 0" in relaxed
-    # one line per row
-    assert sum(1 for line in text.splitlines() if line.startswith(" r")) == len(m.rows)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 from simdom.blocks import blocks_and_cut_vertices
 from simdom.generators import random_connected_graph
-from simdom.lpapprox import build_sds_ip, lp_vertex_enumeration_optimum, solve_lp_simplex
+from simdom.lpapprox import build_sds_ip, solve_lp_simplex
+from simdom.oracle import lp_vertex_enumeration_optimum
 from simdom.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, simplex_min
 
 

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from conftest import cycle, path, star, two_triangles_sharing_vertex
+from conftest import (
+    cycle,
+    path,
+    random_colouring_values,
+    star,
+    two_triangles_sharing_vertex,
+)
 from simdom import (
     Colour,
     DisconnectedGraphError,
@@ -21,7 +27,6 @@ from simdom import (
 from simdom.generators import (
     gap_graph,
     random_2connected_graph,
-    random_colouring_values,
     random_connected_graph,
 )
 

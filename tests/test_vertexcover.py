@@ -8,22 +8,19 @@ from simdom import (
     Graph,
     InvalidBipartitionError,
     bipartition,
-    is_chordal,
     is_vertex_cover,
     matching_2approx_vc,
     min_vc_bipartite,
     min_vc_branch_and_bound,
     min_vc_bruteforce,
     min_vertex_cover,
-    perfect_elimination_ordering,
 )
 from simdom.generators import (
     random_bipartite_graph,
-    random_chordal_graph,
     random_connected_graph,
     random_graph,
 )
-from simdom.vertexcover import greedy_matching, lex_bfs_order, min_vc_treewidth
+from simdom.vertexcover import greedy_matching, min_vc_treewidth
 
 
 def test_is_vertex_cover():
@@ -78,14 +75,6 @@ def test_bnb_petersen():
     assert res.size == len(min_vc_bruteforce(petersen())) == 6
 
 
-def test_bnb_kernel_choice_is_answer_invariant():
-    g = random_graph(11, 20, seed=4)
-    a = min_vc_branch_and_bound(g, kernel="pure")
-    b = min_vc_branch_and_bound(g, kernel="auto")
-    assert a.cover == b.cover
-    assert a.nodes == b.nodes
-
-
 def test_bnb_node_budget():
     g = clique(12)
     with pytest.raises(BudgetExceededError):
@@ -134,41 +123,20 @@ def test_min_vc_bipartite_rejects_odd_cycles_and_bad_sides():
         min_vc_bipartite(g, sides=({0, 1}, {2}))
 
 
-def test_lex_bfs_is_a_permutation():
-    g = random_connected_graph(9, 14, seed=11)
-    order = lex_bfs_order(g)
-    assert sorted(order) == list(range(9))
-
-
-def _peo_holds(g, order):
-    pos = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        later = [u for u in g.neighbours(v) if pos[u] > i]
-        if not later:
-            continue
-        first = min(later, key=pos.get)
-        for u in later:
-            if u != first and u not in g.neighbours(first):
-                return False
-    return True
-
-
-def test_peo_on_chordal_graphs():
-    for seed in range(10):
-        g = random_chordal_graph(9, 0.3, seed=seed)
-        order = perfect_elimination_ordering(g)
-        assert order is not None
-        assert _peo_holds(g, order)
-        assert is_chordal(g)
-
-
-def test_no_peo_on_long_cycles():
-    for n in (4, 5, 6, 7):
-        assert perfect_elimination_ordering(cycle(n)) is None
-        assert not is_chordal(cycle(n))
-    assert is_chordal(cycle(3))
-    assert is_chordal(path(5))
-    assert is_chordal(clique(4))
+def test_min_vc_bipartite_long_augmenting_path():
+    # Path v_0..v_2999 labelled so that the odd vertices form the left
+    # side (in index order) and the even ones are labelled in decreasing
+    # index order. The first Hopcroft-Karp phase then matches each
+    # v_{2j+1} to v_{2j+2}, leaving v_2999 free with a single augmenting
+    # path through all 1500 left vertices down to v_0.
+    length = 3000
+    label = {}
+    for v in list(range(1, length, 2)) + list(range(length - 2, -1, -2)):
+        label[v] = len(label)
+    g = Graph(length, [(label[i], label[i + 1]) for i in range(length - 1)])
+    res = min_vc_bipartite(g)
+    assert res.size == res.matching_bound == length // 2
+    assert is_vertex_cover(g, res.cover)
 
 
 def test_treewidth_backend_matches_bruteforce():
