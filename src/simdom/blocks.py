@@ -8,6 +8,8 @@ the leaf-component solver loop and the rounding step of the LP scheme.
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import DisconnectedGraphError
@@ -142,23 +144,36 @@ class LeafComponentOrder:
 
 
 def leaf_component_order(bct: BlockCutTree) -> LeafComponentOrder:
-    """Deterministic peel order; ties broken by smallest block index."""
-    remaining = set(range(len(bct.blocks)))
-    count = {v: len(bct.blocks_of_vertex[v]) for v in bct.cut_vertices}
+    """Deterministic peel order; ties broken by smallest block index.
 
-    def active_cuts(i: int) -> list[int]:
-        return [v for v in sorted(bct.blocks[i]) if count.get(v, 0) >= 2]
+    At each step the smallest-indexed block with exactly one live cut
+    vertex (one still shared with another remaining block) is peeled,
+    with that cut vertex as its connection. A min-heap holds the current
+    leaves, and each block keeps a count of its live cuts, so the whole
+    order costs O((B + sum of |block|) log B) for B blocks.
+    """
+    nblocks = len(bct.blocks)
+    cuts_of = [sorted(blk & bct.cut_vertices) for blk in bct.blocks]
+    count = {v: len(bct.blocks_of_vertex[v]) for v in bct.cut_vertices}
+    live = [len(cuts) for cuts in cuts_of]
+    removed = [False] * nblocks
+    heap = [i for i in range(nblocks) if live[i] == 1]
 
     entries: list[tuple[int, int | None]] = []
-    while len(remaining) > 1:
-        leaf = min(i for i in remaining if len(active_cuts(i)) == 1)
-        conn = active_cuts(leaf)[0]
+    for _ in range(nblocks - 1):
+        leaf = heapq.heappop(heap)
+        removed[leaf] = True
+        conn = next(v for v in cuts_of[leaf] if count[v] >= 2)
         entries.append((leaf, conn))
-        remaining.remove(leaf)
-        for w in bct.blocks[leaf]:
-            if w in count:
-                count[w] -= 1
-    entries.append((min(remaining), None))
+        for w in cuts_of[leaf]:
+            count[w] -= 1
+            if count[w] == 1:
+                # w stops being live in the one remaining block holding it
+                j = next(b for b in bct.blocks_of_vertex[w] if not removed[b])
+                live[j] -= 1
+                if live[j] == 1:
+                    heapq.heappush(heap, j)
+    entries.append((removed.index(False), None))
     return LeafComponentOrder(tuple(entries))
 
 
@@ -182,9 +197,9 @@ def root_block_tree(bct: BlockCutTree, root: TreeNode) -> RootedBlockTree:
     parent: dict[TreeNode, TreeNode | None] = {root: None}
     children: dict[TreeNode, list[TreeNode]] = {}
     depth: dict[TreeNode, int] = {root: 0}
-    queue = [root]
+    queue = deque([root])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         kind, idx = node
         if kind == "block":
             nbrs: list[TreeNode] = [

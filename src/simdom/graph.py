@@ -110,17 +110,21 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     """Subgraph induced on ``vertices``.
 
     Returns the new graph and the sorted list of original ids; new vertex i
-    corresponds to original id ``kept[i]``.
+    corresponds to original id ``kept[i]``. Edges are gathered from the
+    adjacency of the kept vertices, so a call costs O(sum of deg(kept))
+    plus sorting, not a scan of every edge of ``g``.
     """
     kept = sorted(set(vertices))
     for v in kept:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
     index = {old: new for new, old in enumerate(kept)}
+    adj = g.adj
     edges = [
-        (index[u], index[v])
-        for u, v in g.edges
-        if u in index and v in index
+        (i, index[w])
+        for i, u in enumerate(kept)
+        for w in adj[u]
+        if u < w and w in index
     ]
     names = [g.names[v] for v in kept] if g.names is not None else None
     return Graph(len(kept), edges, names), kept

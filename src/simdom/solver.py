@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .blocks import blocks_and_cut_vertices, leaf_component_order
+from .blocks import BlockCutTree, blocks_and_cut_vertices, leaf_component_order
 from .domination import Colour, Colouring, all_zero_hat, is_colour_respecting, is_sd_set
-from .errors import DisconnectedGraphError, Not2ConnectedError
+from .errors import DisconnectedGraphError, InvalidSdSetError, Not2ConnectedError
 from .graph import Graph, delete_edges_within, delete_vertices, induced_subgraph
 from .vertexcover import min_vertex_cover
 
@@ -94,9 +94,19 @@ def solve_crsds(
     """
     if len(f) != g.n:
         raise ValueError("colouring length does not match the vertex count")
+    return _solve(g, _decompose(g), f, backend, node_budget)
+
+
+def _decompose(g: Graph) -> BlockCutTree:
     if not g.is_connected():
         raise DisconnectedGraphError("solver requires a connected graph")
-    bct = blocks_and_cut_vertices(g)
+    return blocks_and_cut_vertices(g)
+
+
+def _solve(
+    g: Graph, bct: BlockCutTree, f: Colouring, backend: str, node_budget: int
+) -> SolveReport:
+    """Peel the leaf blocks of ``bct`` in order, then solve the root block."""
     order = leaf_component_order(bct)
 
     fcur = list(f)
@@ -147,14 +157,14 @@ def solve_crsds(
     solution.update(kept[w] for w in s)
 
     result = frozenset(solution)
-    verified = is_colour_respecting(g, bct, f, result)
-    assert verified, "solver produced a set that violates its colouring"
+    if not is_colour_respecting(g, bct, f, result):
+        raise InvalidSdSetError("solver produced a set that violates its colouring")
     return SolveReport(
         solution=result,
         size=len(result),
         block_log=tuple(log),
         backends=tuple(sorted(tags)),
-        verified=verified,
+        verified=True,
     )
 
 
@@ -162,9 +172,8 @@ def solve_sds(
     g: Graph, *, backend: str = "auto", node_budget: int = 0
 ) -> SolveReport:
     """Minimum SD-set: the all-ZERO_HAT colouring."""
-    report = solve_crsds(
-        g, all_zero_hat(g.n), backend=backend, node_budget=node_budget
-    )
-    bct = blocks_and_cut_vertices(g)
-    assert is_sd_set(g, bct, report.solution)
+    bct = _decompose(g)
+    report = _solve(g, bct, all_zero_hat(g.n), backend, node_budget)
+    if not is_sd_set(g, bct, report.solution):
+        raise InvalidSdSetError("solver produced a set that is not an SD-set")
     return report

@@ -239,8 +239,13 @@ def min_vc_auto(
     backends: list[str] = []
     nodes_total = 0
     saw_nodes = False
-    for comp in g.components():
-        sub, kept = induced_subgraph(g, comp)
+    comps = g.components()
+    for comp in comps:
+        if len(comps) == 1:
+            # g is its own only component; a relabelled copy would equal it
+            sub, kept = g, comp
+        else:
+            sub, kept = induced_subgraph(g, comp)
         if sub.m == 0:
             continue
         sides = bipartition(sub)

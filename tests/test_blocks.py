@@ -111,6 +111,55 @@ def test_leaf_order_connection_is_the_single_live_cut():
     assert order.entries[-1][1] is None
 
 
+def quadratic_peel_order(bct):
+    """Reference rule: the smallest remaining block with exactly one live
+    cut vertex, peeled at that cut, rescanning every block at each step."""
+    remaining = set(range(len(bct.blocks)))
+    count = {v: len(bct.blocks_of_vertex[v]) for v in bct.cut_vertices}
+
+    def live_cuts(i):
+        return [v for v in sorted(bct.blocks[i]) if count.get(v, 0) >= 2]
+
+    entries = []
+    while len(remaining) > 1:
+        leaf = min(i for i in remaining if len(live_cuts(i)) == 1)
+        entries.append((leaf, live_cuts(leaf)[0]))
+        remaining.remove(leaf)
+        for w in bct.blocks[leaf]:
+            if w in count:
+                count[w] -= 1
+    entries.append((min(remaining), None))
+    return tuple(entries)
+
+
+def flower(petals):
+    # petals triangles through vertex 0
+    edges = []
+    for k in range(petals):
+        a, b = 2 * k + 1, 2 * k + 2
+        edges += [(0, a), (0, b), (a, b)]
+    return Graph(2 * petals + 1, edges)
+
+
+def test_leaf_order_matches_quadratic_reference():
+    graphs = {
+        f"random seed {s}": random_connected_graph(10 + s % 40, 9 + s % 40 + s % 12, seed=s)
+        for s in range(50)
+    }
+    graphs.update(
+        {
+            "path 200": path(200),
+            "star 30": star(30),
+            "flower of 200 triangles": flower(200),
+            "single block": clique(6),
+            "single vertex": Graph(1, []),
+        }
+    )
+    for name, g in graphs.items():
+        bct = blocks_and_cut_vertices(g)
+        assert leaf_component_order(bct).entries == quadratic_peel_order(bct), name
+
+
 def test_rooted_tree_parents_and_depths():
     g = path(5)  # blocks are the 4 edges, cuts are 1, 2, 3
     bct = blocks_and_cut_vertices(g)

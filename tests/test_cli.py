@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import simdom
 from simdom.cli import main
 
 
@@ -236,3 +241,17 @@ def test_solve_backend_flag(p3, capsys):
         code, out, _ = run(capsys, "solve", p3, "--backend", backend)
         assert code == 0
         assert out.splitlines()[0] == "size 1"
+
+
+def test_solve_checks_run_under_optimize(gap3):
+    # The result checks raise typed errors, so they survive python -O.
+    env = dict(os.environ, PYTHONPATH=str(Path(simdom.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "simdom.cli", "solve", gap3],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verified true" in proc.stdout.splitlines()

@@ -143,3 +143,41 @@ def test_equality_and_hash_ignore_names():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Graph(3, [(0, 2)])
+
+
+def edge_scan_subgraph(g, vertices):
+    """Reference: keep every edge of g whose endpoints both survive."""
+    kept = sorted(set(vertices))
+    index = {old: new for new, old in enumerate(kept)}
+    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+    names = [g.names[v] for v in kept] if g.names is not None else None
+    return Graph(len(kept), edges, names), kept
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    g = draw(graphs(max_n=12))
+    if draw(st.booleans()):
+        g = Graph(g.n, g.edges, [f"v{v}" for v in range(g.n)])
+    subset = draw(
+        st.one_of(
+            st.just(set()),
+            st.just(set(range(g.n))),
+            st.sets(st.integers(min_value=0, max_value=g.n - 1)),
+        )
+    )
+    return g, subset
+
+
+@given(graphs_with_subsets())
+def test_induced_subgraph_matches_edge_scan(case):
+    g, subset = case
+    want, want_kept = edge_scan_subgraph(g, subset)
+    sub, kept = induced_subgraph(g, subset)
+    assert kept == want_kept
+    assert (sub.n, sub.edges, sub.adj, sub.names) == (want.n, want.edges, want.adj, want.names)
+
+    rest, old_to_new = delete_vertices(g, subset)
+    want, want_kept = edge_scan_subgraph(g, set(range(g.n)) - subset)
+    assert old_to_new == {old: new for new, old in enumerate(want_kept)}
+    assert (rest.n, rest.edges, rest.adj, rest.names) == (want.n, want.edges, want.adj, want.names)

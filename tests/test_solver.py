@@ -9,10 +9,12 @@ from conftest import (
     star,
     two_triangles_sharing_vertex,
 )
+import simdom.solver
 from simdom import (
     Colour,
     DisconnectedGraphError,
     Graph,
+    InvalidSdSetError,
     Not2ConnectedError,
     best_colour,
     blocks_and_cut_vertices,
@@ -183,3 +185,31 @@ def test_solution_is_sd_set_under_both_verifiers():
     from simdom import is_sd_set_by_enumeration
 
     assert is_sd_set_by_enumeration(g, report.solution)
+
+
+@pytest.mark.parametrize("check", ["is_colour_respecting", "is_sd_set"])
+def test_failed_verification_raises(monkeypatch, check):
+    monkeypatch.setattr(simdom.solver, check, lambda *args: False)
+    with pytest.raises(InvalidSdSetError):
+        solve_sds(two_triangles_sharing_vertex())
+
+
+def test_failed_colour_check_raises_in_solve_crsds(monkeypatch):
+    monkeypatch.setattr(simdom.solver, "is_colour_respecting", lambda *args: False)
+    g = two_triangles_sharing_vertex()
+    with pytest.raises(InvalidSdSetError):
+        solve_crsds(g, [Colour.ZERO_HAT] * g.n)
+
+
+def test_solve_sds_decomposes_once(monkeypatch):
+    calls = []
+    original = simdom.solver.blocks_and_cut_vertices
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(simdom.solver, "blocks_and_cut_vertices", counting)
+    report = solve_sds(gap_graph(3))
+    assert report.size == 3
+    assert len(calls) == 1

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import clique, cycle, path, petersen, star
+import simdom.vertexcover
 from simdom import (
     BudgetExceededError,
     Graph,
@@ -20,7 +21,7 @@ from simdom.generators import (
     random_connected_graph,
     random_graph,
 )
-from simdom.vertexcover import greedy_matching, min_vc_treewidth
+from simdom.vertexcover import greedy_matching, min_vc_auto, min_vc_treewidth
 
 
 def test_is_vertex_cover():
@@ -180,3 +181,17 @@ def test_explicit_backends_agree():
 def test_star_cover_is_centre():
     res = min_vc_branch_and_bound(star(6))
     assert res.cover == frozenset({0})
+
+
+def test_auto_on_one_component_builds_no_subgraph(monkeypatch):
+    calls = []
+    original = simdom.vertexcover.induced_subgraph
+
+    def counting(g, vertices):
+        calls.append(g)
+        return original(g, vertices)
+
+    monkeypatch.setattr(simdom.vertexcover, "induced_subgraph", counting)
+    g = petersen()
+    assert min_vc_auto(g).size == min_vc_branch_and_bound(g).size == 6
+    assert calls == []
