@@ -25,6 +25,7 @@ from .errors import (
     BudgetExceededError,
     DisconnectedGraphError,
     GraphParseError,
+    GuaranteeError,
     InvalidBipartitionError,
     InvalidDecompositionError,
     InvalidSdSetError,
@@ -104,6 +105,7 @@ __all__ = [
     "DisconnectedGraphError",
     "Graph",
     "GraphParseError",
+    "GuaranteeError",
     "InvalidBipartitionError",
     "InvalidDecompositionError",
     "InvalidSdSetError",

@@ -39,3 +39,7 @@ class WidthBudgetError(SimdomError):
 
 class InvalidSdSetError(SimdomError):
     """Raised when a set claimed to be simultaneously dominating is not."""
+
+
+class GuaranteeError(SimdomError):
+    """Raised when a result breaks a bound or property its method proves."""

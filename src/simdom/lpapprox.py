@@ -18,7 +18,7 @@ from typing import AbstractSet
 
 from .blocks import BlockCutTree, blocks_and_cut_vertices, root_block_tree
 from .domination import is_sd_set
-from .errors import InvalidSdSetError
+from .errors import GuaranteeError, InvalidSdSetError
 from .graph import Graph
 from .simplex import OPTIMAL, simplex_min
 from .vertexcover import is_vertex_cover, matching_2approx_vc
@@ -46,9 +46,6 @@ class LpModel:
     @property
     def num_cols(self) -> int:
         return self.n + len(self.y_keys)
-
-    def y_col(self, v: int, b: int) -> int:
-        return self.n + self.y_keys.index((v, b))
 
     def row_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -115,7 +112,8 @@ def solve_lp_simplex(m: LpModel) -> LpSolution:
     result = simplex_min(
         m.num_cols, objective, [(row.coeffs, row.rhs) for row in m.rows]
     )
-    assert result.status == OPTIMAL, f"model family is never {result.status}"
+    if result.status != OPTIMAL:
+        raise GuaranteeError(f"the model family is never {result.status}")
     values = result.values
     return LpSolution(
         status=result.status,
@@ -163,7 +161,8 @@ def round_lp(
     Step 3 zeroes the remaining fractionals. Variables that reach 1 are
     never decreased again.
     """
-    assert all(xv <= 1 for xv in sol.x), "relaxation optimum exceeds box"
+    if any(xv > 1 for xv in sol.x):
+        raise GuaranteeError("relaxation optimum exceeds the box x <= 1")
     x = [Fraction(1) if xv >= HALF else xv for xv in sol.x]
 
     def fresh_y(v: int, b: int) -> Fraction:
@@ -202,7 +201,8 @@ def round_lp(
         xi = [Fraction(1) if v in out else Fraction(0) for v in range(g.n)]
         yi = {key: min(xi[u] for u in g.adj[key[0]] & bct.blocks[key[1]]) for key in y}
         _assert_lp_feasible(g, bct, xi, yi, "after third rounding")
-    assert is_sd_set(g, bct, out), "rounded set fails the domination check"
+    if not is_sd_set(g, bct, out):
+        raise InvalidSdSetError("rounded set fails the domination check")
     return out
 
 
@@ -214,7 +214,8 @@ def approx2_sds(
     model = build_sds_ip(g, bct, integral=False)
     sol = solve_lp_simplex(model)
     rounded = round_lp(g, bct, sol, check_feasibility=check_feasibility)
-    assert len(rounded) <= 2 * sol.objective, "rounding exceeded the 2x guarantee"
+    if len(rounded) > 2 * sol.objective:
+        raise GuaranteeError("rounding exceeded the 2x guarantee")
     return rounded, sol.objective
 
 
@@ -242,8 +243,10 @@ def sds_to_vertex_cover(
         if below & set(s):
             cover.add(v)
     result = frozenset(cover)
-    assert is_vertex_cover(g, result), "extension missed an edge"
-    assert len(result) <= 2 * len(set(s)) - 1, "extension exceeded the size bound"
+    if not is_vertex_cover(g, result):
+        raise GuaranteeError("cover extension missed an edge")
+    if len(result) > 2 * len(set(s)) - 1:
+        raise GuaranteeError("cover extension exceeded the size bound")
     return result
 
 
@@ -251,5 +254,6 @@ def approx4_sds_via_vc(g: Graph) -> frozenset[int]:
     """The matching-based vertex cover, which is itself an SD-set."""
     out = matching_2approx_vc(g)
     bct = blocks_and_cut_vertices(g)
-    assert is_sd_set(g, bct, out)
+    if not is_sd_set(g, bct, out):
+        raise InvalidSdSetError("matching cover fails the domination check")
     return out

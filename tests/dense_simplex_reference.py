@@ -1,0 +1,164 @@
+"""The dense-tableau simplex, kept as a test-only reference.
+
+This is `simdom.simplex.simplex_min` as it was before its rows became
+sparse, copied line for line. Two things are added: the pivot counter,
+so the tests can check that the sparse method takes the very same
+Bland pivots and not just reaches the same optimum, and the optional
+``cases`` set, into which the run records "degenerate-artificial" when
+phase 1 ends with an artificial variable basic at zero, so the tests
+can check that their draws reach that branch.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Mapping, Sequence
+
+from simdom.simplex import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    SimplexResult,
+    _rat,
+    _to_fraction,
+)
+
+
+def dense_simplex_min(
+    num_vars: int,
+    objective: Sequence[int],
+    rows: Sequence[tuple[Mapping[int, int], int]],
+    cases: set[str] | None = None,
+) -> SimplexResult:
+    """Minimize objective . z subject to each row holding as >= and z >= 0."""
+    zero = _rat(0)
+    one = _rat(1)
+    pivots = 0
+
+    # identical rows constrain nothing twice; drop repeats
+    seen: set[tuple] = set()
+    unique: list[tuple[Mapping[int, int], int]] = []
+    for coeffs, rhs in rows:
+        key = (tuple(sorted(coeffs.items())), rhs)
+        if key not in seen:
+            seen.add(key)
+            unique.append((coeffs, rhs))
+
+    nrows = len(unique)
+    slack_start = num_vars
+    art_start = num_vars + nrows
+    art_cols = [art_start + i for i, (_, rhs) in enumerate(unique) if rhs > 0]
+    ncols = art_start + len(art_cols)
+
+    tableau: list[list] = []
+    basis: list[int] = []
+    next_art = art_start
+    for i, (coeffs, rhs) in enumerate(unique):
+        row = [zero] * (ncols + 1)
+        if rhs > 0:
+            for j, a in coeffs.items():
+                row[j] = _rat(a)
+            row[slack_start + i] = -one
+            row[next_art] = one
+            row[-1] = _rat(rhs)
+            basis.append(next_art)
+            next_art += 1
+        else:
+            for j, a in coeffs.items():
+                row[j] = -_rat(a)
+            row[slack_start + i] = one
+            row[-1] = _rat(-rhs)
+            basis.append(slack_start + i)
+        tableau.append(row)
+
+    def pivot(r: int, c: int, zrow: list) -> None:
+        nonlocal pivots
+        pivots += 1
+        prow = tableau[r]
+        piv = prow[c]
+        if piv != one:
+            inv = one / piv
+            tableau[r] = prow = [a * inv for a in prow]
+        for i, row in enumerate(tableau):
+            if i != r and row[c] != zero:
+                f = row[c]
+                tableau[i] = [a - f * b for a, b in zip(row, prow)]
+        if zrow[c] != zero:
+            f = zrow[c]
+            zrow[:] = [a - f * b for a, b in zip(zrow, prow)]
+        basis[r] = c
+
+    def bland(zrow: list, allowed: int) -> str:
+        # allowed caps the entering column index (phase 2 excludes
+        # artificial columns without rebuilding the tableau)
+        while True:
+            enter = -1
+            for j in range(allowed):
+                if zrow[j] < zero:
+                    enter = j
+                    break
+            if enter < 0:
+                return OPTIMAL
+            leave = -1
+            best = None
+            for r in range(nrows):
+                a = tableau[r][enter]
+                if a > zero:
+                    ratio = tableau[r][-1] / a
+                    if (
+                        best is None
+                        or ratio < best
+                        or (ratio == best and basis[r] < basis[leave])
+                    ):
+                        best = ratio
+                        leave = r
+            if leave < 0:
+                return UNBOUNDED
+            pivot(leave, enter, zrow)
+
+    if art_cols:
+        zrow = [zero] * (ncols + 1)
+        for j in range(art_start, ncols):
+            zrow[j] = one
+        for r in range(nrows):
+            if basis[r] >= art_start:
+                row = tableau[r]
+                zrow = [a - b for a, b in zip(zrow, row)]
+        status = bland(zrow, ncols)
+        assert status == OPTIMAL, "phase 1 objective is bounded by zero"
+        if -zrow[-1] != zero:
+            return SimplexResult(INFEASIBLE, None, None, pivots)
+        # degenerate artificials still in the basis: pivot them out on
+        # any structural or slack column, or drop the redundant row
+        for r in range(nrows - 1, -1, -1):
+            if basis[r] < art_start:
+                continue
+            if cases is not None:
+                cases.add("degenerate-artificial")
+            col = next(
+                (j for j in range(art_start) if tableau[r][j] != zero), None
+            )
+            if col is None:
+                del tableau[r]
+                del basis[r]
+                nrows -= 1
+            else:
+                pivot(r, col, zrow)
+
+    zrow = [zero] * (ncols + 1)
+    for j in range(num_vars):
+        zrow[j] = _rat(objective[j])
+    for r in range(nrows):
+        cb = zrow[basis[r]]
+        if cb != zero:
+            row = tableau[r]
+            zrow = [a - cb * b for a, b in zip(zrow, row)]
+    status = bland(zrow, art_start)
+    if status == UNBOUNDED:
+        return SimplexResult(UNBOUNDED, None, None, pivots)
+
+    values = [Fraction(0)] * num_vars
+    for r in range(nrows):
+        if basis[r] < num_vars:
+            values[basis[r]] = _to_fraction(tableau[r][-1])
+    return SimplexResult(OPTIMAL, _to_fraction(-zrow[-1]), tuple(values), pivots)

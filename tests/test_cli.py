@@ -243,6 +243,27 @@ def test_solve_backend_flag(p3, capsys):
         assert out.splitlines()[0] == "size 1"
 
 
+def test_approx_checks_run_under_optimize(tmp_path, capsys):
+    # The LP result checks raise typed errors too: -O changes no output.
+    code, text, _ = run(capsys, "gen", "random", "30", "45")
+    assert code == 0
+    graph = write(tmp_path, "random30.txt", text)
+    env = dict(os.environ, PYTHONPATH=str(Path(simdom.__file__).parents[1]))
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "simdom.cli", "approx", graph, "lp", "--json"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["method"] == "lp"
+
+
 def test_solve_checks_run_under_optimize(gap3):
     # The result checks raise typed errors, so they survive python -O.
     env = dict(os.environ, PYTHONPATH=str(Path(simdom.__file__).parents[1]))

@@ -6,6 +6,7 @@ import pytest
 from conftest import clique, cycle, path, star
 from simdom import (
     Graph,
+    GuaranteeError,
     InvalidSdSetError,
     approx2_sds,
     approx4_sds_via_vc,
@@ -20,8 +21,10 @@ from simdom import (
     solve_lp_simplex,
     solve_sds,
 )
+from simdom import lpapprox
 from simdom.errors import BudgetExceededError
 from simdom.generators import random_connected_graph
+from simdom.simplex import INFEASIBLE, SimplexResult
 
 
 def test_model_shape_for_a_path():
@@ -181,3 +184,74 @@ def test_approx2_on_gap_graph_stays_in_the_window():
     opt = solve_sds(g).size
     assert bound <= opt <= len(rounded) <= 2 * bound
     assert 3 <= len(rounded) <= 6
+
+
+# The result checks below raise typed errors rather than assert, so they
+# also run under python -O; each test forces one of them to fail.
+
+
+def test_non_optimal_relaxation_raises(monkeypatch):
+    monkeypatch.setattr(
+        lpapprox, "simplex_min", lambda *args: SimplexResult(INFEASIBLE, None, None)
+    )
+    with pytest.raises(GuaranteeError):
+        approx2_sds(path(3))
+
+
+def test_relaxation_outside_the_box_raises(monkeypatch):
+    solve = lpapprox.simplex_min
+
+    def over_one(*args):
+        result = solve(*args)
+        return SimplexResult(
+            result.status, result.objective, (Fraction(2),) + result.values[1:]
+        )
+
+    monkeypatch.setattr(lpapprox, "simplex_min", over_one)
+    with pytest.raises(GuaranteeError):
+        approx2_sds(path(3))
+
+
+def test_rounded_set_failing_domination_raises(monkeypatch):
+    monkeypatch.setattr(lpapprox, "is_sd_set", lambda *args: False)
+    with pytest.raises(InvalidSdSetError):
+        approx2_sds(path(3))
+
+
+def test_rounding_beyond_twice_the_bound_raises(monkeypatch):
+    g = path(3)  # LP bound 1, so three vertices break the 2x guarantee
+    monkeypatch.setattr(
+        lpapprox, "round_lp", lambda g, *args, **kw: frozenset(range(g.n))
+    )
+    with pytest.raises(GuaranteeError):
+        approx2_sds(g)
+
+
+def test_cover_extension_missing_an_edge_raises(monkeypatch):
+    g = path(3)
+    monkeypatch.setattr(lpapprox, "is_vertex_cover", lambda *args: False)
+    with pytest.raises(GuaranteeError):
+        sds_to_vertex_cover(g, blocks_and_cut_vertices(g), {1})
+
+
+def test_cover_extension_over_the_size_bound_raises(monkeypatch):
+    # a tree that lists every block of a cut vertex as its child makes the
+    # star's centre join the cover of {1}, giving 2 > 2 * 1 - 1
+    class EveryBlockIsAChild:
+        def __init__(self, bct, root):
+            self.bct = bct
+
+        def child_blocks_of_cut(self, v):
+            return self.bct.blocks_of_vertex[v]
+
+    g = star(3)
+    monkeypatch.setattr(lpapprox, "is_sd_set", lambda *args: True)
+    monkeypatch.setattr(lpapprox, "root_block_tree", EveryBlockIsAChild)
+    with pytest.raises(GuaranteeError):
+        sds_to_vertex_cover(g, blocks_and_cut_vertices(g), {1})
+
+
+def test_matching_cover_failing_domination_raises(monkeypatch):
+    monkeypatch.setattr(lpapprox, "is_sd_set", lambda *args: False)
+    with pytest.raises(InvalidSdSetError):
+        approx4_sds_via_vc(path(3))

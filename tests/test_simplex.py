@@ -1,6 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
+
+from dense_simplex_reference import dense_simplex_min
 from simdom.blocks import blocks_and_cut_vertices
 from simdom.generators import random_connected_graph
 from simdom.lpapprox import build_sds_ip, solve_lp_simplex
@@ -76,3 +81,101 @@ def test_matches_vertex_enumeration_on_domination_models():
         model = build_sds_ip(g, bct, integral=False)
         sol = solve_lp_simplex(model)
         assert sol.objective == lp_vertex_enumeration_optimum(model)
+
+
+def test_pivots_are_counted_in_both_phases():
+    # phase 1 enters x0 for the artificial; phase 2 is already optimal
+    assert simplex_min(1, [1], [({0: 1}, 3)]).pivots == 1
+    # no artificial: only the phase 2 pivot that makes x0 basic
+    assert simplex_min(1, [-1], [({0: -1}, -2)]).pivots == 1
+    assert simplex_min(1, [1], [({0: 1}, 0)]).pivots == 0
+
+
+@st.composite
+def ge_lps(draw):
+    """Random min c.z, rows >= rhs, z >= 0, with repeated rows mixed in.
+
+    Exact repeats exercise the removal of duplicate rows. Doubled rows
+    survive it, and negated ones pin a row to equality; both lead phase 1
+    to end with an artificial variable basic at zero.
+    """
+    num_vars = draw(st.integers(1, 5))
+    row = st.tuples(
+        st.dictionaries(
+            st.integers(0, num_vars - 1), st.integers(-3, 3), max_size=num_vars
+        ),
+        st.integers(-3, 3),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    repeat = st.tuples(st.sampled_from(rows), st.sampled_from((1, 2, -1)))
+    rows += [
+        ({j: k * a for j, a in coeffs.items()}, k * rhs)
+        for (coeffs, rhs), k in draw(st.lists(repeat, max_size=3))
+    ]
+    rows = draw(st.permutations(rows))
+    objective = draw(
+        st.lists(st.integers(-3, 3), min_size=num_vars, max_size=num_vars)
+    )
+    return num_vars, objective, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(ge_lps())
+def test_sparse_pivots_match_dense_reference(lp):
+    # status, objective, values and the number of Bland pivots all agree
+    assert simplex_min(*lp) == dense_simplex_min(*lp)
+
+
+@pytest.mark.parametrize("case", [INFEASIBLE, UNBOUNDED, "degenerate-artificial"])
+def test_reference_draws_reach_every_case(case):
+    def hits(lp):
+        cases: set[str] = set()
+        result = dense_simplex_min(*lp, cases=cases)
+        return case in cases or result.status == case
+
+    quick = settings(
+        max_examples=2000, database=None, phases=[Phase.generate], derandomize=True
+    )
+    lp = find(ge_lps(), hits, settings=quick)
+    assert simplex_min(*lp) == dense_simplex_min(*lp)
+
+
+def test_sparse_pivots_match_dense_reference_on_domination_models():
+    rng = random.Random(41)
+    for n in (20, 27, 34, 40):
+        g = random_connected_graph(
+            n, rng.randint(n - 1, 2 * n), seed=rng.randint(0, 10**6)
+        )
+        model = build_sds_ip(g, blocks_and_cut_vertices(g), integral=False)
+        args = (
+            model.num_cols,
+            [1] * model.n + [0] * len(model.y_keys),
+            [(row.coeffs, row.rhs) for row in model.rows],
+        )
+        sparse = simplex_min(*args)
+        assert sparse.status == OPTIMAL
+        assert sparse == dense_simplex_min(*args)
+
+
+def test_objective_matches_highs_on_larger_models():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(43)
+    for _ in range(20):
+        n = rng.randint(20, 60)
+        g = random_connected_graph(
+            n, rng.randint(n - 1, 2 * n), seed=rng.randint(0, 10**6)
+        )
+        model = build_sds_ip(g, blocks_and_cut_vertices(g), integral=False)
+        a_ub = [[0] * model.num_cols for _ in model.rows]
+        for i, row in enumerate(model.rows):
+            for j, a in row.coeffs.items():
+                a_ub[i][j] = -a
+        highs = optimize.linprog(
+            [1] * model.n + [0] * len(model.y_keys),
+            A_ub=a_ub,
+            b_ub=[-row.rhs for row in model.rows],
+            bounds=(0, None),
+            method="highs",
+        )
+        assert highs.status == 0
+        assert abs(float(solve_lp_simplex(model).objective) - highs.fun) <= 1e-9
