@@ -48,15 +48,9 @@ def _to_fraction(q) -> Fraction:
 
 def _subtract_multiple(row: dict, f, prow: dict) -> None:
     """row -= f * prow over the nonzeros of prow; cancelled entries go."""
-    # f is +-1 on most calls for the 0/+-1 domination models: no product then
-    if f == -1:
-        terms = prow.items()
-    elif f == 1:
-        terms = [(j, -b) for j, b in prow.items()]
-    else:
-        nf = -f
-        terms = [(j, nf * b) for j, b in prow.items()]
-    for j, d in terms:
+    nf = -f
+    for j, b in prow.items():
+        d = nf * b
         a = row.get(j)
         if a is None:
             row[j] = d
