@@ -15,7 +15,12 @@ from typing import Iterable
 
 from .blocks import BlockCutTree, blocks_and_cut_vertices, leaf_component_order
 from .domination import Colour, Colouring, all_zero_hat, is_colour_respecting, is_sd_set
-from .errors import DisconnectedGraphError, InvalidSdSetError, Not2ConnectedError
+from .errors import (
+    DisconnectedGraphError,
+    GuaranteeError,
+    InvalidSdSetError,
+    Not2ConnectedError,
+)
 from .graph import Graph, delete_edges_within, delete_vertices, induced_subgraph
 from .vertexcover import min_vertex_cover
 
@@ -127,7 +132,8 @@ def _solve(
         s1 = len(sols[Colour.ONE])
         s0 = len(sols[Colour.ZERO])
         s0h = len(sols[Colour.ZERO_HAT])
-        assert s0 <= s0h <= s1 <= s0 + 1, f"impossible size pattern {s1=} {s0h=} {s0=}"
+        if not s0 <= s0h <= s1 <= s0 + 1:
+            raise GuaranteeError(f"impossible size pattern {s1=} {s0h=} {s0=}")
         if s1 == s0h == s0:
             fcur[conn] = Colour.ONE
             chosen = sols[Colour.ONE]
@@ -138,8 +144,7 @@ def _solve(
             fcur[conn] = recolour
             chosen = sols[Colour.ZERO_HAT]
             case = "one-larger"
-        else:
-            assert s0 < s0h == s1, f"unreachable size pattern {s1=} {s0h=} {s0=}"
+        else:  # the ladder leaves only s0 < s0h == s1
             chosen = sols[Colour.ZERO]
             case = "zero-smaller"
             recolour = None

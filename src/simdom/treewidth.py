@@ -1,21 +1,23 @@
 """Tree decompositions and exact vertex cover by dynamic programming.
 
 The decomposition comes from the min-fill elimination heuristic, so its
-width is an upper bound on the treewidth with no optimality claim. The
-DP is correct on any valid decomposition, which validate_decomposition
-checks property by property.
+width is an upper bound on the treewidth with no optimality claim. Fill
+counts are incremental (Bodlaender & Koster, "Treewidth computations I.
+Upper bounds", 2010): each is computed once, kept in a heap, and
+updated only for the vertices near an eliminated one. The DP is
+correct on any valid decomposition, which validate_decomposition checks
+property by property, with the bags indexed by vertex.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InvalidDecompositionError, WidthBudgetError
+from .errors import GuaranteeError, InvalidDecompositionError, WidthBudgetError
 from .graph import Graph
-from .vertexcover import VcResult
-
-WIDTH_BUDGET = 20
+from .vertexcover import WIDTH_BUDGET, VcResult
 
 
 @dataclass(frozen=True)
@@ -28,44 +30,69 @@ class TreeDecomposition:
         return max((len(b) for b in self.bags), default=0) - 1
 
 
+def _fill(adj: list[set[int]], v: int) -> int:
+    """Number of non-adjacent pairs among the neighbours of v."""
+    nv = adj[v]
+    d = len(nv)
+    # every edge inside N(v) is counted from both of its ends
+    inside = sum(len(adj[a] & nv) for a in nv)
+    return (d * (d - 1) - inside) // 2
+
+
 def min_fill_decomposition(g: Graph) -> TreeDecomposition:
     """Eliminate by fewest fill edges (ties to the smallest vertex).
 
     The bag of an eliminated vertex is its closed neighbourhood at
     elimination time; each bag hangs below the bag of its earliest
     eliminated member, which keeps every vertex's bags connected.
+
+    Fill counts are kept in a heap of (fill, vertex) with lazy deletion:
+    an entry is stale once its vertex is eliminated or its count has
+    changed. Eliminating v changes only the fill of N(v), which is
+    recounted, and of the other vertices of N(N(v)) that see both ends
+    of a new fill edge, whose counts drop by one per such edge.
     """
     adj: list[set[int]] = [set(g.neighbours(v)) for v in range(g.n)]
-    alive = set(range(g.n))
+    fill = [_fill(adj, v) for v in range(g.n)]
+    heap = [(f, v) for v, f in enumerate(fill)]
+    heapq.heapify(heap)
+    alive = [True] * g.n
     elim_pos: dict[int, int] = {}
     bags: list[frozenset[int]] = []
     bag_members: list[list[int]] = []
 
-    while alive:
-        best_v = -1
-        best_fill = None
-        for v in sorted(alive):
-            nbrs = sorted(adj[v])
-            fill = sum(
-                1
-                for i, a in enumerate(nbrs)
-                for b in nbrs[i + 1 :]
-                if b not in adj[a]
-            )
-            if best_fill is None or fill < best_fill:
-                best_fill = fill
-                best_v = v
-        v = best_v
+    while len(bags) < g.n:
+        f, v = heapq.heappop(heap)
+        if not alive[v] or f != fill[v]:
+            continue
         nbrs = sorted(adj[v])
         elim_pos[v] = len(bags)
         bags.append(frozenset([v, *nbrs]))
         bag_members.append(nbrs)
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                adj[a].add(b)
-                adj[b].add(a)
+        alive[v] = False
+        added = [
+            (a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if b not in adj[a]
+        ]
+        for a in nbrs:
             adj[a].discard(v)
-        alive.remove(v)
+        for a, b in added:
+            adj[a].add(b)
+            adj[b].add(a)
+        # outside N[v] a neighbourhood keeps its vertices and only loses
+        # the non-adjacent pairs that became fill edges
+        outside: set[int] = set()
+        for a, b in added:
+            for w in adj[a] & adj[b]:
+                if w not in adj[v]:
+                    fill[w] -= 1
+                    outside.add(w)
+        for w in outside:
+            heapq.heappush(heap, (fill[w], w))
+        for w in nbrs:
+            count = _fill(adj, w)
+            if count != fill[w]:
+                fill[w] = count
+                heapq.heappush(heap, (count, w))
 
     edges: list[tuple[int, int]] = []
     for i, members in enumerate(bag_members):
@@ -103,15 +130,19 @@ def decomposition_violation(g: Graph, td: TreeDecomposition) -> str | None:
         if len(seen) != k:
             return "tree: bag graph is disconnected"
 
-    covered = set().union(*td.bags) if td.bags else set()
+    where: list[set[int]] = [set() for _ in range(g.n)]
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            if 0 <= v < g.n:
+                where[v].add(i)
     for v in range(g.n):
-        if v not in covered:
+        if not where[v]:
             return f"property (i): vertex {v} is in no bag"
     for u, v in g.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
+        if where[u].isdisjoint(where[v]):
             return f"property (ii): edge ({u}, {v}) is in no bag"
     for v in range(g.n):
-        member = {i for i, bag in enumerate(td.bags) if v in bag}
+        member = where[v]
         start = min(member)
         reached = {start}
         queue = deque([start])
@@ -271,7 +302,8 @@ def vc_via_tree_decomposition(
                     table[mask] = cost + other - mask.bit_count()
 
     root = len(nodes) - 1
-    assert tables[root], "DP lost all states on a validated decomposition"
+    if not tables[root]:
+        raise GuaranteeError("DP lost all states on a validated decomposition")
     best = tables[root][0]
 
     cover: set[int] = set()
@@ -299,7 +331,8 @@ def vc_via_tree_decomposition(
                 cover.add(node.vertex)
             stack.append((node.left, child_mask))
 
-    assert len(cover) == best, "reconstruction does not match the DP optimum"
+    if len(cover) != best:
+        raise GuaranteeError("reconstruction does not match the DP optimum")
     return VcResult(cover=frozenset(cover), size=best, backend="treewidth")
 
 

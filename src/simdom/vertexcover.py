@@ -14,10 +14,13 @@ from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
 from ._kernels import pure
-from .errors import BudgetExceededError, InvalidBipartitionError
+from .errors import BudgetExceededError, GuaranteeError, InvalidBipartitionError
 from .graph import Graph, induced_subgraph
 
 AUTO_WIDTH_CAP = 12
+# widest decomposition the treewidth DP accepts; defined here, not in
+# treewidth, because treewidth imports this module when it loads
+WIDTH_BUDGET = 20
 
 
 @dataclass(frozen=True)
@@ -211,8 +214,10 @@ def min_vc_bipartite(
                 queue.append(back)
     cover = frozenset(side_a - z_left) | frozenset(z_right)
 
-    assert len(cover) == len(match_l), "König equality violated"
-    assert is_vertex_cover(g, cover), "extracted set misses an edge"
+    if len(cover) != len(match_l):
+        raise GuaranteeError("König equality violated")
+    if not is_vertex_cover(g, cover):
+        raise GuaranteeError("extracted set misses an edge")
     return VcResult(
         cover=cover,
         size=len(cover),
@@ -221,7 +226,7 @@ def min_vc_bipartite(
     )
 
 
-def min_vc_treewidth(g: Graph, *, width_budget: int = 20) -> VcResult:
+def min_vc_treewidth(g: Graph, *, width_budget: int = WIDTH_BUDGET) -> VcResult:
     from .treewidth import min_fill_decomposition, vc_via_tree_decomposition
 
     td = min_fill_decomposition(g)

@@ -14,6 +14,7 @@ from simdom import (
     Colour,
     DisconnectedGraphError,
     Graph,
+    GuaranteeError,
     InvalidSdSetError,
     Not2ConnectedError,
     best_colour,
@@ -213,3 +214,25 @@ def test_solve_sds_decomposes_once(monkeypatch):
     report = solve_sds(gap_graph(3))
     assert report.size == 3
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        {Colour.ONE: 1, Colour.ZERO: 1, Colour.ZERO_HAT: 0},  # s0 > s0hat
+        {Colour.ONE: 0, Colour.ZERO: 0, Colour.ZERO_HAT: 1},  # s0hat > s1
+        {Colour.ONE: 2, Colour.ZERO: 0, Colour.ZERO_HAT: 0},  # s1 > s0 + 1
+    ],
+    ids=["zero-above-zero-hat", "zero-hat-above-one", "one-above-zero-plus-one"],
+)
+def test_impossible_size_ladder_raises(monkeypatch, sizes):
+    # path(3) peels the leaf block {0, 1} or {1, 2}: its only non-pivot
+    # vertex is ZERO_HAT, so the pivot colour is whichever other colour
+    # appears, else ZERO_HAT
+    def fake_residual_core(h, fc, backend, node_budget):
+        colour = next((c for c in (Colour.ONE, Colour.ZERO) if c in fc), Colour.ZERO_HAT)
+        return frozenset(range(sizes[colour])), "bnb"
+
+    monkeypatch.setattr(simdom.solver, "_residual_core", fake_residual_core)
+    with pytest.raises(GuaranteeError, match="impossible size pattern"):
+        solve_sds(path(3))

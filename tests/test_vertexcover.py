@@ -7,6 +7,7 @@ import simdom.vertexcover
 from simdom import (
     BudgetExceededError,
     Graph,
+    GuaranteeError,
     InvalidBipartitionError,
     bipartition,
     is_vertex_cover,
@@ -195,3 +196,16 @@ def test_auto_on_one_component_builds_no_subgraph(monkeypatch):
     g = petersen()
     assert min_vc_auto(g).size == min_vc_branch_and_bound(g).size == 6
     assert calls == []
+
+
+def test_konig_equality_failure_raises(monkeypatch):
+    # an empty matching leaves a one-vertex cover against a matching of 0
+    monkeypatch.setattr(simdom.vertexcover, "_hopcroft_karp", lambda g, left: ({}, {}))
+    with pytest.raises(GuaranteeError, match="König equality"):
+        min_vc_bipartite(path(2))
+
+
+def test_konig_cover_missing_an_edge_raises(monkeypatch):
+    monkeypatch.setattr(simdom.vertexcover, "is_vertex_cover", lambda *args: False)
+    with pytest.raises(GuaranteeError, match="misses an edge"):
+        min_vc_bipartite(path(4))
