@@ -10,6 +10,8 @@ from typing import Iterable, Sequence
 
 from .errors import GraphParseError
 
+MAX_VERTICES = 10**6  # parse_graph refuses more, before allocating any
+
 
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
@@ -155,7 +157,8 @@ def parse_graph(text: str, fmt: str = "dimacs") -> Graph:
 
     DIMACS: 'c' comment lines, one 'p edge <n> <m>' line, 'e <u> <v>' lines
     with 1-based vertices. Edge list: one '<u> <v>' pair per line, 0-based;
-    blank lines and lines starting with '#' are skipped.
+    blank lines and lines starting with '#' are skipped. A graph of more
+    than MAX_VERTICES vertices is refused with GraphParseError.
     """
     if fmt == "dimacs":
         return _parse_dimacs(text)
@@ -185,6 +188,8 @@ def _parse_dimacs(text: str) -> Graph:
                 raise GraphParseError("non-integer problem line", lineno) from None
             if n < 0 or declared_m < 0:
                 raise GraphParseError("negative counts in problem line", lineno)
+            if n > MAX_VERTICES:
+                raise GraphParseError(f"more than {MAX_VERTICES} vertices", lineno)
         elif parts[0] == "e":
             if n is None:
                 raise GraphParseError("edge before problem line", lineno)
@@ -239,6 +244,8 @@ def _parse_edgelist(text: str) -> Graph:
         seen.add(e)
         edges.append(e)
         top = max(top, u, v)
+        if top >= MAX_VERTICES:
+            raise GraphParseError(f"more than {MAX_VERTICES} vertices", lineno)
     return Graph(top + 1, edges)
 
 

@@ -104,22 +104,58 @@ def build_sds_ip(g: Graph, bct: BlockCutTree, *, integral: bool = True) -> LpMod
     return LpModel(g.n, tuple(y_keys), tuple(rows), integral)
 
 
+def dual_program(
+    m: LpModel,
+) -> tuple[int, list[int], list[tuple[dict[int, int], int]]]:
+    """simplex_min's arguments for the dual of the relaxation.
+
+    The relaxation is min c . z subject to A z >= b and z >= 0, with c
+    one on x-columns and zero on y-columns, and b in {0, 1}. Its dual,
+    max b . pi subject to A^T pi <= c and pi >= 0, is passed as the rows
+    -A^T pi >= -c, whose right-hand sides are all <= 0.
+    """
+    cols: list[dict[int, int]] = [{} for _ in range(m.num_cols)]
+    for i, row in enumerate(m.rows):
+        for j, a in row.coeffs.items():
+            cols[j][i] = -a
+    return (
+        len(m.rows),
+        [-row.rhs for row in m.rows],
+        [(col, -1 if j < m.n else 0) for j, col in enumerate(cols)],
+    )
+
+
 def solve_lp_simplex(m: LpModel) -> LpSolution:
-    """Optimal basic solution of the relaxation, exactly."""
+    """Optimal basic solution of the relaxation, exactly, via its dual.
+
+    The simplex solves the dual in one phase from pi = 0, and z is read
+    off its final objective row. The answer is certified by duality: z
+    and pi are feasible and their objectives are equal, so both are
+    optimal.
+    """
     if m.integral:
         raise ValueError("simplex solves the relaxation; build with integral=False")
-    objective = [1] * m.n + [0] * len(m.y_keys)
-    result = simplex_min(
-        m.num_cols, objective, [(row.coeffs, row.rhs) for row in m.rows]
-    )
+    num_pi, neg_b, dual_rows = dual_program(m)
+    result = simplex_min(num_pi, neg_b, dual_rows)
     if result.status != OPTIMAL:
         raise GuaranteeError(f"the model family is never {result.status}")
-    values = result.values
+    z, pi, bound = result.duals, result.values, -result.objective
+    if any(v < 0 for v in z) or any(p < 0 for p in pi):
+        raise GuaranteeError("relaxation or dual value below zero")
+    for row in m.rows:
+        if sum(a * z[j] for j, a in row.coeffs.items()) < row.rhs:
+            raise GuaranteeError(f"relaxation breaks {row.kind} row {row.about}")
+    for j, (col, rhs) in enumerate(dual_rows):
+        if sum(a * pi[i] for i, a in col.items() if pi[i]) < rhs:
+            raise GuaranteeError(f"dual breaks the row of column {j}")
+    b_pi = sum(row.rhs * p for row, p in zip(m.rows, pi))
+    if sum(z[: m.n]) != bound or b_pi != bound:
+        raise GuaranteeError("relaxation and dual objectives differ")
     return LpSolution(
         status=result.status,
-        objective=result.objective,
-        x=tuple(values[: m.n]),
-        y={key: values[m.n + i] for i, key in enumerate(m.y_keys)},
+        objective=bound,
+        x=tuple(z[: m.n]),
+        y={key: z[m.n + i] for i, key in enumerate(m.y_keys)},
     )
 
 
@@ -206,14 +242,12 @@ def round_lp(
     return out
 
 
-def approx2_sds(
-    g: Graph, *, check_feasibility: bool = False
-) -> tuple[frozenset[int], Fraction]:
+def approx2_sds(g: Graph) -> tuple[frozenset[int], Fraction]:
     """LP-rounding approximation; returns the set and the LP lower bound."""
     bct = blocks_and_cut_vertices(g)
     model = build_sds_ip(g, bct, integral=False)
     sol = solve_lp_simplex(model)
-    rounded = round_lp(g, bct, sol, check_feasibility=check_feasibility)
+    rounded = round_lp(g, bct, sol)
     if len(rounded) > 2 * sol.objective:
         raise GuaranteeError("rounding exceeded the 2x guarantee")
     return rounded, sol.objective

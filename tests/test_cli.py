@@ -212,6 +212,17 @@ def test_exit_code_on_parse_error(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "text", ["0 99999999\n", "p edge 100000000 0\n"], ids=["edgelist", "dimacs"]
+)
+def test_exit_code_on_vertex_count_over_the_cap(tmp_path, capsys, text):
+    huge = write(tmp_path, "huge.txt", text)
+    code, out, err = run(capsys, "solve", huge)
+    assert code == 2
+    assert out == ""
+    assert "more than" in err
+
+
 def test_exit_code_on_disconnected(tmp_path, capsys):
     disc = write(tmp_path, "disc.txt", "0 1\n2 3\n")
     code, out, err = run(capsys, "solve", disc)

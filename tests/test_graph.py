@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import clique, cycle, path
+from simdom import graph
 from simdom import Graph, GraphParseError, delete_edges_within, delete_vertices, induced_subgraph, parse_graph, write_graph
 
 
@@ -105,6 +106,27 @@ def test_dimacs_edge_count_mismatch():
         parse_graph("p edge 3 2\ne 1 2\n", "dimacs")
     with pytest.raises(GraphParseError):
         parse_graph("c nothing else\n", "dimacs")
+
+
+@pytest.mark.parametrize(
+    "text,fmt",
+    [("0 99999999\n", "edgelist"), ("p edge 100000000 0\n", "dimacs")],
+    ids=["edgelist", "dimacs"],
+)
+def test_vertex_count_over_the_cap_is_refused(text, fmt):
+    with pytest.raises(GraphParseError, match="more than") as err:
+        parse_graph(text, fmt)
+    assert err.value.line == 1
+
+
+def test_vertex_cap_boundary(monkeypatch):
+    monkeypatch.setattr(graph, "MAX_VERTICES", 3)
+    assert parse_graph("p edge 3 0\n", "dimacs").n == 3
+    assert parse_graph("0 2\n", "edgelist").n == 3
+    with pytest.raises(GraphParseError, match="more than"):
+        parse_graph("p edge 4 0\n", "dimacs")
+    with pytest.raises(GraphParseError, match="more than"):
+        parse_graph("0 1\n3 1\n", "edgelist")
 
 
 def test_unknown_format_rejected():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,9 @@ from simdom import (
 )
 from simdom import lpapprox
 from simdom.errors import BudgetExceededError
-from simdom.generators import random_connected_graph
-from simdom.simplex import INFEASIBLE, SimplexResult
+from simdom.generators import gap_graph, random_connected_graph
+from simdom.lpapprox import LpSolution
+from simdom.simplex import OPTIMAL, UNBOUNDED, SimplexResult
 
 
 def test_model_shape_for_a_path():
@@ -177,13 +179,36 @@ def test_matching_cover_is_an_sd_set():
 
 
 def test_approx2_on_gap_graph_stays_in_the_window():
-    from simdom.generators import gap_graph
-
     g = gap_graph(3)
     rounded, bound = approx2_sds(g)
     opt = solve_sds(g).size
     assert bound <= opt <= len(rounded) <= 2 * bound
     assert 3 <= len(rounded) <= 6
+
+
+@pytest.mark.parametrize(
+    "g, expected, bound",
+    [
+        (gap_graph(3), [3, 4, 5], 3),
+        (random_connected_graph(12, 18, seed=1), [0, 3, 8, 10, 11], 5),
+        (random_connected_graph(16, 24, seed=2), [0, 1, 3, 4, 6, 9, 10, 13], 8),
+        (
+            random_connected_graph(20, 30, seed=3),
+            [0, 1, 4, 5, 9, 11, 12, 13, 15, 19],
+            10,
+        ),
+        (
+            random_connected_graph(24, 36, seed=4),
+            [*range(10), *range(11, 19), *range(20, 24)],
+            12,
+        ),
+    ],
+    ids=["gap3", "random-12", "random-16", "random-20", "random-24"],
+)
+def test_approx2_sets_are_pinned(g, expected, bound):
+    # the rounding of the optimal basis that the dual simplex reaches
+    rounded, lp_bound = approx2_sds(g)
+    assert (sorted(rounded), lp_bound) == (expected, bound)
 
 
 # The result checks below raise typed errors rather than assert, so they
@@ -192,23 +217,56 @@ def test_approx2_on_gap_graph_stays_in_the_window():
 
 def test_non_optimal_relaxation_raises(monkeypatch):
     monkeypatch.setattr(
-        lpapprox, "simplex_min", lambda *args: SimplexResult(INFEASIBLE, None, None)
+        lpapprox, "simplex_min", lambda *args: SimplexResult(UNBOUNDED, None, None)
     )
     with pytest.raises(GuaranteeError):
         approx2_sds(path(3))
 
 
-def test_relaxation_outside_the_box_raises(monkeypatch):
+def test_relaxation_outside_the_box_raises():
+    # a certified optimum never leaves the box, so the rounding's own guard
+    # is reached with a hand-made solution: x0 = 2 on the path 0-1-2
+    g = path(3)
+    bct = blocks_and_cut_vertices(g)
+    sol = LpSolution(
+        OPTIMAL,
+        Fraction(3),
+        (Fraction(2), Fraction(1), Fraction(0)),
+        {(1, 0): Fraction(0), (1, 1): Fraction(0)},
+    )
+    with pytest.raises(GuaranteeError, match="box"):
+        round_lp(g, bct, sol)
+
+
+@pytest.mark.parametrize(
+    "field, broken, message",
+    [
+        # duals carry the relaxation's z, values the dual's own solution
+        ("duals", lambda z: z[:-1] + (Fraction(-1),), "below zero"),
+        ("duals", lambda z: (Fraction(0),) * len(z), "relaxation breaks"),
+        ("duals", lambda z: (Fraction(1),) * len(z), "objectives differ"),
+        ("values", lambda pi: pi[:-1] + (Fraction(-1),), "below zero"),
+        ("values", lambda pi: (Fraction(1),) * len(pi), "dual breaks"),
+        ("values", lambda pi: (Fraction(0),) * len(pi), "objectives differ"),
+    ],
+    ids=[
+        "negative-z",
+        "row-broken",
+        "primal-too-large",
+        "negative-pi",
+        "column-broken",
+        "dual-too-small",
+    ],
+)
+def test_broken_duality_certificate_raises(monkeypatch, field, broken, message):
     solve = lpapprox.simplex_min
 
-    def over_one(*args):
+    def break_certificate(*args):
         result = solve(*args)
-        return SimplexResult(
-            result.status, result.objective, (Fraction(2),) + result.values[1:]
-        )
+        return replace(result, **{field: broken(getattr(result, field))})
 
-    monkeypatch.setattr(lpapprox, "simplex_min", over_one)
-    with pytest.raises(GuaranteeError):
+    monkeypatch.setattr(lpapprox, "simplex_min", break_certificate)
+    with pytest.raises(GuaranteeError, match=message):
         approx2_sds(path(3))
 
 

@@ -6,69 +6,119 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from dense_simplex_reference import dense_simplex_min
+from simdom import simplex
 from simdom.blocks import blocks_and_cut_vertices
 from simdom.generators import random_connected_graph
-from simdom.lpapprox import build_sds_ip, solve_lp_simplex
+from simdom.lpapprox import build_sds_ip, dual_program, solve_lp_simplex
 from simdom.oracle import lp_vertex_enumeration_optimum
-from simdom.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, simplex_min
+from simdom.simplex import OPTIMAL, UNBOUNDED, simplex_min
+
+# The reference is the old two-phase code, kept byte for byte, and it
+# still imports the infeasible status that simplex_min no longer has.
+# Rows feasible at the origin never reach the branch that returns it.
+simplex.INFEASIBLE = "infeasible"
+from dense_simplex_reference import dense_simplex_min  # noqa: E402
+
+
+def outcome(result):
+    return result.status, result.objective, result.values, result.pivots
+
+
+def assert_duals_certify(num_vars, objective, rows, result):
+    # y >= 0, A^T y <= c and rhs . y == objective: y is dual optimal
+    y = result.duals
+    assert len(y) == len(rows)
+    assert all(v >= 0 for v in y)
+    load = [Fraction(0)] * num_vars
+    for (coeffs, _), v in zip(rows, y):
+        for j, a in coeffs.items():
+            load[j] += a * v
+    assert all(load[j] <= objective[j] for j in range(num_vars))
+    assert sum(rhs * v for (_, rhs), v in zip(rows, y)) == result.objective
+
+
+# The unit tests below are the dual forms of small covering LPs such as
+# min x subject to x >= 3: max 3y subject to y <= 1 is the origin-feasible
+# min -3y subject to -y >= -1. Its optimum is minus the covering optimum,
+# and its duals are the covering LP's optimal solution.
 
 
 def test_single_variable_lower_bound():
-    res = simplex_min(1, [1], [({0: 1}, 3)])
+    res = simplex_min(1, [-3], [({0: -1}, -1)])
     assert res.status == OPTIMAL
-    assert res.objective == 3
-    assert res.values == (Fraction(3),)
+    assert res.objective == -3
+    assert res.values == (Fraction(1),)
+    assert res.duals == (Fraction(3),)
 
 
 def test_two_variable_covering_model():
-    # min x + y with x + y >= 1, x >= 1/4 scaled as 4x >= 1
-    res = simplex_min(2, [1, 1], [({0: 1, 1: 1}, 1), ({0: 4}, 1)])
+    # min x0 + x1 with x0 + x1 >= 1 and 4 x0 >= 1
+    rows = [({0: -1, 1: -4}, -1), ({0: -1}, -1)]
+    res = simplex_min(2, [-1, -1], rows)
     assert res.status == OPTIMAL
-    assert res.objective == 1
+    assert res.objective == -1
+    assert sum(res.duals) == 1
+    assert 4 * res.duals[0] >= 1
 
 
 def test_weighted_objective():
-    # min 3x + y with x + y >= 2: put the weight on the cheap column
-    res = simplex_min(2, [3, 1], [({0: 1, 1: 1}, 2)])
+    # min 3 x0 + x1 with x0 + x1 >= 2: put the weight on the cheap column
+    res = simplex_min(1, [-2], [({0: -1}, -3), ({0: -1}, -1)])
     assert res.status == OPTIMAL
-    assert res.objective == 2
-    assert res.values == (Fraction(0), Fraction(2))
+    assert res.objective == -2
+    assert res.values == (Fraction(1),)
+    assert res.duals == (Fraction(0), Fraction(2))
 
 
 def test_fractional_optimum_is_exact():
-    # the three pairwise constraints of a triangle relaxation
-    rows = [({0: 1, 1: 1}, 1), ({1: 1, 2: 1}, 1), ({0: 1, 2: 1}, 1)]
-    res = simplex_min(3, [1, 1, 1], rows)
+    # the three pairwise rows of a triangle relaxation; each column of the
+    # dual is a vertex, each dual variable an edge
+    rows = [({0: -1, 2: -1}, -1), ({0: -1, 1: -1}, -1), ({1: -1, 2: -1}, -1)]
+    res = simplex_min(3, [-1, -1, -1], rows)
     assert res.status == OPTIMAL
-    assert res.objective == Fraction(3, 2)
+    assert res.objective == Fraction(-3, 2)
     assert all(v == Fraction(1, 2) for v in res.values)
+    assert all(v == Fraction(1, 2) for v in res.duals)
 
 
 def test_redundant_and_duplicate_rows():
-    rows = [({0: 1}, 1), ({0: 1}, 1), ({0: 2}, 1), ({0: 1}, 0)]
-    res = simplex_min(1, [1], rows)
+    # max y0 + y1 + y2 subject to a repeated row, its double, and a
+    # row that is already implied
+    rows = [
+        ({0: -1, 1: -1, 2: -2}, -1),
+        ({0: -1, 1: -1, 2: -2}, -1),
+        ({0: -2, 1: -2, 2: -4}, -2),
+        ({0: -1}, 0),
+        ({0: -1, 1: -1}, -5),
+    ]
+    res = simplex_min(3, [-1, -1, -1], rows)
     assert res.status == OPTIMAL
-    assert res.objective == 1
+    assert res.objective == -1
+    assert_duals_certify(3, [-1, -1, -1], rows, res)
 
 
-def test_infeasible_detected():
-    # -x >= 1 cannot hold with x >= 0
-    res = simplex_min(1, [1], [({0: -1}, 1)])
-    assert res.status == INFEASIBLE
-    assert res.objective is None
+def test_positive_rhs_is_rejected():
+    # x >= 1 is not feasible at the origin: it needs a phase 1
+    with pytest.raises(ValueError, match="rhs"):
+        simplex_min(1, [1], [({0: 1}, 1)])
+    with pytest.raises(ValueError, match="row 1"):
+        simplex_min(1, [1], [({0: 1}, 0), ({0: -1}, 2)])
 
 
 def test_unbounded_detected():
     res = simplex_min(1, [-1], [({0: 1}, 0)])
     assert res.status == UNBOUNDED
+    assert res.duals is None
 
 
 def test_zero_objective_still_finds_a_feasible_point():
-    res = simplex_min(2, [0, 0], [({0: 1, 1: 1}, 5)])
+    # min 0 with x0 + x1 >= 5: the dual max 5y subject to y <= 0 twice
+    rows = [({0: -1}, 0), ({0: -1}, 0)]
+    res = simplex_min(1, [-5], rows)
     assert res.status == OPTIMAL
     assert res.objective == 0
-    assert sum(res.values) >= 5
+    assert sum(res.duals) >= 5
+    assert_duals_certify(1, [-5], rows, res)
 
 
 def test_matches_vertex_enumeration_on_domination_models():
@@ -84,34 +134,35 @@ def test_matches_vertex_enumeration_on_domination_models():
         assert sol.objective == lp_vertex_enumeration_optimum(model)
 
 
-def test_pivots_are_counted_in_both_phases():
-    # phase 1 enters x0 for the artificial; phase 2 is already optimal
-    assert simplex_min(1, [1], [({0: 1}, 3)]).pivots == 1
-    # no artificial: only the phase 2 pivot that makes x0 basic
+def test_pivots_are_counted():
+    # x0 enters once and the slack basis gives way
     assert simplex_min(1, [-1], [({0: -1}, -2)]).pivots == 1
-    assert simplex_min(1, [1], [({0: 1}, 0)]).pivots == 0
+    # the slack basis is already optimal
+    assert simplex_min(1, [1], [({0: -1}, -2)]).pivots == 0
+    # a degenerate pivot counts too
+    assert simplex_min(1, [-1], [({0: -1}, 0), ({0: -1}, -1)]).pivots == 1
 
 
 @st.composite
 def ge_lps(draw):
-    """Random min c.z, rows >= rhs, z >= 0, with repeated rows mixed in.
+    """Random min c.z, rows >= rhs <= 0, z >= 0, with repeated rows mixed in.
 
-    Exact repeats exercise the removal of duplicate rows. Doubled rows
-    survive it, and negated ones pin a row to equality; both lead phase 1
-    to end with an artificial variable basic at zero.
+    Repeats, doubled rows and negated rows with rhs 0 (which pin a row
+    to equality) all make ties in the ratio test and degenerate pivots.
     """
     num_vars = draw(st.integers(1, 5))
     row = st.tuples(
         st.dictionaries(
             st.integers(0, num_vars - 1), st.integers(-3, 3), max_size=num_vars
         ),
-        st.integers(-3, 3),
+        st.integers(-3, 0),
     )
     rows = draw(st.lists(row, min_size=1, max_size=7))
     repeat = st.tuples(st.sampled_from(rows), st.sampled_from((1, 2, -1)))
     rows += [
         ({j: k * a for j, a in coeffs.items()}, k * rhs)
         for (coeffs, rhs), k in draw(st.lists(repeat, max_size=3))
+        if k * rhs <= 0
     ]
     rows = draw(st.permutations(rows))
     objective = draw(
@@ -124,21 +175,22 @@ def ge_lps(draw):
 @given(ge_lps())
 def test_sparse_pivots_match_dense_reference(lp):
     # status, objective, values and the number of Bland pivots all agree
-    assert simplex_min(*lp) == dense_simplex_min(*lp)
+    result = simplex_min(*lp)
+    assert outcome(result) == outcome(dense_simplex_min(*lp))
+    if result.status == OPTIMAL:
+        assert_duals_certify(*lp, result)
 
 
-@pytest.mark.parametrize("case", [INFEASIBLE, UNBOUNDED, "degenerate-artificial"])
+@pytest.mark.parametrize("case", [UNBOUNDED])
 def test_reference_draws_reach_every_case(case):
     def hits(lp):
-        cases: set[str] = set()
-        result = dense_simplex_min(*lp, cases=cases)
-        return case in cases or result.status == case
+        return dense_simplex_min(*lp).status == case
 
     quick = settings(
         max_examples=2000, database=None, phases=[Phase.generate], derandomize=True
     )
     lp = find(ge_lps(), hits, settings=quick)
-    assert simplex_min(*lp) == dense_simplex_min(*lp)
+    assert outcome(simplex_min(*lp)) == outcome(dense_simplex_min(*lp))
 
 
 def test_sparse_pivots_match_dense_reference_on_domination_models():
@@ -148,14 +200,11 @@ def test_sparse_pivots_match_dense_reference_on_domination_models():
             n, rng.randint(n - 1, 2 * n), seed=rng.randint(0, 10**6)
         )
         model = build_sds_ip(g, blocks_and_cut_vertices(g), integral=False)
-        args = (
-            model.num_cols,
-            [1] * model.n + [0] * len(model.y_keys),
-            [(row.coeffs, row.rhs) for row in model.rows],
-        )
+        args = dual_program(model)
         sparse = simplex_min(*args)
         assert sparse.status == OPTIMAL
-        assert sparse == dense_simplex_min(*args)
+        assert outcome(sparse) == outcome(dense_simplex_min(*args))
+        assert_duals_certify(*args, sparse)
 
 
 def test_objective_matches_highs_on_larger_models():
