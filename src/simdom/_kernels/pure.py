@@ -12,16 +12,27 @@ Search shape, in order, at every node:
   3. prune on cover size plus a greedy-matching lower bound,
   4. branch on the highest-degree vertex (smallest index on ties):
      first include it, then include its whole neighbourhood.
+One pass over the alive vertices finds both the first degree-1 vertex
+and the branch vertex, which is only used when the pass finds none.
 """
 
 from __future__ import annotations
 
 
-def vc_search(n: int, adj: list[int], node_budget: int = 0) -> tuple[int, int]:
+def vc_search(
+    n: int, adj: list[int], node_budget: int = 0, target: int = -1
+) -> tuple[int, int]:
     """Minimum vertex cover of the graph given by adjacency bitmasks.
 
     Returns (cover_mask, nodes_expanded). A node_budget of 0 means
     unlimited; exceeding a positive budget raises RuntimeError.
+
+    target is a lower bound on the optimum that the caller knows: the
+    search stops as soon as it holds a cover of at most target vertices.
+    Covers are only replaced by strictly smaller ones, so the first
+    optimum in search order is returned with or without a target; a
+    valid target only saves the nodes that would prove it optimal. A
+    target above the optimum may return a larger cover.
     """
     full = (1 << n) - 1
     best_size = n + 1
@@ -30,29 +41,36 @@ def vc_search(n: int, adj: list[int], node_budget: int = 0) -> tuple[int, int]:
 
     def walk(alive: int, size: int, cover: int) -> None:
         nonlocal best_size, best_mask, nodes
+        if best_size <= target:
+            return
         nodes += 1
         if node_budget and nodes > node_budget:
             raise RuntimeError("node budget exceeded")
 
         while True:
             pending = alive
-            has_edge = False
             leaf = -1
+            pick = -1
+            pick_deg = 1
             while pending:
-                v = (pending & -pending).bit_length() - 1
-                pending &= pending - 1
+                low = pending & -pending
+                pending ^= low
+                v = low.bit_length() - 1
                 d = adj[v] & alive
                 if d:
-                    has_edge = True
                     if d & (d - 1) == 0:
                         leaf = v
                         break
-            if not has_edge:
-                if size < best_size:
-                    best_size = size
-                    best_mask = cover
-                return
+                    deg = d.bit_count()
+                    if deg > pick_deg:
+                        pick_deg = deg
+                        pick = v
             if leaf < 0:
+                if pick < 0:  # no edges left
+                    if size < best_size:
+                        best_size = size
+                        best_mask = cover
+                    return
                 break
             u_bit = adj[leaf] & alive
             cover |= u_bit
@@ -61,33 +79,20 @@ def vc_search(n: int, adj: list[int], node_budget: int = 0) -> tuple[int, int]:
             if size >= best_size:
                 return
 
-        matched = 0
+        # Greedy matching in index order. A vertex left unmatched has no
+        # unmatched neighbour, so the unvisited vertices are exactly the
+        # candidates a later vertex can match with.
         lb = 0
         pending = alive
         while pending:
-            u = (pending & -pending).bit_length() - 1
-            pending &= pending - 1
-            if matched & (1 << u):
-                continue
-            cand = adj[u] & alive & ~matched
+            low = pending & -pending
+            pending ^= low
+            cand = adj[low.bit_length() - 1] & pending
             if cand:
-                v_bit = cand & -cand
-                matched |= (1 << u) | v_bit
-                pending &= ~v_bit
+                pending ^= cand & -cand
                 lb += 1
         if size + lb >= best_size:
             return
-
-        pick = -1
-        pick_deg = -1
-        pending = alive
-        while pending:
-            v = (pending & -pending).bit_length() - 1
-            pending &= pending - 1
-            d = (adj[v] & alive).bit_count()
-            if d > pick_deg:
-                pick_deg = d
-                pick = v
 
         v_bit = 1 << pick
         walk(alive & ~v_bit, size + 1, cover | v_bit)

@@ -288,10 +288,12 @@ def lp_vertex_enumeration_optimum(
 ) -> Fraction:
     """LP optimum by enumerating basic solutions of the small polytope.
 
-    Every subset of n_vars constraint planes (model rows plus the
-    nonnegativity bounds) is solved as an equality system; feasible
-    solutions are scored by the objective. Exists to cross-check the
-    simplex on tiny models only.
+    A basic solution lies on n_vars constraint planes: k model rows held
+    at equality and the planes x_c = 0 of the other n_vars - k columns.
+    Those columns are substituted by zero, so each choice is solved as a
+    k x k equality system on the k free columns; feasible solutions are
+    scored by the objective. Exists to cross-check the simplex on tiny
+    models only.
     """
     nv = m.num_cols
     planes: list[tuple[tuple[Fraction, ...], Fraction]] = []
@@ -303,30 +305,24 @@ def lp_vertex_enumeration_optimum(
         if (vec, row.rhs) not in seen:
             seen.add((vec, row.rhs))
             planes.append((vec, Fraction(row.rhs)))
-    for c in range(nv):
-        vec = tuple(Fraction(1 if i == c else 0) for i in range(nv))
-        planes.append((vec, Fraction(0)))
-    if comb(len(planes), nv) > system_budget:
-        raise BudgetExceededError(
-            f"{comb(len(planes), nv)} candidate systems exceed the budget"
-        )
+    systems = comb(len(planes) + nv, nv)
+    if systems > system_budget:
+        raise BudgetExceededError(f"{systems} candidate systems exceed the budget")
 
     best: Fraction | None = None
-    for chosen in itertools.combinations(planes, nv):
-        a = [list(vec) + [rhs] for vec, rhs in chosen]
-        point = _solve_square(a, nv)
-        if point is None:
-            continue
-        if any(v < 0 for v in point):
-            continue
-        if any(
-            sum(vec[c] * point[c] for c in range(nv)) < rhs
-            for vec, rhs in planes[: len(planes) - nv]
-        ):
-            continue
-        objective = sum(point[: m.n], start=Fraction(0))
-        if best is None or objective < best:
-            best = objective
+    for k in range(min(len(planes), nv) + 1):
+        for chosen in itertools.combinations(planes, k):
+            for free in itertools.combinations(range(nv), k):
+                a = [[vec[c] for c in free] + [rhs] for vec, rhs in chosen]
+                values = _solve_square(a, k)
+                if values is None or any(v < 0 for v in values):
+                    continue
+                point = list(zip(free, values))
+                if any(sum(vec[c] * v for c, v in point) < rhs for vec, rhs in planes):
+                    continue
+                objective = sum((v for c, v in point if c < m.n), start=Fraction(0))
+                if best is None or objective < best:
+                    best = objective
     assert best is not None, "the model family always has feasible vertices"
     return best
 

@@ -3,9 +3,11 @@
 On a single block the problem is a vertex cover computation on a
 residual graph: delete the vertices that must be in the set, drop edges
 between vertices that are exempt from domination, cover what remains.
-General graphs peel leaf blocks off the block-cut tree, trying the
+General graphs peel leaf blocks off the block-cut tree, sizing the
 three possible recolourings of each connection vertex and committing
-the cheapest, then finish on the root block.
+the cheapest, then finish on the root block. A recolouring whose
+residual equals one already solved is not solved again, and the ONE
+search is told the smallest size it can have.
 """
 
 from __future__ import annotations
@@ -56,19 +58,23 @@ def best_colour(colours: Iterable[Colour]) -> Colour:
 
 
 def _residual_core(
-    h: Graph, fc: Colouring, backend: str, node_budget: int
+    h: Graph, fc: Colouring, backend: str, node_budget: int, min_size: int = 0
 ) -> tuple[frozenset[int], str]:
     """Minimum fc-respecting set of a block graph via vertex cover.
 
     The residual drops the ONE vertices and the edges between ZERO
     vertices; its cover plus the ONE vertices is the answer. Every block
-    solve goes through here, leaf recolourings included.
+    solve goes through here, leaf recolourings included. min_size is a
+    lower bound on the answer's size known to the caller; it can only
+    shorten the cover search, never change its result.
     """
     ones = {v for v in range(h.n) if fc[v] is Colour.ONE}
     zeros = {v for v in range(h.n) if fc[v] is Colour.ZERO}
     h1, old_to_new = delete_vertices(h, ones)
     h2 = delete_edges_within(h1, {old_to_new[v] for v in zeros})
-    vc = min_vertex_cover(h2, backend, node_budget=node_budget)
+    vc = min_vertex_cover(
+        h2, backend, node_budget=node_budget, target=min_size - len(ones)
+    )
     new_to_old = {nv: ov for ov, nv in old_to_new.items()}
     s = frozenset(new_to_old[w] for w in vc.cover) | frozenset(ones)
     return s, vc.backend
@@ -93,9 +99,10 @@ def solve_crsds(
     """Minimum f-respecting SD-set of a connected graph.
 
     Leaf blocks are processed in a precomputed peel order. For each, the
-    connection vertex v is tried as ONE, ZERO and ZERO_HAT; the sizes
+    connection vertex v is sized as ZERO_HAT, ZERO and ONE; the sizes
     can only form three patterns, each of which dictates the kept set
-    and v's colour in the rest of the graph.
+    and v's colour in the rest of the graph. Each leaf block takes two
+    or three cover searches: see _solve.
     """
     if len(f) != g.n:
         raise ValueError("colouring length does not match the vertex count")
@@ -111,7 +118,15 @@ def _decompose(g: Graph) -> BlockCutTree:
 def _solve(
     g: Graph, bct: BlockCutTree, f: Colouring, backend: str, node_budget: int
 ) -> SolveReport:
-    """Peel the leaf blocks of ``bct`` in order, then solve the root block."""
+    """Peel the leaf blocks of ``bct`` in order, then solve the root block.
+
+    Per leaf block, ZERO_HAT is solved first. Recolouring the pivot from
+    ZERO_HAT to ZERO drops only its edges to ZERO neighbours, so without
+    such a neighbour the ZERO residual is the same graph and its answer
+    is reused instead of searched again. The ONE residual is the ZERO_HAT
+    residual less the pivot, so its answer has at least s0h vertices,
+    and that bound lets its search stop at the first set of that size.
+    """
     order = leaf_component_order(bct)
 
     fcur = list(f)
@@ -125,10 +140,20 @@ def _solve(
         local_f = [fcur[kept[i]] for i in range(h.n)]
         pivot = members.index(conn)
         sols: dict[Colour, frozenset[int]] = {}
-        for colour in (Colour.ONE, Colour.ZERO, Colour.ZERO_HAT):
-            local_f[pivot] = colour
-            sols[colour], tag = _residual_core(h, local_f, backend, node_budget)
+        local_f[pivot] = Colour.ZERO_HAT
+        sols[Colour.ZERO_HAT], tag = _residual_core(h, local_f, backend, node_budget)
+        tags.add(tag)
+        if any(local_f[w] is Colour.ZERO for w in h.neighbours(pivot)):
+            local_f[pivot] = Colour.ZERO
+            sols[Colour.ZERO], tag = _residual_core(h, local_f, backend, node_budget)
             tags.add(tag)
+        else:
+            sols[Colour.ZERO] = sols[Colour.ZERO_HAT]
+        local_f[pivot] = Colour.ONE
+        sols[Colour.ONE], tag = _residual_core(
+            h, local_f, backend, node_budget, len(sols[Colour.ZERO_HAT])
+        )
+        tags.add(tag)
         s1 = len(sols[Colour.ONE])
         s0 = len(sols[Colour.ZERO])
         s0h = len(sols[Colour.ZERO_HAT])

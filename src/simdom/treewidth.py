@@ -39,12 +39,19 @@ def _fill(adj: list[set[int]], v: int) -> int:
     return (d * (d - 1) - inside) // 2
 
 
-def min_fill_decomposition(g: Graph) -> TreeDecomposition:
+def min_fill_decomposition(
+    g: Graph, *, max_width: int | None = None
+) -> TreeDecomposition | None:
     """Eliminate by fewest fill edges (ties to the smallest vertex).
 
     The bag of an eliminated vertex is its closed neighbourhood at
     elimination time; each bag hangs below the bag of its earliest
     eliminated member, which keeps every vertex's bags connected.
+
+    With max_width set, the elimination stops and None is returned as
+    soon as a bag would hold more than max_width + 1 vertices; the
+    elimination order does not depend on max_width, so a decomposition
+    of width at most max_width is returned exactly as without it.
 
     Fill counts are kept in a heap of (fill, vertex) with lazy deletion:
     an entry is stale once its vertex is eliminated or its count has
@@ -65,6 +72,8 @@ def min_fill_decomposition(g: Graph) -> TreeDecomposition:
         f, v = heapq.heappop(heap)
         if not alive[v] or f != fill[v]:
             continue
+        if max_width is not None and len(adj[v]) > max_width:
+            return None
         nbrs = sorted(adj[v])
         elim_pos[v] = len(bags)
         bags.append(frozenset([v, *nbrs]))

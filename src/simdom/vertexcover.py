@@ -66,14 +66,18 @@ def matching_2approx_vc(g: Graph) -> frozenset[int]:
     return frozenset(cover)
 
 
-def min_vc_branch_and_bound(g: Graph, *, node_budget: int = 0) -> VcResult:
+def min_vc_branch_and_bound(
+    g: Graph, *, node_budget: int = 0, target: int = -1
+) -> VcResult:
     """Exact minimum cover by branch and bound.
 
     node_budget of 0 means unlimited, otherwise exceeding it raises
-    BudgetExceededError.
+    BudgetExceededError. target is a lower bound on the optimum known to
+    the caller (see pure.vc_search); it changes the node count, not the
+    cover.
     """
     try:
-        mask, nodes = pure.vc_search(g.n, g.adjacency_masks(), node_budget)
+        mask, nodes = pure.vc_search(g.n, g.adjacency_masks(), node_budget, target)
     except RuntimeError as exc:
         raise BudgetExceededError(str(exc)) from None
     cover = frozenset(v for v in range(g.n) if (mask >> v) & 1)
@@ -234,10 +238,20 @@ def min_vc_treewidth(g: Graph, *, width_budget: int = WIDTH_BUDGET) -> VcResult:
 
 
 def min_vc_auto(
-    g: Graph, *, node_budget: int = 0, width_cap: int = AUTO_WIDTH_CAP
+    g: Graph,
+    *,
+    node_budget: int = 0,
+    width_cap: int = AUTO_WIDTH_CAP,
+    target: int = -1,
 ) -> VcResult:
-    """Per-component dispatch: König when bipartite, treewidth DP when a
-    heuristic decomposition is narrow, branch and bound otherwise."""
+    """Per-component dispatch: König when bipartite, treewidth DP when the
+    min-fill decomposition has width at most width_cap, branch and bound
+    otherwise. Min-fill gives up as soon as a bag passes the cap.
+
+    target, a lower bound on the optimum of g, reaches the branch and
+    bound only when a single component has edges: then that component's
+    cover is the whole cover.
+    """
     from .treewidth import min_fill_decomposition, vc_via_tree_decomposition
 
     cover: set[int] = set()
@@ -245,6 +259,8 @@ def min_vc_auto(
     nodes_total = 0
     saw_nodes = False
     comps = g.components()
+    if sum(1 for comp in comps if len(comp) > 1) != 1:
+        target = -1
     for comp in comps:
         if len(comps) == 1:
             # g is its own only component; a relabelled copy would equal it
@@ -257,11 +273,13 @@ def min_vc_auto(
         if sides is not None:
             part = min_vc_bipartite(sub, sides)
         else:
-            td = min_fill_decomposition(sub)
-            if td.width <= width_cap:
+            td = min_fill_decomposition(sub, max_width=width_cap)
+            if td is not None:
                 part = vc_via_tree_decomposition(sub, td)
             else:
-                part = min_vc_branch_and_bound(sub, node_budget=node_budget)
+                part = min_vc_branch_and_bound(
+                    sub, node_budget=node_budget, target=target
+                )
                 saw_nodes = True
                 nodes_total += part.nodes or 0
         backends.append(part.backend)
@@ -277,13 +295,18 @@ def min_vc_auto(
 
 
 def min_vertex_cover(
-    g: Graph, backend: str = "auto", *, node_budget: int = 0
+    g: Graph, backend: str = "auto", *, node_budget: int = 0, target: int = -1
 ) -> VcResult:
-    """Front door used by the solvers and the CLI --backend flag."""
+    """Front door used by the solvers and the CLI --backend flag.
+
+    target is a lower bound on the optimum that the caller knows; the
+    branch and bound may stop once it reaches it. The cover returned is
+    the same with or without it.
+    """
     if backend == "auto":
-        return min_vc_auto(g, node_budget=node_budget)
+        return min_vc_auto(g, node_budget=node_budget, target=target)
     if backend == "bnb":
-        return min_vc_branch_and_bound(g, node_budget=node_budget)
+        return min_vc_branch_and_bound(g, node_budget=node_budget, target=target)
     if backend == "bipartite":
         return min_vc_bipartite(g)
     if backend == "treewidth":

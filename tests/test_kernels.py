@@ -1,6 +1,7 @@
 """The pure-Python branch-and-bound search kernel."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simdom._kernels import pure
 from simdom.generators import random_graph
@@ -39,3 +40,21 @@ def test_pure_kernel_search_is_pinned():
     for n, m, seed, cover_mask, nodes in pinned:
         g = random_graph(n, m, seed=seed)
         assert pure.vc_search(n, g.adjacency_masks()) == (cover_mask, nodes)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=24),
+    st.floats(min_value=0.0, max_value=0.6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_target_at_or_below_the_optimum_keeps_the_cover(n, density, seed, data):
+    m = int(density * n * (n - 1) / 2)
+    adj = random_graph(n, m, seed=seed).adjacency_masks()
+    mask, nodes = pure.vc_search(n, adj)
+    target = data.draw(st.integers(min_value=-1, max_value=mask.bit_count()))
+    targeted_mask, targeted_nodes = pure.vc_search(n, adj, 0, target)
+    assert targeted_mask == mask
+    assert targeted_nodes <= nodes
+

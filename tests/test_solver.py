@@ -24,9 +24,11 @@ from simdom import (
     is_sd_set,
     min_crsds_bruteforce,
     min_sds_bruteforce,
+    min_vc_branch_and_bound,
     solve_crsds,
     solve_sds,
 )
+from simdom.graph import induced_subgraph
 from simdom.generators import (
     gap_graph,
     random_2connected_graph,
@@ -226,13 +228,105 @@ def test_solve_sds_decomposes_once(monkeypatch):
     ids=["zero-above-zero-hat", "zero-hat-above-one", "one-above-zero-plus-one"],
 )
 def test_impossible_size_ladder_raises(monkeypatch, sizes):
-    # path(3) peels the leaf block {0, 1} or {1, 2}: its only non-pivot
-    # vertex is ZERO_HAT, so the pivot colour is whichever other colour
-    # appears, else ZERO_HAT
-    def fake_residual_core(h, fc, backend, node_budget):
-        colour = next((c for c in (Colour.ONE, Colour.ZERO) if c in fc), Colour.ZERO_HAT)
+    # path(3) coloured ZERO, ZERO_HAT, ZERO peels the leaf block {0, 1} or
+    # {1, 2}: its only non-pivot vertex is a ZERO neighbour of the pivot,
+    # so ZERO gets a search of its own, and the pivot colour is ONE or
+    # ZERO_HAT when either appears, else ZERO
+    def fake_residual_core(h, fc, backend, node_budget, min_size=0):
+        colour = next((c for c in (Colour.ONE, Colour.ZERO_HAT) if c in fc), Colour.ZERO)
         return frozenset(range(sizes[colour])), "bnb"
 
     monkeypatch.setattr(simdom.solver, "_residual_core", fake_residual_core)
     with pytest.raises(GuaranteeError, match="impossible size pattern"):
-        solve_sds(path(3))
+        solve_crsds(path(3), [Colour.ZERO, Colour.ZERO_HAT, Colour.ZERO])
+
+
+def test_zero_with_a_zero_neighbour_is_searched_on_its_own():
+    # the pivot 1 of leaf block {0, 1} or {1, 2} has the ZERO neighbour
+    # at the block's other end: as ZERO_HAT it must dominate that edge,
+    # as ZERO the edge drops out, so copying ZERO_HAT's answer would be
+    # one vertex too large
+    f = [Colour.ZERO, Colour.ZERO_HAT, Colour.ZERO]
+    report = solve_crsds(path(3), f)
+    (entry,) = report.block_log
+    assert entry.size_zero < entry.size_zero_hat
+    assert entry.case == "zero-smaller"
+    assert report.size == len(min_crsds_bruteforce(path(3), f)) == 1
+
+
+@pytest.mark.parametrize("backend", ["auto", "bnb"])
+def test_first_peel_sizes_match_oracle(backend):
+    # the first peeled block sees the colouring as given, so each size in
+    # its log entry is the oracle's optimum for that pivot colour
+    rng = random.Random(13)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(4, 9)
+        g = random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), seed=rng.randint(0, 10**6))
+        f = colouring_from_values(random_colouring_values(n, rng.randint(0, 10**6)))
+        report = solve_crsds(g, f, backend=backend)
+        if not report.block_log:
+            continue
+        checked += 1
+        entry = report.block_log[0]
+        members = sorted(blocks_and_cut_vertices(g).blocks[entry.block])
+        h, kept = induced_subgraph(g, members)
+        pivot = members.index(entry.connection_vertex)
+        sizes = []
+        for colour in (Colour.ONE, Colour.ZERO, Colour.ZERO_HAT):
+            fc = [f[kept[i]] for i in range(h.n)]
+            fc[pivot] = colour
+            sizes.append(len(min_crsds_bruteforce(h, fc)))
+        assert [entry.size_one, entry.size_zero, entry.size_zero_hat] == sizes
+
+
+def record_cover_calls(monkeypatch):
+    """(residual, target) of every cover call the solver makes."""
+    calls = []
+    original = simdom.solver.min_vertex_cover
+
+    def recording(h, *args, target=-1, **kwargs):
+        calls.append((h, target))
+        return original(h, *args, target=target, **kwargs)
+
+    monkeypatch.setattr(simdom.solver, "min_vertex_cover", recording)
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["auto", "bnb"])
+def test_cover_targets_never_exceed_the_optimum_and_are_reached(monkeypatch, backend):
+    # a target above the optimum could end the search on a larger cover;
+    # in the all-equal case the ONE target is the optimum itself
+    calls = record_cover_calls(monkeypatch)
+    rng = random.Random(14)
+    for _ in range(40):
+        n = rng.randint(4, 12)
+        g = random_connected_graph(n, rng.randint(n - 1, 2 * n - 2), seed=rng.randint(0, 10**6))
+        f = colouring_from_values(random_colouring_values(n, rng.randint(0, 10**6)))
+        solve_crsds(g, f, backend=backend)
+    optima = [min_vc_branch_and_bound(h).size for h, _ in calls]
+    assert all(target <= opt for (_, target), opt in zip(calls, optima))
+    assert any(target == opt for (_, target), opt in zip(calls, optima))
+
+
+def test_uncoloured_two_blocks_take_three_cover_calls(monkeypatch):
+    # leaf block: ZERO_HAT, then ONE; ZERO reuses ZERO_HAT's answer as
+    # no vertex is coloured ZERO; then the root block
+    calls = record_cover_calls(monkeypatch)
+    g = two_triangles_sharing_vertex()
+    report = solve_sds(g)
+    assert len(calls) == 3
+    assert report.size == len(min_sds_bruteforce(g))
+    (entry,) = report.block_log
+    assert entry.size_zero == entry.size_zero_hat
+
+
+def test_zero_neighbour_of_the_pivot_adds_the_fourth_cover_call(monkeypatch):
+    # one ZERO vertex per triangle, so whichever triangle is the leaf,
+    # its pivot (the shared vertex 2) has a ZERO neighbour
+    calls = record_cover_calls(monkeypatch)
+    g = two_triangles_sharing_vertex()
+    f = [Colour.ZERO, Colour.ZERO_HAT, Colour.ZERO_HAT, Colour.ZERO, Colour.ZERO_HAT]
+    report = solve_crsds(g, f)
+    assert len(calls) == 4
+    assert report.size == len(min_crsds_bruteforce(g, f))

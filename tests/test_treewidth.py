@@ -226,6 +226,21 @@ def test_min_fill_matches_rescanning_reference(g):
     assert min_fill_decomposition(g) == rescanning_min_fill_decomposition(g)
 
 
+@settings(deadline=None, max_examples=300)
+@given(small_graphs(), st.integers(min_value=-1, max_value=30))
+@example(clique(30), 28)
+@example(clique(30), 29)
+@example(Graph(0, []), -1)
+@example(Graph(5, []), 0)
+def test_min_fill_stops_exactly_past_max_width(g, k):
+    reference = rescanning_min_fill_decomposition(g)
+    td = min_fill_decomposition(g, max_width=k)
+    if reference.width > k:
+        assert td is None
+    else:
+        assert td == reference
+
+
 def cycle_with_chords(n, m, rng, span):
     """Cycle 0..n-1 plus m-n chords, each within span steps along it."""
     edges = {(v, v + 1) for v in range(n - 1)} | {(0, n - 1)}
@@ -270,8 +285,10 @@ def test_min_fill_matches_reference_on_low_width_blocks_and_residuals(monkeypatc
     monkeypatch.setattr(simdom.solver, "min_vertex_cover", recording)
     for g in graphs:
         solve_sds(g)
-    # per pair: the leaf block's three recolourings, then the root block
-    assert len(residuals) == 4 * len(graphs)
+    # per pair: the leaf block's ZERO_HAT and ONE recolourings (ZERO
+    # reuses ZERO_HAT's residual, as nothing is coloured ZERO), then the
+    # root block
+    assert len(residuals) == 3 * len(graphs)
     for h in residuals:
         td = min_fill_decomposition(h)
         assert td == rescanning_min_fill_decomposition(h)

@@ -209,3 +209,31 @@ def test_konig_cover_missing_an_edge_raises(monkeypatch):
     monkeypatch.setattr(simdom.vertexcover, "is_vertex_cover", lambda *args: False)
     with pytest.raises(GuaranteeError, match="misses an edge"):
         min_vc_bipartite(path(4))
+
+
+def test_auto_passes_the_target_only_to_a_lone_component():
+    # with width_cap=-1 every non-bipartite component goes to branch and
+    # bound; the target bounds the whole cover, so it may end a search
+    # only when that search sees every edge
+    rng = random.Random(21)
+    saved = 0
+    for _ in range(10):
+        a = random_graph(14, 40, seed=rng.randint(0, 10**6))
+        b = random_graph(14, 40, seed=rng.randint(0, 10**6))
+        two = Graph(28, list(a.edges) + [(u + 14, v + 14) for u, v in b.edges])
+        with_isolated = Graph(16, list(a.edges))
+        for g in (a, two, with_isolated):
+            plain = min_vc_auto(g, width_cap=-1)
+            targeted = min_vc_auto(g, width_cap=-1, target=plain.size)
+            assert targeted.cover == plain.cover
+            assert targeted.nodes <= plain.nodes
+            saved += plain.nodes - targeted.nodes
+    assert saved > 0
+
+
+def test_bnb_target_keeps_the_cover_and_saves_nodes():
+    g = petersen()
+    plain = min_vertex_cover(g, "bnb")
+    targeted = min_vertex_cover(g, "bnb", target=plain.size)
+    assert targeted.cover == plain.cover
+    assert targeted.nodes < plain.nodes
