@@ -1,10 +1,11 @@
 """Minimum vertex cover backends and graph-class recognition.
 
-Three exact backends: branch and bound (any graph), König via
+Three exact backends: branch and reduce (any graph; see
+_kernels/pure.py for its LP reduction and cycle-cover bound), König via
 Hopcroft-Karp (bipartite), and dynamic programming over a tree
 decomposition (see treewidth module). The auto dispatcher picks per
-connected component. A greedy maximal matching doubles as the classic
-2-approximation and as the branch-and-bound lower bound.
+connected component. A greedy maximal matching gives the classic
+2-approximation and the matching_bound each result reports.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
 from ._kernels import pure
-from .errors import BudgetExceededError, GuaranteeError, InvalidBipartitionError
+from .errors import GuaranteeError, InvalidBipartitionError
 from .graph import Graph, induced_subgraph
 
 AUTO_WIDTH_CAP = 12
@@ -76,10 +77,7 @@ def min_vc_branch_and_bound(
     the caller (see pure.vc_search); it changes the node count, not the
     cover.
     """
-    try:
-        mask, nodes = pure.vc_search(g.n, g.adjacency_masks(), node_budget, target)
-    except RuntimeError as exc:
-        raise BudgetExceededError(str(exc)) from None
+    mask, nodes = pure.vc_search(g.n, g.adjacency_masks(), node_budget, target)
     cover = frozenset(v for v in range(g.n) if (mask >> v) & 1)
     return VcResult(
         cover=cover,
