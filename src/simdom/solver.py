@@ -5,9 +5,10 @@ residual graph: delete the vertices that must be in the set, drop edges
 between vertices that are exempt from domination, cover what remains.
 General graphs peel leaf blocks off the block-cut tree, sizing the
 three possible recolourings of each connection vertex and committing
-the cheapest, then finish on the root block. A recolouring whose
-residual equals one already solved is not solved again, and the ONE
-search is told the smallest size it can have.
+the cheapest, then finish on the root block. One solve keeps a memo
+from each residual graph to its cover, so a residual that comes up again
+(in another recolouring, another leaf block or the root block) is
+searched once; the ONE search is told the smallest size it can have.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from .errors import (
     InvalidSdSetError,
     Not2ConnectedError,
 )
-from .graph import Graph, delete_edges_within, delete_vertices, induced_subgraph
+from .graph import Graph, induced_subgraph
+# unused here, but perfbench --trace looks these up on this module by name
+from .graph import delete_edges_within, delete_vertices  # noqa: F401
 from .vertexcover import min_vertex_cover
 
 
@@ -57,27 +60,59 @@ def best_colour(colours: Iterable[Colour]) -> Colour:
     return max(cs)
 
 
+# (vertex count, sorted relabelled edges) of a residual -> (cover, backend tag)
+CoverMemo = dict[tuple[int, tuple[tuple[int, int], ...]], tuple[frozenset[int], str]]
+
+
 def _residual_core(
-    h: Graph, fc: Colouring, backend: str, node_budget: int, min_size: int = 0
+    h: Graph,
+    fc: Colouring,
+    backend: str,
+    node_budget: int,
+    memo: CoverMemo,
+    min_size: int = 0,
 ) -> tuple[frozenset[int], str]:
     """Minimum fc-respecting set of a block graph via vertex cover.
 
     The residual drops the ONE vertices and the edges between ZERO
     vertices; its cover plus the ONE vertices is the answer. Every block
-    solve goes through here, leaf recolourings included. min_size is a
-    lower bound on the answer's size known to the caller; it can only
-    shorten the cover search, never change its result.
+    solve goes through here, leaf recolourings included. The residual's
+    edges are relabelled in order, so they stay sorted and (vertex
+    count, edges) is the key Graph equality compares; a residual already
+    in memo is not searched again. The key keeps the labels because the
+    cover's tie-breaks depend on them. min_size is a lower bound on the
+    answer's size known to the caller; it can only shorten the cover
+    search, never change its result, so a memo entry serves any bound.
     """
-    ones = {v for v in range(h.n) if fc[v] is Colour.ONE}
-    zeros = {v for v in range(h.n) if fc[v] is Colour.ZERO}
-    h1, old_to_new = delete_vertices(h, ones)
-    h2 = delete_edges_within(h1, {old_to_new[v] for v in zeros})
-    vc = min_vertex_cover(
-        h2, backend, node_budget=node_budget, target=min_size - len(ones)
+    kept: list[int] = []
+    ones: list[int] = []
+    index = [-1] * h.n
+    for v in range(h.n):
+        if fc[v] is Colour.ONE:
+            ones.append(v)
+        else:
+            index[v] = len(kept)
+            kept.append(v)
+    zero = Colour.ZERO
+    edges = tuple(
+        (index[u], index[v])
+        for u, v in h.edges
+        if index[u] >= 0
+        and index[v] >= 0
+        and not (fc[u] is zero and fc[v] is zero)
     )
-    new_to_old = {nv: ov for ov, nv in old_to_new.items()}
-    s = frozenset(new_to_old[w] for w in vc.cover) | frozenset(ones)
-    return s, vc.backend
+    key = (len(kept), edges)
+    hit = memo.get(key)
+    if hit is None:
+        vc = min_vertex_cover(
+            Graph(len(kept), edges),
+            backend,
+            node_budget=node_budget,
+            target=min_size - len(ones),
+        )
+        hit = memo[key] = (vc.cover, vc.backend)
+    cover, tag = hit
+    return frozenset([kept[w] for w in cover] + ones), tag
 
 
 def crsds_2connected(
@@ -89,7 +124,7 @@ def crsds_2connected(
         raise Not2ConnectedError(
             f"graph has {len(bct.blocks)} blocks; expected a single block"
         )
-    s, _ = _residual_core(g, f, backend, node_budget)
+    s, _ = _residual_core(g, f, backend, node_budget, {})
     return s, len(s)
 
 
@@ -101,8 +136,8 @@ def solve_crsds(
     Leaf blocks are processed in a precomputed peel order. For each, the
     connection vertex v is sized as ZERO_HAT, ZERO and ONE; the sizes
     can only form three patterns, each of which dictates the kept set
-    and v's colour in the rest of the graph. Each leaf block takes two
-    or three cover searches: see _solve.
+    and v's colour in the rest of the graph. Each distinct residual is
+    searched once per solve: see _solve.
     """
     if len(f) != g.n:
         raise ValueError("colouring length does not match the vertex count")
@@ -120,12 +155,14 @@ def _solve(
 ) -> SolveReport:
     """Peel the leaf blocks of ``bct`` in order, then solve the root block.
 
-    Per leaf block, ZERO_HAT is solved first. Recolouring the pivot from
-    ZERO_HAT to ZERO drops only its edges to ZERO neighbours, so without
-    such a neighbour the ZERO residual is the same graph and its answer
-    is reused instead of searched again. The ONE residual is the ZERO_HAT
-    residual less the pivot, so its answer has at least s0h vertices,
-    and that bound lets its search stop at the first set of that size.
+    Per leaf block, the pivot is sized as ZERO_HAT, ZERO and ONE. The
+    memo, local to this call, answers every residual already searched:
+    recolouring the pivot from ZERO_HAT to ZERO drops only its edges to
+    ZERO neighbours, so without such a neighbour the ZERO residual is the
+    ZERO_HAT one, and on graphs of many small blocks the same residual
+    recurs across blocks. The ONE residual is the ZERO_HAT residual less
+    the pivot, so its answer has at least s0h vertices, and that bound
+    lets its search stop at the first set of that size.
     """
     order = leaf_component_order(bct)
 
@@ -133,6 +170,7 @@ def _solve(
     solution: set[int] = set()
     log: list[BlockSolve] = []
     tags: set[str] = set()
+    memo: CoverMemo = {}
 
     for block_idx, conn in order.entries[:-1]:
         members = sorted(bct.blocks[block_idx])
@@ -140,20 +178,13 @@ def _solve(
         local_f = [fcur[kept[i]] for i in range(h.n)]
         pivot = members.index(conn)
         sols: dict[Colour, frozenset[int]] = {}
-        local_f[pivot] = Colour.ZERO_HAT
-        sols[Colour.ZERO_HAT], tag = _residual_core(h, local_f, backend, node_budget)
-        tags.add(tag)
-        if any(local_f[w] is Colour.ZERO for w in h.neighbours(pivot)):
-            local_f[pivot] = Colour.ZERO
-            sols[Colour.ZERO], tag = _residual_core(h, local_f, backend, node_budget)
+        for colour in (Colour.ZERO_HAT, Colour.ZERO, Colour.ONE):
+            local_f[pivot] = colour
+            bound = len(sols[Colour.ZERO_HAT]) if colour is Colour.ONE else 0
+            sols[colour], tag = _residual_core(
+                h, local_f, backend, node_budget, memo, bound
+            )
             tags.add(tag)
-        else:
-            sols[Colour.ZERO] = sols[Colour.ZERO_HAT]
-        local_f[pivot] = Colour.ONE
-        sols[Colour.ONE], tag = _residual_core(
-            h, local_f, backend, node_budget, len(sols[Colour.ZERO_HAT])
-        )
-        tags.add(tag)
         s1 = len(sols[Colour.ONE])
         s0 = len(sols[Colour.ZERO])
         s0h = len(sols[Colour.ZERO_HAT])
@@ -182,7 +213,7 @@ def _solve(
     members = sorted(bct.blocks[root_idx])
     h, kept = induced_subgraph(g, members)
     local_f = [fcur[kept[i]] for i in range(h.n)]
-    s, tag = _residual_core(h, local_f, backend, node_budget)
+    s, tag = _residual_core(h, local_f, backend, node_budget, memo)
     tags.add(tag)
     solution.update(kept[w] for w in s)
 

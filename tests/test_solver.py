@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     cycle,
@@ -232,7 +233,7 @@ def test_impossible_size_ladder_raises(monkeypatch, sizes):
     # {1, 2}: its only non-pivot vertex is a ZERO neighbour of the pivot,
     # so ZERO gets a search of its own, and the pivot colour is ONE or
     # ZERO_HAT when either appears, else ZERO
-    def fake_residual_core(h, fc, backend, node_budget, min_size=0):
+    def fake_residual_core(h, fc, backend, node_budget, memo, min_size=0):
         colour = next((c for c in (Colour.ONE, Colour.ZERO_HAT) if c in fc), Colour.ZERO)
         return frozenset(range(sizes[colour])), "bnb"
 
@@ -309,24 +310,85 @@ def test_cover_targets_never_exceed_the_optimum_and_are_reached(monkeypatch, bac
     assert any(target == opt for (_, target), opt in zip(calls, optima))
 
 
-def test_uncoloured_two_blocks_take_three_cover_calls(monkeypatch):
-    # leaf block: ZERO_HAT, then ONE; ZERO reuses ZERO_HAT's answer as
-    # no vertex is coloured ZERO; then the root block
+def test_uncoloured_two_blocks_take_two_cover_calls(monkeypatch):
+    # leaf block: ZERO_HAT, then ONE; ZERO has ZERO_HAT's residual as no
+    # vertex is coloured ZERO, and the root block, whose connection
+    # vertex is now ONE, has the leaf's ONE residual
     calls = record_cover_calls(monkeypatch)
     g = two_triangles_sharing_vertex()
     report = solve_sds(g)
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert report.size == len(min_sds_bruteforce(g))
     (entry,) = report.block_log
     assert entry.size_zero == entry.size_zero_hat
 
 
-def test_zero_neighbour_of_the_pivot_adds_the_fourth_cover_call(monkeypatch):
+def test_zero_neighbour_of_the_pivot_adds_the_third_cover_call(monkeypatch):
     # one ZERO vertex per triangle, so whichever triangle is the leaf,
-    # its pivot (the shared vertex 2) has a ZERO neighbour
+    # its pivot (the shared vertex 2) has a ZERO neighbour; the root
+    # block again has the leaf's ONE residual
     calls = record_cover_calls(monkeypatch)
     g = two_triangles_sharing_vertex()
     f = [Colour.ZERO, Colour.ZERO_HAT, Colour.ZERO_HAT, Colour.ZERO, Colour.ZERO_HAT]
     report = solve_crsds(g, f)
-    assert len(calls) == 4
+    assert len(calls) == 3
     assert report.size == len(min_crsds_bruteforce(g, f))
+
+
+def flower(k):
+    """k triangles sharing vertex 0."""
+    return Graph(
+        2 * k + 1,
+        [e for i in range(k) for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))],
+    )
+
+
+@pytest.mark.parametrize("k", [50, 200, 400])
+def test_flower_takes_two_cover_calls_whatever_its_size(monkeypatch, k):
+    # every petal has the triangle as its ZERO_HAT and ZERO residual and
+    # one edge as its ONE residual, and so does the root petal. Each
+    # petal needs a vertex other than 0 (else a tree with the path
+    # 0-a-b leaves b undominated), and 0 too (else a tree joining 0 only
+    # to vertices outside the set leaves 0 undominated).
+    calls = record_cover_calls(monkeypatch)
+    report = solve_sds(flower(k))
+    assert len(calls) == 2
+    assert report.size == k + 1
+    assert len(min_sds_bruteforce(flower(3))) == 4
+
+
+PETALS = ([(0, 1)], [(0, 1), (0, 2), (1, 2)], [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+@st.composite
+def connected_graphs(draw, max_n=12):
+    """Random connected graphs, half of them small blocks (edges,
+    triangles, 4-cycles) hung at random vertices, where residuals recur."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=max_n))
+        m = draw(st.integers(min_value=n - 1, max_value=n * (n - 1) // 2))
+        return random_connected_graph(n, m, draw(st.integers(0, 10**6)))
+    n, edges = 1, []
+    for petal in draw(st.lists(st.sampled_from(PETALS), max_size=max_n)):
+        k = max(max(e) for e in petal)
+        if n + k > max_n:
+            break
+        ids = [draw(st.integers(0, n - 1))] + list(range(n, n + k))
+        edges += [(ids[u], ids[v]) for u, v in petal]
+        n += k
+    return Graph(n, edges)
+
+
+@settings(deadline=None, max_examples=200)
+@given(connected_graphs(), st.data(), st.sampled_from(["auto", "bnb"]))
+def test_memo_never_changes_a_report(g, data, backend):
+    f = data.draw(st.lists(st.sampled_from(list(Colour)), min_size=g.n, max_size=g.n))
+    memoised = simdom.solver._residual_core
+
+    def fresh_memo(h, fc, backend_name, node_budget, memo, min_size=0):
+        return memoised(h, fc, backend_name, node_budget, {}, min_size)
+
+    report = solve_crsds(g, f, backend=backend)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simdom.solver, "_residual_core", fresh_memo)
+        assert solve_crsds(g, f, backend=backend) == report
