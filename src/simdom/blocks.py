@@ -4,6 +4,8 @@ Blocks are maximal 2-connected subgraphs; a bridge counts as a block on
 its two endpoints. For a connected graph the bipartite graph on blocks
 and cut vertices (adjacency by containment) is a tree, which drives both
 the leaf-component solver loop and the rounding step of the LP scheme.
+The decomposition is also the solver's connectivity check: its one DFS
+raises DisconnectedGraphError when it leaves a vertex unreached.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import DisconnectedGraphError
+from .errors import DisconnectedGraphError, GuaranteeError
 from .graph import Graph
 
 # A node of the block-cut tree: ("block", index) or ("cut", vertex).
@@ -21,25 +23,12 @@ TreeNode = tuple[str, int]
 
 @dataclass(frozen=True)
 class BlockCutTree:
-    n: int
     blocks: tuple[frozenset[int], ...]
     cut_vertices: frozenset[int]
-    block_of_edge: dict[tuple[int, int], int] = field(repr=False)
     blocks_of_vertex: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def is_cut(self, v: int) -> bool:
         return v in self.cut_vertices
-
-    def blocks_containing(self, v: int) -> tuple[int, ...]:
-        return self.blocks_of_vertex[v]
-
-    def tree_edges(self) -> list[tuple[int, int]]:
-        """(block index, cut vertex) containment pairs."""
-        return [
-            (i, v)
-            for i, blk in enumerate(self.blocks)
-            for v in sorted(blk & self.cut_vertices)
-        ]
 
 
 def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
@@ -47,18 +36,15 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
 
     Lowpoint DFS from vertex 0 with sorted neighbour order; blocks are
     reported sorted by the smallest DFS discovery time they contain, so
-    the decomposition is reproducible.
+    the decomposition is reproducible. A vertex the DFS never reaches
+    means the graph is disconnected.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    if not g.is_connected():
-        raise DisconnectedGraphError("block decomposition requires a connected graph")
     if g.n == 1:
         return BlockCutTree(
-            n=1,
             blocks=(frozenset({0}),),
             cut_vertices=frozenset(),
-            block_of_edge={},
             blocks_of_vertex=((0,),),
         )
 
@@ -101,7 +87,10 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
                         if e == (p, u):
                             break
                     block_edges.append(comp)
-    assert not edge_stack, "edge stack must empty out on a connected graph"
+    if -1 in disc:
+        raise DisconnectedGraphError("block decomposition requires a connected graph")
+    if edge_stack:
+        raise GuaranteeError("edge stack left non-empty by the lowpoint DFS")
 
     block_sets = [frozenset(v for e in comp for v in e) for comp in block_edges]
     by_discovery = sorted(
@@ -109,12 +98,6 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
         key=lambda i: (min(disc[v] for v in block_sets[i]), sorted(block_sets[i])),
     )
     blocks = tuple(block_sets[i] for i in by_discovery)
-
-    block_of_edge: dict[tuple[int, int], int] = {}
-    for new_idx, old_idx in enumerate(by_discovery):
-        for u, w in block_edges[old_idx]:
-            e = (u, w) if u < w else (w, u)
-            block_of_edge[e] = new_idx
 
     membership: list[list[int]] = [[] for _ in range(n)]
     for i, blk in enumerate(blocks):
@@ -124,27 +107,18 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
     cut_vertices = frozenset(v for v in range(n) if len(blocks_of_vertex[v]) >= 2)
 
     return BlockCutTree(
-        n=n,
         blocks=blocks,
         cut_vertices=cut_vertices,
-        block_of_edge=block_of_edge,
         blocks_of_vertex=blocks_of_vertex,
     )
 
 
-@dataclass(frozen=True)
-class LeafComponentOrder:
+def leaf_component_order(bct: BlockCutTree) -> tuple[tuple[int, int | None], ...]:
     """Blocks in an order where each is a leaf of the remaining tree.
 
     Every entry is (block index, connection vertex); the final entry is
-    the root block with connection vertex None.
-    """
-
-    entries: tuple[tuple[int, int | None], ...]
-
-
-def leaf_component_order(bct: BlockCutTree) -> LeafComponentOrder:
-    """Deterministic peel order; ties broken by smallest block index.
+    the root block with connection vertex None. Ties go to the smallest
+    block index.
 
     At each step the smallest-indexed block with exactly one live cut
     vertex (one still shared with another remaining block) is peeled,
@@ -174,7 +148,7 @@ def leaf_component_order(bct: BlockCutTree) -> LeafComponentOrder:
                 if live[j] == 1:
                     heapq.heappush(heap, j)
     entries.append((removed.index(False), None))
-    return LeafComponentOrder(tuple(entries))
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -186,10 +160,6 @@ class RootedBlockTree:
 
     def child_blocks_of_cut(self, v: int) -> tuple[int, ...]:
         return tuple(i for kind, i in self.children[("cut", v)] if kind == "block")
-
-    def parent_block_of_cut(self, v: int) -> int | None:
-        p = self.parent[("cut", v)]
-        return p[1] if p is not None else None
 
 
 def root_block_tree(bct: BlockCutTree, root: TreeNode) -> RootedBlockTree:

@@ -211,9 +211,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     bct = blocks_and_cut_vertices(g)
     if args.enumerate:
         valid = is_sd_set_by_enumeration(g, chosen, edge_budget=args.budget or 16)
+        witness = None if valid else sd_witness(g, bct, chosen)
     else:
-        valid = sd_witness(g, bct, chosen) is None
-    witness = None if valid else sd_witness(g, bct, chosen)
+        witness = sd_witness(g, bct, chosen)
+        valid = witness is None
     if args.json:
         _emit_json({"schema": 1, "valid": valid, "witness": witness})
     else:

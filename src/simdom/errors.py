@@ -17,10 +17,6 @@ class DisconnectedGraphError(SimdomError):
     """Raised when an operation requires a connected graph."""
 
 
-class Not2ConnectedError(SimdomError):
-    """Raised when an operation requires a graph with a single block."""
-
-
 class BudgetExceededError(SimdomError):
     """Raised when an exponential-time routine exceeds its work budget."""
 

@@ -6,7 +6,7 @@ graph. DIMACS edge format and plain edge lists are supported for I/O.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import GraphParseError
 
@@ -21,14 +21,9 @@ class Graph:
     the same vertex count and edge set compare equal.
     """
 
-    __slots__ = ("n", "edges", "adj", "names")
+    __slots__ = ("n", "edges", "adj")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        names: Sequence[str] | None = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         seen: set[tuple[int, int]] = set()
@@ -47,14 +42,10 @@ class Graph:
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self.names: tuple[str, ...] | None = tuple(names) if names is not None else None
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -128,8 +119,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
         for w in adj[u]
         if u < w and w in index
     ]
-    names = [g.names[v] for v in kept] if g.names is not None else None
-    return Graph(len(kept), edges, names), kept
+    return Graph(len(kept), edges), kept
 
 
 def delete_vertices(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -149,7 +139,7 @@ def delete_edges_within(g: Graph, s: Iterable[int]) -> Graph:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
     edges = [e for e in g.edges if not (e[0] in inside and e[1] in inside)]
-    return Graph(g.n, edges, g.names)
+    return Graph(g.n, edges)
 
 
 def parse_graph(text: str, fmt: str = "dimacs") -> Graph:

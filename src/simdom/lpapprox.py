@@ -41,17 +41,10 @@ class LpModel:
     n: int
     y_keys: tuple[tuple[int, int], ...]
     rows: tuple[LpRow, ...]
-    integral: bool
 
     @property
     def num_cols(self) -> int:
         return self.n + len(self.y_keys)
-
-    def row_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for row in self.rows:
-            counts[row.kind] = counts.get(row.kind, 0) + 1
-        return counts
 
 
 @dataclass(frozen=True)
@@ -62,15 +55,14 @@ class LpSolution:
     y: dict[tuple[int, int], Fraction]
 
 
-def build_sds_ip(g: Graph, bct: BlockCutTree, *, integral: bool = True) -> LpModel:
-    """The domination model; integral=False gives the LP relaxation.
+def build_sds_ip(g: Graph, bct: BlockCutTree) -> LpModel:
+    """The domination model: its rows with 0/1 variables are the integer
+    program, and with 0 <= z they are the LP relaxation.
 
     Row order: one adjacent-pair row per (non-cut v, neighbour u), then
     block-neighbour rows per (cut v, block, block neighbour), then one
     cut-cover row per cut vertex, each group sorted by vertex index.
     """
-    if g.n < 2:
-        raise ValueError("the model needs at least two vertices")
     cut = sorted(bct.cut_vertices)
     y_keys: list[tuple[int, int]] = []
     for v in cut:
@@ -101,7 +93,7 @@ def build_sds_ip(g: Graph, bct: BlockCutTree, *, integral: bool = True) -> LpMod
         coeffs = {col_of[(v, b)]: 1 for b in bct.blocks_of_vertex[v]}
         coeffs[v] = 1
         rows.append(LpRow("cut-cover", coeffs, 1, (v,)))
-    return LpModel(g.n, tuple(y_keys), tuple(rows), integral)
+    return LpModel(g.n, tuple(y_keys), tuple(rows))
 
 
 def dual_program(
@@ -133,8 +125,6 @@ def solve_lp_simplex(m: LpModel) -> LpSolution:
     and pi are feasible and their objectives are equal, so both are
     optimal.
     """
-    if m.integral:
-        raise ValueError("simplex solves the relaxation; build with integral=False")
     num_pi, neg_b, dual_rows = dual_program(m)
     result = simplex_min(num_pi, neg_b, dual_rows)
     if result.status != OPTIMAL:
@@ -166,19 +156,23 @@ def _assert_lp_feasible(
     y: dict[tuple[int, int], Fraction],
     stage: str,
 ) -> None:
+    """Raise GuaranteeError when (x, y) breaks a row of the model."""
     for v in range(g.n):
         if bct.is_cut(v):
             continue
         for u in g.adj[v]:
-            assert x[u] + x[v] >= 1, f"{stage}: pair row ({v},{u}) broken"
+            if x[u] + x[v] < 1:
+                raise GuaranteeError(f"{stage}: pair row ({v},{u}) broken")
     for (v, b), yv in y.items():
         for u in g.adj[v] & bct.blocks[b]:
-            assert x[u] >= yv, f"{stage}: block row ({v},{b},{u}) broken"
+            if x[u] < yv:
+                raise GuaranteeError(f"{stage}: block row ({v},{b},{u}) broken")
     for v in sorted(bct.cut_vertices):
         total = sum(
             (y[(v, b)] for b in bct.blocks_of_vertex[v]), start=Fraction(0)
         )
-        assert total + x[v] >= 1, f"{stage}: cover row ({v}) broken"
+        if total + x[v] < 1:
+            raise GuaranteeError(f"{stage}: cover row ({v}) broken")
 
 
 def round_lp(
@@ -222,7 +216,8 @@ def round_lp(
             for b in tree.child_blocks_of_cut(v):
                 candidates = sorted(g.adj[v] & bct.blocks[b])
                 u = min(candidates, key=lambda w: (x[w], w))
-                assert x[u] < 1, "argmin picked an integral variable"
+                if x[u] >= 1:
+                    raise GuaranteeError("argmin picked an integral variable")
                 x[u] = Fraction(0)
                 touched.add(u)
             for key in y:
@@ -245,7 +240,7 @@ def round_lp(
 def approx2_sds(g: Graph) -> tuple[frozenset[int], Fraction]:
     """LP-rounding approximation; returns the set and the LP lower bound."""
     bct = blocks_and_cut_vertices(g)
-    model = build_sds_ip(g, bct, integral=False)
+    model = build_sds_ip(g, bct)
     sol = solve_lp_simplex(model)
     rounded = round_lp(g, bct, sol)
     if len(rounded) > 2 * sol.objective:

@@ -5,25 +5,20 @@ residual graph: delete the vertices that must be in the set, drop edges
 between vertices that are exempt from domination, cover what remains.
 General graphs peel leaf blocks off the block-cut tree, sizing the
 three possible recolourings of each connection vertex and committing
-the cheapest, then finish on the root block. One solve keeps a memo
-from each residual graph to its cover, so a residual that comes up again
-(in another recolouring, another leaf block or the root block) is
-searched once; the ONE search is told the smallest size it can have.
+the cheapest, then finish on the root block; a graph that is one block
+is its own root block. One solve keeps a memo from each residual graph
+to its cover, so a residual that comes up again (in another recolouring,
+another leaf block or the root block) is searched once; the ONE search
+is told the smallest size it can have.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .blocks import BlockCutTree, blocks_and_cut_vertices, leaf_component_order
 from .domination import Colour, Colouring, all_zero_hat, is_colour_respecting, is_sd_set
-from .errors import (
-    DisconnectedGraphError,
-    GuaranteeError,
-    InvalidSdSetError,
-    Not2ConnectedError,
-)
+from .errors import GuaranteeError, InvalidSdSetError
 from .graph import Graph, induced_subgraph
 # unused here, but perfbench --trace looks these up on this module by name
 from .graph import delete_edges_within, delete_vertices  # noqa: F401
@@ -50,14 +45,6 @@ class SolveReport:
     block_log: tuple[BlockSolve, ...]
     backends: tuple[str, ...]
     verified: bool
-
-
-def best_colour(colours: Iterable[Colour]) -> Colour:
-    """Maximum under ONE > ZERO > ZERO_HAT."""
-    cs = list(colours)
-    if not cs:
-        raise ValueError("best_colour of an empty collection")
-    return max(cs)
 
 
 # (vertex count, sorted relabelled edges) of a residual -> (cover, backend tag)
@@ -115,19 +102,6 @@ def _residual_core(
     return frozenset([kept[w] for w in cover] + ones), tag
 
 
-def crsds_2connected(
-    g: Graph, f: Colouring, *, backend: str = "auto", node_budget: int = 0
-) -> tuple[frozenset[int], int]:
-    """Minimum colour-respecting SD-set of a graph that is one block."""
-    bct = blocks_and_cut_vertices(g)
-    if len(bct.blocks) != 1:
-        raise Not2ConnectedError(
-            f"graph has {len(bct.blocks)} blocks; expected a single block"
-        )
-    s, _ = _residual_core(g, f, backend, node_budget, {})
-    return s, len(s)
-
-
 def solve_crsds(
     g: Graph, f: Colouring, *, backend: str = "auto", node_budget: int = 0
 ) -> SolveReport:
@@ -141,13 +115,7 @@ def solve_crsds(
     """
     if len(f) != g.n:
         raise ValueError("colouring length does not match the vertex count")
-    return _solve(g, _decompose(g), f, backend, node_budget)
-
-
-def _decompose(g: Graph) -> BlockCutTree:
-    if not g.is_connected():
-        raise DisconnectedGraphError("solver requires a connected graph")
-    return blocks_and_cut_vertices(g)
+    return _solve(g, blocks_and_cut_vertices(g), f, backend, node_budget)
 
 
 def _solve(
@@ -172,7 +140,7 @@ def _solve(
     tags: set[str] = set()
     memo: CoverMemo = {}
 
-    for block_idx, conn in order.entries[:-1]:
+    for block_idx, conn in order[:-1]:
         members = sorted(bct.blocks[block_idx])
         h, kept = induced_subgraph(g, members)
         local_f = [fcur[kept[i]] for i in range(h.n)]
@@ -196,7 +164,7 @@ def _solve(
             case = "all-equal"
             recolour: Colour | None = Colour.ONE
         elif s1 > s0h == s0:
-            recolour = best_colour((fcur[conn], Colour.ZERO))
+            recolour = max(fcur[conn], Colour.ZERO)
             fcur[conn] = recolour
             chosen = sols[Colour.ZERO_HAT]
             case = "one-larger"
@@ -209,7 +177,7 @@ def _solve(
             BlockSolve(block_idx, conn, s1, s0, s0h, case, recolour)
         )
 
-    root_idx = order.entries[-1][0]
+    root_idx = order[-1][0]
     members = sorted(bct.blocks[root_idx])
     h, kept = induced_subgraph(g, members)
     local_f = [fcur[kept[i]] for i in range(h.n)]
@@ -233,7 +201,7 @@ def solve_sds(
     g: Graph, *, backend: str = "auto", node_budget: int = 0
 ) -> SolveReport:
     """Minimum SD-set: the all-ZERO_HAT colouring."""
-    bct = _decompose(g)
+    bct = blocks_and_cut_vertices(g)
     report = _solve(g, bct, all_zero_hat(g.n), backend, node_budget)
     if not is_sd_set(g, bct, report.solution):
         raise InvalidSdSetError("solver produced a set that is not an SD-set")

@@ -5,7 +5,7 @@ width is an upper bound on the treewidth with no optimality claim. Fill
 counts are incremental (Bodlaender & Koster, "Treewidth computations I.
 Upper bounds", 2010): each is computed once, kept in a heap, and
 updated only for the vertices near an eliminated one. The DP is
-correct on any valid decomposition, which validate_decomposition checks
+correct on any valid decomposition, which decomposition_violation checks
 property by property, with the bags indexed by vertex.
 """
 
@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 from .errors import GuaranteeError, InvalidDecompositionError, WidthBudgetError
 from .graph import Graph
-from .vertexcover import WIDTH_BUDGET, VcResult
+from .vertexcover import VcResult
+
+WIDTH_BUDGET = 20  # widest decomposition the DP accepts
 
 
 @dataclass(frozen=True)
@@ -166,10 +168,6 @@ def decomposition_violation(g: Graph, td: TreeDecomposition) -> str | None:
     return None
 
 
-def validate_decomposition(g: Graph, td: TreeDecomposition) -> bool:
-    return decomposition_violation(g, td) is None
-
-
 @dataclass(frozen=True)
 class NiceNode:
     kind: str  # "leaf" | "introduce" | "forget" | "join"
@@ -242,26 +240,20 @@ def nice_decomposition(td: TreeDecomposition) -> tuple[NiceNode, ...]:
     return tuple(nodes)
 
 
-def vc_via_tree_decomposition(
-    g: Graph,
-    td: TreeDecomposition | None = None,
-    *,
-    width_budget: int = WIDTH_BUDGET,
-) -> VcResult:
+def vc_via_tree_decomposition(g: Graph, td: TreeDecomposition) -> VcResult:
     """Exact minimum vertex cover by subset DP over a nice decomposition.
 
     Table keys are bitmasks over bag-local positions: which bag members
     the cover contains. States that leave an introduced edge uncovered
-    are dropped rather than stored.
+    are dropped rather than stored. A decomposition wider than
+    WIDTH_BUDGET raises WidthBudgetError.
     """
-    if td is None:
-        td = min_fill_decomposition(g)
     problem = decomposition_violation(g, td)
     if problem is not None:
         raise InvalidDecompositionError(problem)
-    if td.width > width_budget:
+    if td.width > WIDTH_BUDGET:
         raise WidthBudgetError(
-            f"decomposition width {td.width} exceeds the budget of {width_budget}"
+            f"decomposition width {td.width} exceeds the budget of {WIDTH_BUDGET}"
         )
 
     nodes = nice_decomposition(td)
@@ -343,14 +335,3 @@ def vc_via_tree_decomposition(
     if len(cover) != best:
         raise GuaranteeError("reconstruction does not match the DP optimum")
     return VcResult(cover=frozenset(cover), size=best, backend="treewidth")
-
-
-def write_td(g: Graph, td: TreeDecomposition) -> str:
-    """PACE-style .td text: s-line, b-lines (1-based), then tree edges."""
-    lines = [f"s td {len(td.bags)} {td.width + 1} {g.n}"]
-    for i, bag in enumerate(td.bags, start=1):
-        body = " ".join(str(v + 1) for v in sorted(bag))
-        lines.append(f"b {i} {body}".rstrip())
-    for i, j in td.tree_edges:
-        lines.append(f"{i + 1} {j + 1}")
-    return "\n".join(lines) + "\n"

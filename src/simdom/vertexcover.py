@@ -5,7 +5,7 @@ _kernels/pure.py for its LP reduction and cycle-cover bound), König via
 Hopcroft-Karp (bipartite), and dynamic programming over a tree
 decomposition (see treewidth module). The auto dispatcher picks per
 connected component. A greedy maximal matching gives the classic
-2-approximation and the matching_bound each result reports.
+2-approximation.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from .errors import GuaranteeError, InvalidBipartitionError
 from .graph import Graph, induced_subgraph
 
 AUTO_WIDTH_CAP = 12
-# widest decomposition the treewidth DP accepts; defined here, not in
-# treewidth, because treewidth imports this module when it loads
-WIDTH_BUDGET = 20
 
 
 @dataclass(frozen=True)
@@ -30,15 +27,13 @@ class VcResult:
 
     backend is one of "bnb", "bipartite", "treewidth", or a +-joined
     combination when the auto dispatcher mixed backends across
-    components. matching_bound is a maximal-matching lower bound on the
-    optimum; nodes counts branch-and-bound search nodes when that
+    components. nodes counts branch-and-bound search nodes when that
     backend ran.
     """
 
     cover: frozenset[int]
     size: int
     backend: str
-    matching_bound: int | None = None
     nodes: int | None = None
 
 
@@ -79,13 +74,7 @@ def min_vc_branch_and_bound(
     """
     mask, nodes = pure.vc_search(g.n, g.adjacency_masks(), node_budget, target)
     cover = frozenset(v for v in range(g.n) if (mask >> v) & 1)
-    return VcResult(
-        cover=cover,
-        size=len(cover),
-        backend="bnb",
-        matching_bound=len(greedy_matching(g)),
-        nodes=nodes,
-    )
+    return VcResult(cover=cover, size=len(cover), backend="bnb", nodes=nodes)
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -220,19 +209,13 @@ def min_vc_bipartite(
         raise GuaranteeError("König equality violated")
     if not is_vertex_cover(g, cover):
         raise GuaranteeError("extracted set misses an edge")
-    return VcResult(
-        cover=cover,
-        size=len(cover),
-        backend="bipartite",
-        matching_bound=len(match_l),
-    )
+    return VcResult(cover=cover, size=len(cover), backend="bipartite")
 
 
-def min_vc_treewidth(g: Graph, *, width_budget: int = WIDTH_BUDGET) -> VcResult:
+def min_vc_treewidth(g: Graph) -> VcResult:
     from .treewidth import min_fill_decomposition, vc_via_tree_decomposition
 
-    td = min_fill_decomposition(g)
-    return vc_via_tree_decomposition(g, td, width_budget=width_budget)
+    return vc_via_tree_decomposition(g, min_fill_decomposition(g))
 
 
 def min_vc_auto(
@@ -287,7 +270,6 @@ def min_vc_auto(
         cover=frozenset(cover),
         size=len(cover),
         backend=backend,
-        matching_bound=len(greedy_matching(g)),
         nodes=nodes_total if saw_nodes else None,
     )
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from simdom import Graph, TreeDecomposition
+from simdom import Graph
+from simdom.treewidth import TreeDecomposition
 
 
 def rescanning_min_fill_decomposition(g: Graph) -> TreeDecomposition:

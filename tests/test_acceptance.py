@@ -17,20 +17,23 @@ from simdom import (
     Colour,
     Graph,
     approx2_sds,
-    bipartition,
     blocks_and_cut_vertices,
-    build_sds_ip,
-    ip_optimum_bruteforce,
     is_sd_set,
+    solve_sds,
+)
+from simdom.lpapprox import build_sds_ip, sds_to_vertex_cover
+from simdom.oracle import (
+    ip_optimum_bruteforce,
     is_sd_set_by_enumeration,
-    is_vertex_cover,
     min_crsds_bruteforce,
     min_sds_bruteforce,
+    min_vc_bruteforce,
+)
+from simdom.vertexcover import (
+    bipartition,
+    is_vertex_cover,
     min_vc_bipartite,
     min_vc_branch_and_bound,
-    min_vc_bruteforce,
-    sds_to_vertex_cover,
-    solve_sds,
 )
 from simdom.generators import (
     gap_graph,
@@ -164,7 +167,7 @@ def test_criterion_08_ip_model_optimum_matches_oracle():
             n = rng.randint(2, 6)
             m = rng.randint(n - 1, n * (n - 1) // 2)
             g = random_connected_graph(n, m, seed=rng.randint(0, 10**9))
-            model = build_sds_ip(g, blocks_and_cut_vertices(g), integral=True)
+            model = build_sds_ip(g, blocks_and_cut_vertices(g))
             assert ip_optimum_bruteforce(model) == len(min_sds_bruteforce(g))
 
 

@@ -2,13 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import clique, cycle, path, star, two_triangles_sharing_vertex
-from simdom import (
-    DisconnectedGraphError,
-    Graph,
-    blocks_and_cut_vertices,
-    leaf_component_order,
-    root_block_tree,
-)
+from simdom import DisconnectedGraphError, Graph, blocks_and_cut_vertices
+from simdom.blocks import leaf_component_order, root_block_tree
 from simdom.generators import random_connected_graph
 
 
@@ -53,12 +48,7 @@ def test_every_edge_in_exactly_one_block():
     bct = blocks_and_cut_vertices(g)
     for u, v in g.edges:
         owners = [i for i, blk in enumerate(bct.blocks) if u in blk and v in blk]
-        assert len(owners) >= 1
-        assert bct.block_of_edge[(u, v)] in owners
-    counts = {}
-    for e in g.edges:
-        counts[bct.block_of_edge[e]] = counts.get(bct.block_of_edge[e], 0) + 1
-    assert sum(counts.values()) == g.m
+        assert len(owners) == 1
 
 
 def test_cut_vertex_definition_matches_component_count():
@@ -66,7 +56,7 @@ def test_cut_vertex_definition_matches_component_count():
     bct = blocks_and_cut_vertices(g)
     for v in range(g.n):
         rest = [u for u in range(g.n) if u != v]
-        from simdom import induced_subgraph
+        from simdom.graph import induced_subgraph
 
         sub, _ = induced_subgraph(g, rest)
         split = len(sub.components()) > 1
@@ -87,9 +77,9 @@ def test_leaf_order_peels_to_root():
     g = two_triangles_sharing_vertex()
     bct = blocks_and_cut_vertices(g)
     order = leaf_component_order(bct)
-    assert len(order.entries) == 2
-    assert order.entries[-1][1] is None
-    peeled_block, conn = order.entries[0]
+    assert len(order) == 2
+    assert order[-1][1] is None
+    peeled_block, conn = order[0]
     assert conn == 2
 
 
@@ -97,10 +87,10 @@ def test_leaf_order_connection_is_the_single_live_cut():
     g = random_connected_graph(14, 17, seed=3)
     bct = blocks_and_cut_vertices(g)
     order = leaf_component_order(bct)
-    assert len(order.entries) == len(bct.blocks)
-    assert {i for i, _ in order.entries} == set(range(len(bct.blocks)))
+    assert len(order) == len(bct.blocks)
+    assert {i for i, _ in order} == set(range(len(bct.blocks)))
     remaining = set(range(len(bct.blocks)))
-    for idx, conn in order.entries[:-1]:
+    for idx, conn in order[:-1]:
         live = {
             v
             for v in bct.blocks[idx] & bct.cut_vertices
@@ -108,7 +98,7 @@ def test_leaf_order_connection_is_the_single_live_cut():
         }
         assert live == {conn}
         remaining.discard(idx)
-    assert order.entries[-1][1] is None
+    assert order[-1][1] is None
 
 
 def quadratic_peel_order(bct):
@@ -157,7 +147,7 @@ def test_leaf_order_matches_quadratic_reference():
     )
     for name, g in graphs.items():
         bct = blocks_and_cut_vertices(g)
-        assert leaf_component_order(bct).entries == quadratic_peel_order(bct), name
+        assert leaf_component_order(bct) == quadratic_peel_order(bct), name
 
 
 def test_rooted_tree_parents_and_depths():
@@ -176,8 +166,8 @@ def test_rooted_tree_parents_and_depths():
     # each cut vertex keeps one parent block, the rest are children
     for v in sorted(bct.cut_vertices):
         child = tree.child_blocks_of_cut(v)
-        parent = tree.parent_block_of_cut(v)
-        assert parent is not None
+        kind, parent = tree.parent[("cut", v)]
+        assert kind == "block"
         assert set(child) | {parent} == set(bct.blocks_of_vertex[v])
 
 

@@ -113,6 +113,18 @@ def test_approx_lp_path(p3, capsys):
     assert out.splitlines()[0] == "size 1"
 
 
+def test_approx_lp_on_one_vertex(tmp_path, capsys):
+    # every command answers size 0 on a single vertex, approx lp included
+    k1 = write(tmp_path, "k1.dimacs", "p edge 1 0\n")
+    code, out, _ = run(capsys, "approx", k1, "lp", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["size"], payload["vertices"], payload["bound"]) == (0, [], "0")
+    code, out, _ = run(capsys, "solve", k1)
+    assert code == 0
+    assert out.splitlines()[0] == "size 0"
+
+
 def test_verify_valid_and_invalid(p3, tmp_path, capsys):
     good = write(tmp_path, "good.txt", "1\n")
     code, out, _ = run(capsys, "verify", p3, good)

@@ -7,14 +7,17 @@ from conftest import cycle, path, star, two_triangles_sharing_vertex
 from simdom import (
     Colour,
     Graph,
-    all_zero_hat,
     blocks_and_cut_vertices,
-    is_colour_respecting,
     is_sd_set,
-    is_sd_set_by_enumeration,
     sd_witness,
 )
-from simdom.domination import COLOUR_TOKENS, TOKEN_OF_COLOUR
+from simdom.domination import (
+    COLOUR_TOKENS,
+    TOKEN_OF_COLOUR,
+    all_zero_hat,
+    is_colour_respecting,
+)
+from simdom.oracle import is_sd_set_by_enumeration
 from simdom.generators import random_connected_graph
 
 

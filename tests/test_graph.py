@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 
 from conftest import clique, cycle, path
 from simdom import graph
-from simdom import Graph, GraphParseError, delete_edges_within, delete_vertices, induced_subgraph, parse_graph, write_graph
+from simdom import Graph, GraphParseError, parse_graph, write_graph
+from simdom.graph import delete_edges_within, delete_vertices, induced_subgraph
 
 
 def test_edges_are_normalized_and_sorted():
@@ -159,28 +160,17 @@ def test_write_parse_round_trip_edgelist(g):
     assert h.n == top + 1
 
 
-def test_equality_and_hash_ignore_names():
-    a = Graph(3, [(0, 1)], names=["x", "y", "z"])
-    b = Graph(3, [(0, 1)])
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a != Graph(3, [(0, 2)])
-
-
 def edge_scan_subgraph(g, vertices):
     """Reference: keep every edge of g whose endpoints both survive."""
     kept = sorted(set(vertices))
     index = {old: new for new, old in enumerate(kept)}
     edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
-    names = [g.names[v] for v in kept] if g.names is not None else None
-    return Graph(len(kept), edges, names), kept
+    return Graph(len(kept), edges), kept
 
 
 @st.composite
 def graphs_with_subsets(draw):
     g = draw(graphs(max_n=12))
-    if draw(st.booleans()):
-        g = Graph(g.n, g.edges, [f"v{v}" for v in range(g.n)])
     subset = draw(
         st.one_of(
             st.just(set()),
@@ -197,9 +187,9 @@ def test_induced_subgraph_matches_edge_scan(case):
     want, want_kept = edge_scan_subgraph(g, subset)
     sub, kept = induced_subgraph(g, subset)
     assert kept == want_kept
-    assert (sub.n, sub.edges, sub.adj, sub.names) == (want.n, want.edges, want.adj, want.names)
+    assert (sub.n, sub.edges, sub.adj) == (want.n, want.edges, want.adj)
 
     rest, old_to_new = delete_vertices(g, subset)
     want, want_kept = edge_scan_subgraph(g, set(range(g.n)) - subset)
     assert old_to_new == {old: new for new, old in enumerate(want_kept)}
-    assert (rest.n, rest.edges, rest.adj, rest.names) == (want.n, want.edges, want.adj, want.names)
+    assert (rest.n, rest.edges, rest.adj) == (want.n, want.edges, want.adj)

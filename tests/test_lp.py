@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import clique, cycle, path, star
+from conftest import cycle, path, star
 from simdom import (
     Graph,
     GuaranteeError,
@@ -12,29 +13,30 @@ from simdom import (
     approx2_sds,
     approx4_sds_via_vc,
     blocks_and_cut_vertices,
-    build_sds_ip,
-    ip_optimum_bruteforce,
     is_sd_set,
-    is_vertex_cover,
-    min_sds_bruteforce,
+    solve_sds,
+)
+from simdom.lpapprox import (
+    LpSolution,
+    build_sds_ip,
     round_lp,
     sds_to_vertex_cover,
     solve_lp_simplex,
-    solve_sds,
 )
+from simdom.oracle import ip_optimum_bruteforce, min_sds_bruteforce
+from simdom.vertexcover import is_vertex_cover
 from simdom import lpapprox
 from simdom.errors import BudgetExceededError
 from simdom.generators import gap_graph, random_connected_graph
-from simdom.lpapprox import LpSolution
 from simdom.simplex import OPTIMAL, UNBOUNDED, SimplexResult
 
 
 def test_model_shape_for_a_path():
     g = path(3)
     bct = blocks_and_cut_vertices(g)
-    m = build_sds_ip(g, bct, integral=False)
+    m = build_sds_ip(g, bct)
     assert m.num_cols == 5  # x0..x2 plus y for the middle vertex's two blocks
-    assert m.row_counts() == {
+    assert Counter(r.kind for r in m.rows) == {
         "adjacent-pair": 2,
         "block-neighbour": 2,
         "cut-cover": 1,
@@ -45,9 +47,9 @@ def test_model_shape_for_a_path():
 def test_model_keeps_ordered_pair_duplicates():
     g = cycle(3)
     bct = blocks_and_cut_vertices(g)
-    m = build_sds_ip(g, bct, integral=False)
+    m = build_sds_ip(g, bct)
     # each edge contributes one row per endpoint on a block with no cuts
-    assert m.row_counts() == {"adjacent-pair": 6}
+    assert Counter(r.kind for r in m.rows) == {"adjacent-pair": 6}
 
 
 def test_row_count_identities():
@@ -56,8 +58,8 @@ def test_row_count_identities():
         n = rng.randint(2, 10)
         g = random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), seed=rng.randint(0, 10**6))
         bct = blocks_and_cut_vertices(g)
-        m = build_sds_ip(g, bct, integral=False)
-        counts = m.row_counts()
+        m = build_sds_ip(g, bct)
+        counts = Counter(r.kind for r in m.rows)
         cuts = bct.cut_vertices
         assert counts.get("adjacent-pair", 0) == sum(
             g.degree(v) for v in range(n) if v not in cuts
@@ -69,10 +71,21 @@ def test_row_count_identities():
         assert len(m.y_keys) == sum(len(bct.blocks_of_vertex[v]) for v in cuts)
 
 
-def test_model_requires_two_vertices():
+def test_approx2_on_one_vertex():
+    # no rows: the empty set dominates the single vertex, as solve_sds says
     g = Graph(1, [])
-    with pytest.raises(ValueError):
-        build_sds_ip(g, blocks_and_cut_vertices(g), integral=False)
+    assert approx2_sds(g) == (frozenset(), Fraction(0))
+    assert solve_sds(g).size == 0
+
+
+def test_broken_lp_point_raises_a_typed_error():
+    # the rounding's feasibility checks must survive python -O
+    g = path(3)
+    bct = blocks_and_cut_vertices(g)
+    x = [Fraction(0), Fraction(1, 2), Fraction(0)]
+    y = {(1, 0): Fraction(0), (1, 1): Fraction(0)}
+    with pytest.raises(GuaranteeError, match=r"pair row \(0,1\) broken"):
+        lpapprox._assert_lp_feasible(g, bct, x, y, "broken")
 
 
 def test_lp_objectives_on_known_graphs():
@@ -82,15 +95,8 @@ def test_lp_objectives_on_known_graphs():
         (cycle(3), Fraction(3, 2)),
     ]:
         bct = blocks_and_cut_vertices(g)
-        sol = solve_lp_simplex(build_sds_ip(g, bct, integral=False))
+        sol = solve_lp_simplex(build_sds_ip(g, bct))
         assert sol.objective == expected
-
-
-def test_simplex_rejects_integral_models():
-    g = path(2)
-    bct = blocks_and_cut_vertices(g)
-    with pytest.raises(ValueError):
-        solve_lp_simplex(build_sds_ip(g, bct, integral=True))
 
 
 def test_rounding_with_per_step_checks():
@@ -99,7 +105,7 @@ def test_rounding_with_per_step_checks():
         n = rng.randint(2, 9)
         g = random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), seed=rng.randint(0, 10**6))
         bct = blocks_and_cut_vertices(g)
-        sol = solve_lp_simplex(build_sds_ip(g, bct, integral=False))
+        sol = solve_lp_simplex(build_sds_ip(g, bct))
         s = round_lp(g, bct, sol, check_feasibility=True)
         assert is_sd_set(g, bct, s)
         assert len(s) <= 2 * sol.objective
@@ -121,14 +127,14 @@ def test_ip_bruteforce_equals_sds_oracle():
         n = rng.randint(2, 6)
         g = random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), seed=rng.randint(0, 10**6))
         bct = blocks_and_cut_vertices(g)
-        m = build_sds_ip(g, bct, integral=True)
+        m = build_sds_ip(g, bct)
         assert ip_optimum_bruteforce(m) == len(min_sds_bruteforce(g))
 
 
 def test_ip_bruteforce_budget():
     g = path(17)
     bct = blocks_and_cut_vertices(g)
-    m = build_sds_ip(g, bct, integral=True)
+    m = build_sds_ip(g, bct)
     with pytest.raises(BudgetExceededError):
         ip_optimum_bruteforce(m)
 

@@ -9,8 +9,10 @@ from simdom import (
     DisconnectedGraphError,
     Graph,
     blocks_and_cut_vertices,
-    enumerate_spanning_trees,
     is_sd_set,
+)
+from simdom.oracle import (
+    enumerate_spanning_trees,
     is_sd_set_by_enumeration,
     min_crsds_bruteforce,
     min_sds_bruteforce,
@@ -147,7 +149,7 @@ def test_min_crsds_all_zero_hat_equals_plain_minimum():
 
 
 def test_min_crsds_output_is_colour_respecting():
-    from simdom import is_colour_respecting
+    from simdom.domination import is_colour_respecting
 
     g = random_connected_graph(7, 9, seed=2)
     f = [Colour.ZERO_HAT] * g.n

@@ -129,7 +129,7 @@ def test_matches_vertex_enumeration_on_domination_models():
         m = rng.randint(n - 1, n * (n - 1) // 2)
         g = random_connected_graph(n, m, seed=rng.randint(0, 10**6))
         bct = blocks_and_cut_vertices(g)
-        model = build_sds_ip(g, bct, integral=False)
+        model = build_sds_ip(g, bct)
         sol = solve_lp_simplex(model)
         assert sol.objective == lp_vertex_enumeration_optimum(model)
 
@@ -199,7 +199,7 @@ def test_sparse_pivots_match_dense_reference_on_domination_models():
         g = random_connected_graph(
             n, rng.randint(n - 1, 2 * n), seed=rng.randint(0, 10**6)
         )
-        model = build_sds_ip(g, blocks_and_cut_vertices(g), integral=False)
+        model = build_sds_ip(g, blocks_and_cut_vertices(g))
         args = dual_program(model)
         sparse = simplex_min(*args)
         assert sparse.status == OPTIMAL
@@ -215,7 +215,7 @@ def test_objective_matches_highs_on_larger_models():
         g = random_connected_graph(
             n, rng.randint(n - 1, 2 * n), seed=rng.randint(0, 10**6)
         )
-        model = build_sds_ip(g, blocks_and_cut_vertices(g), integral=False)
+        model = build_sds_ip(g, blocks_and_cut_vertices(g))
         a_ub = [[0] * model.num_cols for _ in model.rows]
         for i, row in enumerate(model.rows):
             for j, a in row.coeffs.items():

@@ -17,19 +17,15 @@ from simdom import (
     Graph,
     GuaranteeError,
     InvalidSdSetError,
-    Not2ConnectedError,
-    best_colour,
     blocks_and_cut_vertices,
-    crsds_2connected,
-    is_colour_respecting,
     is_sd_set,
-    min_crsds_bruteforce,
-    min_sds_bruteforce,
-    min_vc_branch_and_bound,
     solve_crsds,
     solve_sds,
 )
+from simdom.domination import is_colour_respecting
 from simdom.graph import induced_subgraph
+from simdom.oracle import min_crsds_bruteforce, min_sds_bruteforce
+from simdom.vertexcover import min_vc_branch_and_bound
 from simdom.generators import (
     gap_graph,
     random_2connected_graph,
@@ -41,31 +37,18 @@ def colouring_from_values(values):
     return [Colour(v) for v in values]
 
 
-def test_best_colour_is_the_maximum():
-    assert best_colour([Colour.ZERO_HAT, Colour.ZERO]) is Colour.ZERO
-    assert best_colour([Colour.ZERO, Colour.ONE]) is Colour.ONE
-    assert best_colour([Colour.ZERO_HAT]) is Colour.ZERO_HAT
-    with pytest.raises(ValueError):
-        best_colour([])
-
-
 def test_crsds_2connected_on_triangle():
     tri = cycle(3)
-    s, size = crsds_2connected(tri, [Colour.ZERO_HAT] * 3)
-    assert size == 2 and len(s) == 2
-    s, size = crsds_2connected(tri, [Colour.ONE, Colour.ZERO_HAT, Colour.ZERO_HAT])
-    assert 0 in s and size == 2
+    r = solve_crsds(tri, [Colour.ZERO_HAT] * 3)
+    assert r.size == 2 and len(r.solution) == 2
+    r = solve_crsds(tri, [Colour.ONE, Colour.ZERO_HAT, Colour.ZERO_HAT])
+    assert 0 in r.solution and r.size == 2
     # everything exempt: the empty set respects an all-zero colouring
-    s, size = crsds_2connected(tri, [Colour.ZERO, Colour.ZERO, Colour.ZERO])
-    assert size == 0
+    r = solve_crsds(tri, [Colour.ZERO, Colour.ZERO, Colour.ZERO])
+    assert r.size == 0
     # the exempt pair still leaves their edges to the 0hat vertex covered
-    s, size = crsds_2connected(tri, [Colour.ZERO, Colour.ZERO, Colour.ZERO_HAT])
-    assert size == 1
-
-
-def test_crsds_2connected_rejects_cut_vertices():
-    with pytest.raises(Not2ConnectedError):
-        crsds_2connected(path(3), [Colour.ZERO_HAT] * 3)
+    r = solve_crsds(tri, [Colour.ZERO, Colour.ZERO, Colour.ZERO_HAT])
+    assert r.size == 1
 
 
 def test_crsds_2connected_matches_oracle():
@@ -75,10 +58,10 @@ def test_crsds_2connected_matches_oracle():
         m = rng.randint(n, n * (n - 1) // 2)
         g = random_2connected_graph(n, m, seed=rng.randint(0, 10**6))
         f = colouring_from_values(random_colouring_values(n, rng.randint(0, 10**6)))
-        s, size = crsds_2connected(g, f)
+        r = solve_crsds(g, f)
         bct = blocks_and_cut_vertices(g)
-        assert is_colour_respecting(g, bct, f, s)
-        assert size == len(min_crsds_bruteforce(g, f))
+        assert is_colour_respecting(g, bct, f, r.solution)
+        assert r.size == len(min_crsds_bruteforce(g, f))
 
 
 def test_recolouring_sizes_never_spread_by_more_than_one():
@@ -186,7 +169,7 @@ def test_solution_is_sd_set_under_both_verifiers():
     report = solve_sds(g)
     bct = blocks_and_cut_vertices(g)
     assert is_sd_set(g, bct, report.solution)
-    from simdom import is_sd_set_by_enumeration
+    from simdom.oracle import is_sd_set_by_enumeration
 
     assert is_sd_set_by_enumeration(g, report.solution)
 

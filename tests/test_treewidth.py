@@ -14,20 +14,19 @@ from simdom import (
     Graph,
     GuaranteeError,
     InvalidDecompositionError,
-    TreeDecomposition,
     WidthBudgetError,
-    is_vertex_cover,
-    min_fill_decomposition,
-    min_vc_branch_and_bound,
-    min_vc_bruteforce,
-    nice_decomposition,
     solve_sds,
-    validate_decomposition,
-    vc_via_tree_decomposition,
-    write_td,
 )
+from simdom.treewidth import (
+    NiceNode,
+    TreeDecomposition,
+    decomposition_violation,
+    min_fill_decomposition,
+    nice_decomposition,
+    vc_via_tree_decomposition,
+)
+from simdom.vertexcover import is_vertex_cover, min_vc_branch_and_bound
 from simdom.generators import random_connected_graph, random_graph
-from simdom.treewidth import NiceNode, decomposition_violation
 
 
 def test_min_fill_width_on_known_families():
@@ -48,7 +47,7 @@ def test_min_fill_output_validates():
         m = rng.randint(0, min(3 * n, n * (n - 1) // 2))
         g = random_graph(n, m, seed=rng.randint(0, 10**6))
         td = min_fill_decomposition(g)
-        assert validate_decomposition(g, td), decomposition_violation(g, td)
+        assert decomposition_violation(g, td) is None, decomposition_violation(g, td)
         checked += 1
     assert checked == 1000
 
@@ -56,7 +55,7 @@ def test_min_fill_output_validates():
 def test_trivial_single_bag_decomposition_validates():
     g = cycle(5)
     td = TreeDecomposition((frozenset(range(5)),), ())
-    assert validate_decomposition(g, td)
+    assert decomposition_violation(g, td) is None
     assert td.width == 4
 
 
@@ -116,7 +115,7 @@ def test_nice_form_preserves_validity_and_width():
                 if child is not None:
                     edges.append((child, i))
         back = TreeDecomposition(bags, tuple(edges))
-        assert validate_decomposition(g, back), decomposition_violation(g, back)
+        assert decomposition_violation(g, back) is None, decomposition_violation(g, back)
 
 
 def test_nice_node_kinds_change_one_vertex_at_a_time():
@@ -137,7 +136,7 @@ def test_nice_node_kinds_change_one_vertex_at_a_time():
 
 
 def test_dp_cover_examples():
-    res = vc_via_tree_decomposition(path(5))
+    res = vc_via_tree_decomposition(path(5), min_fill_decomposition(path(5)))
     assert res.size == 2
     assert is_vertex_cover(path(5), res.cover)
 
@@ -160,7 +159,7 @@ def test_dp_matches_branch_and_bound_on_varied_density():
         n = rng.randint(1, 12)
         m = rng.randint(0, n * (n - 1) // 2)
         g = random_graph(n, m, seed=rng.randint(0, 10**6))
-        a = vc_via_tree_decomposition(g)
+        a = vc_via_tree_decomposition(g, min_fill_decomposition(g))
         b = min_vc_branch_and_bound(g)
         assert a.size == b.size
         assert is_vertex_cover(g, a.cover)
@@ -172,29 +171,9 @@ def test_dp_rejects_invalid_or_wide_input():
     broken = TreeDecomposition((frozenset({0, 1}),), ())
     with pytest.raises(InvalidDecompositionError):
         vc_via_tree_decomposition(g, broken)
-    k = clique(6)
+    k = clique(22)  # min-fill width 21, above the DP's budget of 20
     with pytest.raises(WidthBudgetError):
-        vc_via_tree_decomposition(k, width_budget=3)
-
-
-def test_write_td_format():
-    g = path(3)
-    td = min_fill_decomposition(g)
-    text = write_td(g, td)
-    lines = text.strip().splitlines()
-    assert lines[0] == f"s td {len(td.bags)} {td.width + 1} 3"
-    b_lines = [l for l in lines if l.startswith("b ")]
-    assert len(b_lines) == len(td.bags)
-    for line in b_lines:
-        parts = line.split()
-        idx = int(parts[1])
-        bag = {int(x) - 1 for x in parts[2:]}
-        assert bag == set(td.bags[idx - 1])
-    edge_lines = lines[1 + len(b_lines):]
-    assert len(edge_lines) == len(td.tree_edges)
-    for line in edge_lines:
-        i, j = (int(x) - 1 for x in line.split())
-        assert (i, j) in td.tree_edges
+        vc_via_tree_decomposition(k, min_fill_decomposition(k))
 
 
 @st.composite
@@ -292,7 +271,7 @@ def test_min_fill_matches_reference_on_low_width_blocks_and_residuals(monkeypatc
     for h in residuals:
         td = min_fill_decomposition(h)
         assert td == rescanning_min_fill_decomposition(h)
-        assert validate_decomposition(h, td)
+        assert decomposition_violation(h, td) is None
 
 
 def test_min_fill_on_a_3001_cycle():
@@ -364,7 +343,7 @@ def test_dp_losing_every_state_raises(monkeypatch):
         lambda td: (NiceNode("join", (), None, 0, 0),),
     )
     with pytest.raises(GuaranteeError, match="lost all states"):
-        vc_via_tree_decomposition(path(2))
+        vc_via_tree_decomposition(path(2), min_fill_decomposition(path(2)))
 
 
 def test_dp_reconstruction_mismatch_raises(monkeypatch):
@@ -380,4 +359,4 @@ def test_dp_reconstruction_mismatch_raises(monkeypatch):
     nodes = tuple(branch) + (NiceNode("join", (), None, 4, 4),)
     monkeypatch.setattr(simdom.treewidth, "nice_decomposition", lambda td: nodes)
     with pytest.raises(GuaranteeError, match="reconstruction"):
-        vc_via_tree_decomposition(path(2))
+        vc_via_tree_decomposition(path(2), min_fill_decomposition(path(2)))

@@ -9,20 +9,24 @@ from simdom import (
     Graph,
     GuaranteeError,
     InvalidBipartitionError,
+    min_vertex_cover,
+)
+from simdom.oracle import min_vc_bruteforce
+from simdom.vertexcover import (
     bipartition,
+    greedy_matching,
     is_vertex_cover,
     matching_2approx_vc,
+    min_vc_auto,
     min_vc_bipartite,
     min_vc_branch_and_bound,
-    min_vc_bruteforce,
-    min_vertex_cover,
+    min_vc_treewidth,
 )
 from simdom.generators import (
     random_bipartite_graph,
     random_connected_graph,
     random_graph,
 )
-from simdom.vertexcover import greedy_matching, min_vc_auto, min_vc_treewidth
 
 
 def test_is_vertex_cover():
@@ -68,8 +72,8 @@ def test_bnb_matches_bruteforce():
         assert res.size == len(min_vc_bruteforce(g))
         assert res.backend == "bnb"
         assert res.nodes is not None and res.nodes >= 1
-        assert res.matching_bound is not None
-        assert res.matching_bound <= res.size <= 2 * res.matching_bound
+        matched = len(greedy_matching(g))
+        assert matched <= res.size <= 2 * matched
 
 
 def test_bnb_petersen():
@@ -110,7 +114,8 @@ def test_min_vc_bipartite_matches_bruteforce():
         res = min_vc_bipartite(g)
         assert is_vertex_cover(g, res.cover)
         assert res.size == len(min_vc_bruteforce(g))
-        assert res.matching_bound == res.size
+        matched = len(greedy_matching(g))
+        assert matched <= res.size <= 2 * matched
 
 
 def test_min_vc_bipartite_rejects_odd_cycles_and_bad_sides():
@@ -137,7 +142,7 @@ def test_min_vc_bipartite_long_augmenting_path():
         label[v] = len(label)
     g = Graph(length, [(label[i], label[i + 1]) for i in range(length - 1)])
     res = min_vc_bipartite(g)
-    assert res.size == res.matching_bound == length // 2
+    assert res.size == length // 2
     assert is_vertex_cover(g, res.cover)
 
 
