@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import AbstractSet
 
 from .blocks import BlockCutTree, blocks_and_cut_vertices, root_block_tree
@@ -123,23 +124,30 @@ def solve_lp_simplex(m: LpModel) -> LpSolution:
     The simplex solves the dual in one phase from pi = 0, and z is read
     off its final objective row. The answer is certified by duality: z
     and pi are feasible and their objectives are equal, so both are
-    optimal.
+    optimal. The checks run in integers: z, pi and the bound are scaled
+    by the lcm of their denominators.
     """
     num_pi, neg_b, dual_rows = dual_program(m)
     result = simplex_min(num_pi, neg_b, dual_rows)
     if result.status != OPTIMAL:
         raise GuaranteeError(f"the model family is never {result.status}")
     z, pi, bound = result.duals, result.values, -result.objective
-    if any(v < 0 for v in z) or any(p < 0 for p in pi):
+    scale = bound.denominator
+    for v in (*z, *pi):
+        scale = lcm(scale, v.denominator)
+    zs = [v.numerator * (scale // v.denominator) for v in z]
+    pis = [v.numerator * (scale // v.denominator) for v in pi]
+    bound_s = bound.numerator * (scale // bound.denominator)
+    if any(v < 0 for v in zs) or any(p < 0 for p in pis):
         raise GuaranteeError("relaxation or dual value below zero")
     for row in m.rows:
-        if sum(a * z[j] for j, a in row.coeffs.items()) < row.rhs:
+        if sum(a * zs[j] for j, a in row.coeffs.items()) < row.rhs * scale:
             raise GuaranteeError(f"relaxation breaks {row.kind} row {row.about}")
     for j, (col, rhs) in enumerate(dual_rows):
-        if sum(a * pi[i] for i, a in col.items() if pi[i]) < rhs:
+        if sum(a * pis[i] for i, a in col.items() if pis[i]) < rhs * scale:
             raise GuaranteeError(f"dual breaks the row of column {j}")
-    b_pi = sum(row.rhs * p for row, p in zip(m.rows, pi))
-    if sum(z[: m.n]) != bound or b_pi != bound:
+    b_pi = sum(row.rhs * p for row, p in zip(m.rows, pis))
+    if sum(zs[: m.n]) != bound_s or b_pi != bound_s:
         raise GuaranteeError("relaxation and dual objectives differ")
     return LpSolution(
         status=result.status,

@@ -19,7 +19,7 @@ from typing import AbstractSet, Iterator
 
 from .blocks import blocks_and_cut_vertices
 from .domination import Colour, Colouring, domination_requirements
-from .errors import BudgetExceededError, DisconnectedGraphError
+from .errors import BudgetExceededError, DisconnectedGraphError, GuaranteeError
 from .graph import Graph
 from .lpapprox import LpModel
 
@@ -170,7 +170,7 @@ def min_vc_bruteforce(g: Graph, vertex_budget: int = VC_VERTEX_BUDGET) -> frozen
             mask |= 1 << v
         if all(mask & em for em in edge_masks):
             return frozenset(combo)
-    raise AssertionError("the full vertex set always covers")
+    raise GuaranteeError("the full vertex set always covers")
 
 
 def min_sds_bruteforce(
@@ -207,9 +207,12 @@ def min_sds_bruteforce(
         if ok:
             result = frozenset(combo)
             if g.n >= 2 and g.m <= EDGE_ENUMERATION_BUDGET:
-                assert is_sd_set_by_enumeration(g, result)
+                if not is_sd_set_by_enumeration(g, result):
+                    raise GuaranteeError(
+                        "block conditions and spanning trees disagree"
+                    )
             return result
-    raise AssertionError("the full vertex set is always simultaneously dominating")
+    raise GuaranteeError("the full vertex set is always simultaneously dominating")
 
 
 def min_crsds_bruteforce(
@@ -244,7 +247,7 @@ def min_crsds_bruteforce(
                 break
         if ok:
             return frozenset(v for v in range(g.n) if (mask >> v) & 1)
-    raise AssertionError("the full vertex set always respects any colouring")
+    raise GuaranteeError("the full vertex set always respects any colouring")
 
 
 def ip_optimum_bruteforce(m: LpModel, *, vertex_budget: int = 16) -> int:
@@ -279,7 +282,8 @@ def ip_optimum_bruteforce(m: LpModel, *, vertex_budget: int = 16) -> int:
             size = sum(value[: m.n])
             if best is None or size < best:
                 best = size
-    assert best is not None, "the all-ones assignment is always feasible"
+    if best is None:
+        raise GuaranteeError("the all-ones assignment is always feasible")
     return best
 
 
@@ -323,7 +327,8 @@ def lp_vertex_enumeration_optimum(
                 objective = sum((v for c, v in point if c < m.n), start=Fraction(0))
                 if best is None or objective < best:
                     best = objective
-    assert best is not None, "the model family always has feasible vertices"
+    if best is None:
+        raise GuaranteeError("the model family always has feasible vertices")
     return best
 
 

@@ -1,4 +1,4 @@
-"""One-phase primal simplex over exact rationals, with sparse rows.
+"""One-phase primal simplex in exact integer arithmetic, with sparse rows.
 
 Input constraints are all of the form sum(coeffs) >= rhs with rhs <= 0
 and nonnegative variables, so the slack basis is feasible and one run of
@@ -10,15 +10,18 @@ an optimum the objective row's entries in the slack columns solve the
 dual program, max rhs . y subject to A^T y <= objective and y >= 0, and
 are returned as `duals`.
 
-Each tableau row, and the objective row, is a {column: rational} dict
-holding only its nonzero entries; the right-hand side rides along under
-the key one past the last column. A pivot touches only the nonzeros of
-the pivot row, and only in rows with a nonzero in the entering column.
-The LP builder's rows are short, so this does far less arithmetic than
-a dense tableau while taking the same pivots.
-
-Arithmetic uses gmpy2 rationals when that package is installed and
-falls back to fractions.Fraction; results are identical either way and
+Each tableau row, and the objective row, is a {column: int} dict holding
+only its nonzero numerators, over a positive integer denominator of its
+own; the right-hand side rides along under the key one past the last
+column. The elimination is fraction-free, after Edmonds and Bareiss, but
+with one denominator per row instead of one shared determinant: a pivot
+takes the pivot entry as the pivot row's denominator, rewrites each row
+with a nonzero in the entering column as (row * p - f * prow) / (d * p),
+and divides that row by the gcd of its numerators and denominator. Rows
+without an entry in the entering column are not touched, and all
+arithmetic is on Python ints. Signs and ratio comparisons need no
+division, since denominators are positive and cancel, so the method
+takes exactly the pivots of the same simplex over rationals. Results
 are returned as Fraction.
 """
 
@@ -26,12 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
-
-try:
-    from gmpy2 import mpq as _rat
-except ImportError:  # pragma: no cover - environment without gmpy2
-    _rat = Fraction
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -46,24 +45,35 @@ class SimplexResult:
     duals: tuple[Fraction, ...] | None = None  # one per input row
 
 
-def _to_fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
+def _eliminate(row: dict, den: int, enter: int, prow: dict, p: int) -> int:
+    """Rewrite row/den as row/den - (row[enter]/den) * prow/p, in place.
 
-
-def _subtract_multiple(row: dict, f, prow: dict) -> None:
-    """row -= f * prow over the nonzeros of prow; cancelled entries go."""
-    nf = -f
+    prow/p holds 1 in the entering column, so that entry cancels. The
+    row is left in lowest terms and its new denominator is returned.
+    """
+    f = row[enter]
+    if p != 1:
+        for j in row:
+            row[j] *= p
+        den *= p
     for j, b in prow.items():
-        d = nf * b
-        a = row.get(j)
-        if a is None:
-            row[j] = d
-        else:
-            a += d
+        if j in row:
+            a = row[j] - f * b
             if a:
                 row[j] = a
             else:
                 del row[j]
+        else:
+            row[j] = -f * b
+    # pair by pair, most rows reach a gcd of 1 within a few entries
+    g = den
+    for a in row.values():
+        g = gcd(g, a)
+        if g == 1:
+            return den
+    for j in row:
+        row[j] //= g
+    return den // g
 
 
 def simplex_min(
@@ -76,73 +86,64 @@ def simplex_min(
     Every rhs must be <= 0, so that z = 0 is feasible; a row with a
     positive rhs raises ValueError.
     """
-    zero = _rat(0)
-    one = _rat(1)
     pivots = 0
     slack_start = num_vars
     # every entering scan stops below rhs_col, so the RHS key never enters
     rhs_col = num_vars + len(rows)
 
-    tableau: list[dict] = []
+    tableau: list[dict[int, int]] = []
     for i, (coeffs, rhs) in enumerate(rows):
         if rhs > 0:
             raise ValueError(f"row {i} has rhs {rhs} > 0: z = 0 is not feasible")
-        row = {j: -_rat(a) for j, a in coeffs.items() if a}
-        row[slack_start + i] = one
+        row = {j: -a for j, a in coeffs.items() if a}
+        row[slack_start + i] = 1
         if rhs:
-            row[rhs_col] = _rat(-rhs)
+            row[rhs_col] = -rhs
         tableau.append(row)
+    dens = [1] * len(tableau)
     basis = list(range(slack_start, rhs_col))
     # the slack basis costs nothing, so the costs are the reduced costs
-    zrow = {j: _rat(c) for j, c in enumerate(objective) if c}
+    zrow = {j: c for j, c in enumerate(objective) if c}
+    zden = 1
 
     while True:
-        enter = min(
-            (j for j, a in zrow.items() if j < rhs_col and a < zero), default=-1
-        )
+        enter = min((j for j, a in zrow.items() if a < 0 and j < rhs_col), default=-1)
         if enter < 0:
             break
+        # minimum rhs/a over rows with a > 0; a row's denominator cancels
         leave = -1
-        best = None
+        best_rhs = best_a = 0
         for r, row in enumerate(tableau):
             a = row.get(enter)
-            if a is not None and a > zero:
-                ratio = row.get(rhs_col, zero) / a
+            if a is not None and a > 0:
+                rhs = row.get(rhs_col, 0)
+                lhs, other = rhs * best_a, best_rhs * a
                 if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[r] < basis[leave])
+                    leave < 0
+                    or lhs < other
+                    or (lhs == other and basis[r] < basis[leave])
                 ):
-                    best = ratio
-                    leave = r
+                    best_rhs, best_a, leave = rhs, a, r
         if leave < 0:
             return SimplexResult(UNBOUNDED, None, None, pivots)
         pivots += 1
+        # dividing the pivot row by its entry p only makes p its
+        # denominator; the row stays in lowest terms, as its entries have
+        # no common factor: its basic column holds its old denominator
         prow = tableau[leave]
-        piv = prow[enter]
-        if piv != one:
-            inv = one / piv
-            for j, a in prow.items():
-                prow[j] = a * inv
+        p = prow[enter]
+        dens[leave] = p
         for r, row in enumerate(tableau):
-            if r != leave:
-                f = row.get(enter)
-                if f is not None:
-                    _subtract_multiple(row, f, prow)
-        _subtract_multiple(zrow, zrow[enter], prow)
+            if r != leave and enter in row:
+                dens[r] = _eliminate(row, dens[r], enter, prow, p)
+        zden = _eliminate(zrow, zden, enter, prow, p)
         basis[leave] = enter
 
     values = [Fraction(0)] * num_vars
     for r, j in enumerate(basis):
         if j < num_vars:
-            values[j] = _to_fraction(tableau[r].get(rhs_col, zero))
-    duals = tuple(
-        _to_fraction(zrow.get(j, zero)) for j in range(slack_start, rhs_col)
-    )
+            values[j] = Fraction(tableau[r].get(rhs_col, 0), dens[r])
+    duals = tuple(Fraction(zrow.get(j, 0), zden) for j in range(slack_start, rhs_col))
     return SimplexResult(
-        OPTIMAL,
-        _to_fraction(-zrow.get(rhs_col, zero)),
-        tuple(values),
-        pivots,
-        duals,
+        OPTIMAL, Fraction(-zrow.get(rhs_col, 0), zden), tuple(values), pivots, duals
     )

@@ -1,12 +1,15 @@
 """The dense-tableau simplex, kept as a test-only reference.
 
 This is `simdom.simplex.simplex_min` as it was before its rows became
-sparse, copied line for line. Two things are added: the pivot counter,
-so the tests can check that the sparse method takes the very same
-Bland pivots and not just reaches the same optimum, and the optional
-``cases`` set, into which the run records "degenerate-artificial" when
-phase 1 ends with an artificial variable basic at zero, so the tests
-can check that their draws reach that branch.
+sparse, copied line for line, over `fractions.Fraction`. It keeps its
+own rational helpers and infeasible status, so it shares no arithmetic
+with the integer-row method it checks. Two things are added: the pivot
+counter, so the tests can check that the sparse method takes the very
+same Bland pivots and not just reaches the same optimum, and the
+optional ``cases`` set, into which the run records
+"degenerate-artificial" when phase 1 ends with an artificial variable
+basic at zero, so the tests can check that their draws reach that
+branch.
 """
 
 from __future__ import annotations
@@ -14,14 +17,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from simdom.simplex import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
-    SimplexResult,
-    _rat,
-    _to_fraction,
-)
+from simdom.simplex import OPTIMAL, UNBOUNDED, SimplexResult
+
+# phase 1 reports this status; rows feasible at the origin never reach it
+INFEASIBLE = "infeasible"
+_rat = Fraction
+
+
+def _to_fraction(q) -> Fraction:
+    return Fraction(int(q.numerator), int(q.denominator))
 
 
 def dense_simplex_min(

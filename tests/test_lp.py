@@ -217,6 +217,12 @@ def test_approx2_sets_are_pinned(g, expected, bound):
     assert (sorted(rounded), lp_bound) == (expected, bound)
 
 
+def test_approx2_at_lp_scale_is_pinned():
+    # 200 vertices: hundreds of pivots whose integer rows fill in
+    rounded, lp_bound = approx2_sds(random_connected_graph(200, 400, seed=1400))
+    assert (len(rounded), lp_bound) == (185, 99)
+
+
 # The result checks below raise typed errors rather than assert, so they
 # also run under python -O; each test forces one of them to fail.
 

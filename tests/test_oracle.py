@@ -8,9 +8,11 @@ from simdom import (
     Colour,
     DisconnectedGraphError,
     Graph,
+    GuaranteeError,
     blocks_and_cut_vertices,
     is_sd_set,
 )
+from simdom import oracle
 from simdom.oracle import (
     enumerate_spanning_trees,
     is_sd_set_by_enumeration,
@@ -121,6 +123,13 @@ def test_min_sds_bruteforce_agrees_with_literal_definition():
 def test_min_sds_requires_connected():
     with pytest.raises(DisconnectedGraphError):
         min_sds_bruteforce(Graph(4, [(0, 1), (2, 3)]))
+
+
+def test_min_sds_cross_check_failure_raises(monkeypatch):
+    # a typed error rather than an assert, so it also runs under python -O
+    monkeypatch.setattr(oracle, "is_sd_set_by_enumeration", lambda g, s: False)
+    with pytest.raises(GuaranteeError, match="disagree"):
+        min_sds_bruteforce(path(3))
 
 
 def test_min_sds_budget():

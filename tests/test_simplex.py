@@ -6,18 +6,13 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from simdom import simplex
 from simdom.blocks import blocks_and_cut_vertices
 from simdom.generators import random_connected_graph
 from simdom.lpapprox import build_sds_ip, dual_program, solve_lp_simplex
 from simdom.oracle import lp_vertex_enumeration_optimum
 from simdom.simplex import OPTIMAL, UNBOUNDED, simplex_min
 
-# The reference is the old two-phase code, kept byte for byte, and it
-# still imports the infeasible status that simplex_min no longer has.
-# Rows feasible at the origin never reach the branch that returns it.
-simplex.INFEASIBLE = "infeasible"
-from dense_simplex_reference import dense_simplex_min  # noqa: E402
+from dense_simplex_reference import dense_simplex_min
 
 
 def outcome(result):
@@ -144,18 +139,22 @@ def test_pivots_are_counted():
 
 
 @st.composite
-def ge_lps(draw):
+def ge_lps(draw, bound=3):
     """Random min c.z, rows >= rhs <= 0, z >= 0, with repeated rows mixed in.
 
     Repeats, doubled rows and negated rows with rhs 0 (which pin a row
     to equality) all make ties in the ratio test and degenerate pivots.
+    Objective and row coefficients lie in [-bound, bound] and
+    right-hand sides in [-bound, 0].
     """
     num_vars = draw(st.integers(1, 5))
     row = st.tuples(
         st.dictionaries(
-            st.integers(0, num_vars - 1), st.integers(-3, 3), max_size=num_vars
+            st.integers(0, num_vars - 1),
+            st.integers(-bound, bound),
+            max_size=num_vars,
         ),
-        st.integers(-3, 0),
+        st.integers(-bound, 0),
     )
     rows = draw(st.lists(row, min_size=1, max_size=7))
     repeat = st.tuples(st.sampled_from(rows), st.sampled_from((1, 2, -1)))
@@ -166,7 +165,9 @@ def ge_lps(draw):
     ]
     rows = draw(st.permutations(rows))
     objective = draw(
-        st.lists(st.integers(-3, 3), min_size=num_vars, max_size=num_vars)
+        st.lists(
+            st.integers(-bound, bound), min_size=num_vars, max_size=num_vars
+        )
     )
     return num_vars, objective, rows
 
@@ -175,6 +176,17 @@ def ge_lps(draw):
 @given(ge_lps())
 def test_sparse_pivots_match_dense_reference(lp):
     # status, objective, values and the number of Bland pivots all agree
+    result = simplex_min(*lp)
+    assert outcome(result) == outcome(dense_simplex_min(*lp))
+    if result.status == OPTIMAL:
+        assert_duals_certify(*lp, result)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ge_lps(bound=9))
+def test_sparse_pivots_match_dense_reference_wide_coefficients(lp):
+    # non-unit pivots and rows with common factors exercise the integer
+    # rows' denominators and gcd reduction against the Fraction reference
     result = simplex_min(*lp)
     assert outcome(result) == outcome(dense_simplex_min(*lp))
     if result.status == OPTIMAL:
