@@ -15,10 +15,16 @@ its parent's arrays, drops the pairs that touch vertices deleted since,
 and re-augments.
 
 Search shape, in order, at every node:
-  1. repeatedly resolve degree-1 vertices (smallest index first) by
-     taking their neighbour, and drop isolated vertices; after the first
-     pass over the alive vertices only the neighbours of a taken vertex
-     are looked at again,
+  1. repeatedly resolve vertices of degree at most 2, smallest index
+     first: drop an isolated vertex; take the neighbour of a degree-1
+     vertex; take both neighbours u and w of a degree-2 vertex v when
+     they are adjacent (triangle rule); otherwise fold u, v and w into
+     one vertex at v's index, adjacent to N(u) | N(w) - {u, v, w}, which
+     adds one to the cover size (Chen, Kanj and Jia 2001). The parent
+     branched with every degree at least 3, so a node first looks only
+     at the neighbours of the vertices its parent took (the root, and a
+     node back from step 4, look at every alive vertex), and after that
+     only at vertices whose degree may have dropped,
   2. stop at a leaf when no edges remain,
   3. re-augment the matching and prune on cover size plus ceil(|M|/2),
   4. Nemhauser-Trotter reduction (1975): read a half-integral LP optimum
@@ -30,6 +36,11 @@ Search shape, in order, at every node:
      cycles of length L,
   6. branch on the highest-degree vertex (smallest index on ties):
      first include it, then include its whole neighbourhood.
+
+A node's adjacency list is its parent's until the node first folds,
+when it takes its own copy, so the caller's list is never changed. Each
+search path keeps its folds; at a leaf they are undone newest first: if
+the folded vertex is in the cover, u and w are, else v is.
 """
 
 from __future__ import annotations
@@ -96,7 +107,8 @@ def vc_search(
     """Minimum vertex cover of the graph given by adjacency bitmasks.
 
     Returns (cover_mask, nodes_expanded). A node_budget of 0 means
-    unlimited; exceeding a positive budget raises BudgetExceededError.
+    unlimited; expanding more nodes than a positive budget raises
+    BudgetExceededError, and a negative budget allows no node.
 
     target is a lower bound on the optimum that the caller knows: the
     search stops as soon as it holds a cover of at most target vertices.
@@ -112,31 +124,43 @@ def vc_search(
 
     def walk(
         alive: int,
+        touched: int,
         size: int,
         cover: int,
+        adj: list[int],
+        folds: tuple | None,
         mate_l: list[int],
         mate_r: list[int],
         synced: int,
         free_l: int,
         free_r: int,
     ) -> None:
-        # mate_l and mate_r hold a matching of the double cover of the
-        # synced vertices; free_l and free_r are its unmatched copies.
+        # touched contains every alive vertex of degree at most 2: the
+        # parent branched with none, so only neighbours of the vertices
+        # it took can have one. adj is shared with the parent until this
+        # node first folds, and folds is this path's (v, u, w, older
+        # folds) chain. mate_l and mate_r hold a matching of the double
+        # cover of the synced vertices; free_l and free_r are its
+        # unmatched copies.
         nonlocal best_size, best_mask, nodes
         if best_size <= target:
             return
         nodes += 1
         if node_budget and nodes > node_budget:
             raise BudgetExceededError("node budget exceeded")
+        own = False
 
         while True:
-            # Vertices left out of pending keep a degree of at least 2, so
-            # the lowest degree-1 vertex in pending is the lowest overall.
-            pending = alive
+            # Every vertex whose degree may have dropped is put back into
+            # pending, so vertices left out of it keep a degree of at
+            # least 3, and the lowest one of degree at most 2 in pending
+            # is the lowest overall.
+            pending = touched
             while pending:
                 low = pending & -pending
                 pending ^= low
-                d = adj[low.bit_length() - 1] & alive
+                v = low.bit_length() - 1
+                d = adj[v] & alive
                 if d & (d - 1) == 0:
                     if d:
                         cover |= d
@@ -147,13 +171,55 @@ def vc_search(
                         pending = (pending | adj[d.bit_length() - 1]) & alive
                     else:
                         alive ^= low
+                    continue
+                w_bit = d & (d - 1)
+                if w_bit & (w_bit - 1):
+                    continue
+                u_bit = d ^ w_bit
+                u = u_bit.bit_length() - 1
+                w = w_bit.bit_length() - 1
+                if adj[u] & w_bit:
+                    cover |= d
+                    size += 2
+                    alive &= ~(d | low)
+                    if size >= best_size:
+                        return
+                    pending = (pending | adj[u] | adj[w]) & alive
+                    continue
+                size += 1
+                if size >= best_size:
+                    return
+                # Only the common neighbours of u and w lose degree.
+                pending |= low | (adj[u] & adj[w])
+                alive ^= d
+                pending &= alive
+                if not own:
+                    adj = adj[:]
+                    own = True
+                merged = (adj[u] | adj[w]) & alive & ~low
+                adj[v] = merged
+                while merged:
+                    b = merged & -merged
+                    merged ^= b
+                    x = b.bit_length() - 1
+                    adj[x] |= low
+                folds = (v, u, w, folds)
             if not alive:  # no edges left
                 if size < best_size:
                     best_size = size
+                    while folds is not None:
+                        v, u, w, folds = folds
+                        if cover >> v & 1:
+                            cover ^= 1 << v | 1 << u | 1 << w
+                        else:
+                            cover |= 1 << v
                     best_mask = cover
                 return
 
             # Drop the pairs that touch deleted vertices, then re-augment.
+            # This also drops every pair of a folded vertex: it was
+            # paired only with neighbours alive when it was paired, and
+            # of those only u and w were still alive when it folded.
             dead = synced & ~alive
             while dead:
                 low = dead & -dead
@@ -205,6 +271,7 @@ def vc_search(
             cover |= ones
             size += ones.bit_count()
             alive &= ~(ones | zeros)
+            touched = alive
             if size >= best_size:
                 return
 
@@ -236,16 +303,23 @@ def vc_search(
                 pick_deg = deg
                 pick = v
         v_bit = 1 << pick
+        nbrs = adj[pick] & alive
         walk(
-            alive & ~v_bit, size + 1, cover | v_bit,
+            alive & ~v_bit, nbrs, size + 1, cover | v_bit, adj, folds,
             mate_l[:], mate_r[:], alive, 0, 0,
         )
         # This node is done with its arrays, so the second child takes them.
-        nbrs = adj[pick] & alive
+        rest = alive & ~(nbrs | v_bit)
+        touched = 0
+        pending = nbrs
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            touched |= adj[low.bit_length() - 1]
         walk(
-            alive & ~(nbrs | v_bit), size + nbrs.bit_count(), cover | nbrs,
-            mate_l, mate_r, alive, 0, 0,
+            rest, touched & rest, size + nbrs.bit_count(), cover | nbrs,
+            adj, folds, mate_l, mate_r, alive, 0, 0,
         )
 
-    walk(full, 0, 0, [-1] * n, [-1] * n, full, full, full)
+    walk(full, full, 0, 0, adj, None, [-1] * n, [-1] * n, full, full, full)
     return best_mask, nodes

@@ -357,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[common], help="exact minimum SD-set")
     p.add_argument("--colours", default=None, help="colour file: lines 'vertex colour'")
     p.add_argument("--backend", choices=BACKENDS, default="auto")
-    p.add_argument("--budget", type=int, default=0, help="branch and bound node cap")
+    p.add_argument(
+        "--budget", type=int, default=0, help="branch and bound nodes for the whole solve"
+    )
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("approx", parents=[common], help="approximate SD-set")

@@ -62,6 +62,12 @@ def matching_2approx_vc(g: Graph) -> frozenset[int]:
     return frozenset(cover)
 
 
+def budget_left(node_budget: int, used: int) -> int:
+    """What a node budget leaves after used nodes. 0 stays unlimited; a
+    spent budget becomes -1, on which a search fails at its first node."""
+    return node_budget and (node_budget - used or -1)
+
+
 def min_vc_branch_and_bound(
     g: Graph, *, node_budget: int = 0, target: int = -1
 ) -> VcResult:
@@ -231,7 +237,8 @@ def min_vc_auto(
 
     target, a lower bound on the optimum of g, reaches the branch and
     bound only when a single component has edges: then that component's
-    cover is the whole cover.
+    cover is the whole cover. node_budget bounds the nodes of all the
+    components' searches together.
     """
     from .treewidth import min_fill_decomposition, vc_via_tree_decomposition
 
@@ -259,7 +266,9 @@ def min_vc_auto(
                 part = vc_via_tree_decomposition(sub, td)
             else:
                 part = min_vc_branch_and_bound(
-                    sub, node_budget=node_budget, target=target
+                    sub,
+                    node_budget=budget_left(node_budget, nodes_total),
+                    target=target,
                 )
                 saw_nodes = True
                 nodes_total += part.nodes or 0

@@ -211,8 +211,10 @@ def test_bench_agrees(gap3, capsys):
     assert row["nodes"] >= 1 and row["ms"] >= 0
 
 
-def test_bench_budget_exit_code(gap3, capsys):
-    code, out, err = run(capsys, "bench", gap3, "--budget", "1")
+def test_bench_budget_exit_code(tmp_path, capsys):
+    # K6 has no vertex of degree at most 2, so its search must branch
+    k6 = "".join(f"{u} {v}\n" for u in range(6) for v in range(u + 1, 6))
+    code, out, err = run(capsys, "bench", write(tmp_path, "k6.txt", k6), "--budget", "1")
     assert code == 4
     assert out == ""
     assert "budget" in err

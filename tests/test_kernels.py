@@ -36,11 +36,11 @@ def test_pure_kernel_search_is_pinned():
     # search order, reductions or bound must update these on purpose.
     pinned = [
         # (n, m, seed, cover_mask, nodes, optimum)
-        (12, 30, 1, 2421, 7, 7),
-        (16, 40, 2, 31224, 11, 10),
-        (20, 60, 3, 781784, 19, 13),
-        (24, 70, 4, 4127397, 13, 15),
-        (30, 90, 5, 662513517, 23, 19),
+        (12, 30, 1, 2421, 5, 7),
+        (16, 40, 2, 31224, 7, 10),
+        (20, 60, 3, 781784, 13, 13),
+        (24, 70, 4, 12548772, 5, 15),
+        (30, 90, 5, 662513517, 17, 19),
     ]
     for n, m, seed, cover_mask, nodes, optimum in pinned:
         g = random_graph(n, m, seed=seed)
@@ -50,11 +50,33 @@ def test_pure_kernel_search_is_pinned():
 
 def test_node_count_stays_a_quarter_of_the_greedy_matching_search():
     # The greedy-matching bound this search replaced took 2,033 nodes
-    # here; the LP reduction and cycle-cover bound take 453.
+    # here; the LP reduction and cycle-cover bound took 453, and
+    # degree-2 folding takes 201, a tenth.
     g = random_2connected_graph(100, 250, seed=1)
-    mask, nodes = pure.vc_search(g.n, g.adjacency_masks(), 2 * 453)
+    mask, nodes = pure.vc_search(g.n, g.adjacency_masks(), 2 * 201)
     assert mask.bit_count() == 60
-    assert nodes <= 2033 // 4
+    assert nodes <= 2033 // 10
+
+
+def test_odd_cycle_folds_down_to_a_triangle_at_the_root():
+    # C_9: vertex 0 folds its neighbours in three times, leaving the
+    # triangle 0-4-5, which the triangle rule takes; unfolding puts back
+    # every other vertex of the cycle.
+    n = 9
+    adj = [1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)]
+    mask, nodes = pure.vc_search(n, adj)
+    assert nodes == 1
+    assert mask.bit_count() == 5
+    assert all(mask >> v & 1 or mask >> (v + 1) % n & 1 for v in range(n))
+
+
+def test_search_leaves_its_adjacency_unchanged():
+    # cmd_bench reuses one adjacency list across --repeat runs
+    g = random_2connected_graph(60, 110, seed=3)
+    adj = g.adjacency_masks()
+    first = pure.vc_search(g.n, adj)
+    assert adj == g.adjacency_masks()
+    assert pure.vc_search(g.n, adj) == first
 
 
 @st.composite
@@ -74,6 +96,61 @@ def test_search_matches_brute_force(g):
     cover = {v for v in range(g.n) if mask >> v & 1}
     assert all(u in cover or v in cover for u, v in g.edges)
     assert len(cover) == len(min_vc_bruteforce(g))
+
+
+@st.composite
+def degree_two_graphs(draw, max_n=16):
+    """Graphs where most vertices have degree 2, relabelled at random:
+    random graphs with subdivided edges, cycles with pendant paths, and
+    theta graphs (two hubs joined by internally disjoint paths). Folds
+    nest in all three, and the triangle rule fires when a path folds
+    down to a triangle."""
+    shape = draw(st.sampled_from(["subdivided", "pendant", "theta"]))
+    edges = []
+    if shape == "subdivided":
+        k = draw(st.integers(min_value=2, max_value=7))
+        n = k
+        for u, v in itertools.combinations(range(k), 2):
+            if not draw(st.booleans()):
+                continue
+            if n < max_n and draw(st.booleans()):
+                edges += [(u, n), (n, v)]
+                n += 1
+            else:
+                edges.append((u, v))
+    elif shape == "pendant":
+        n = draw(st.integers(min_value=3, max_value=10))
+        edges = [(v, (v + 1) % n) for v in range(n)]
+        while n < max_n and draw(st.booleans()):
+            at = draw(st.integers(min_value=0, max_value=n - 1))
+            length = draw(st.integers(min_value=1, max_value=max_n - n))
+            edges += list(zip([at] + list(range(n, n + length - 1)), range(n, n + length)))
+            n += length
+    else:
+        n = 2
+        paths = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=4))
+        for length in paths:
+            if n + length > max_n:
+                break
+            inner = list(range(n, n + length))
+            edges += list(zip([0] + inner, inner + [1]))
+            n += length
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(deadline=None, max_examples=300)
+@given(degree_two_graphs(), st.data())
+def test_folding_matches_brute_force(g, data):
+    adj = g.adjacency_masks()
+    mask, nodes = pure.vc_search(g.n, adj)
+    cover = {v for v in range(g.n) if mask >> v & 1}
+    assert all(u in cover or v in cover for u, v in g.edges)
+    assert len(cover) == len(min_vc_bruteforce(g))
+    target = data.draw(st.integers(min_value=-1, max_value=len(cover)))
+    targeted_mask, targeted_nodes = pure.vc_search(g.n, adj, 0, target)
+    assert targeted_mask == mask
+    assert targeted_nodes <= nodes
 
 
 @settings(deadline=None, max_examples=60)

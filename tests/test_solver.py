@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    clique,
     cycle,
     path,
     random_colouring_values,
@@ -12,6 +13,7 @@ from conftest import (
 )
 import simdom.solver
 from simdom import (
+    BudgetExceededError,
     Colour,
     DisconnectedGraphError,
     Graph,
@@ -174,7 +176,9 @@ def test_solution_is_sd_set_under_both_verifiers():
     assert is_sd_set_by_enumeration(g, report.solution)
 
 
-@pytest.mark.parametrize("check", ["is_colour_respecting", "is_sd_set"])
+# solve_sds has one check: with the all-ZERO_HAT colouring, respecting
+# the colouring is being an SD-set
+@pytest.mark.parametrize("check", ["is_colour_respecting"])
 def test_failed_verification_raises(monkeypatch, check):
     monkeypatch.setattr(simdom.solver, check, lambda *args: False)
     with pytest.raises(InvalidSdSetError):
@@ -218,11 +222,21 @@ def test_impossible_size_ladder_raises(monkeypatch, sizes):
     # ZERO_HAT when either appears, else ZERO
     def fake_residual_core(h, fc, backend, node_budget, memo, min_size=0):
         colour = next((c for c in (Colour.ONE, Colour.ZERO_HAT) if c in fc), Colour.ZERO)
-        return frozenset(range(sizes[colour])), "bnb"
+        return frozenset(range(sizes[colour])), "bnb", 0
 
     monkeypatch.setattr(simdom.solver, "_residual_core", fake_residual_core)
     with pytest.raises(GuaranteeError, match="impossible size pattern"):
         solve_crsds(path(3), [Colour.ZERO, Colour.ZERO_HAT, Colour.ZERO])
+
+
+def test_node_budget_bounds_the_whole_solve():
+    # two K6s sharing vertex 0: the leaf block's ZERO_HAT search takes 7
+    # nodes and its ONE search, which the root block reuses, 3
+    k6 = clique(6).edges
+    g = Graph(11, k6 + tuple((u and u + 5, v + 5) for u, v in k6))
+    assert solve_sds(g, backend="bnb", node_budget=10).size == 9
+    with pytest.raises(BudgetExceededError):
+        solve_sds(g, backend="bnb", node_budget=7)
 
 
 def test_zero_with_a_zero_neighbour_is_searched_on_its_own():

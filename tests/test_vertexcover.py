@@ -87,6 +87,16 @@ def test_bnb_node_budget():
         min_vc_branch_and_bound(g, node_budget=2)
 
 
+def test_node_budget_bounds_all_components_together():
+    # two K14s, each above the width cap: each search takes 23 nodes, so
+    # a budget of 23 would pass a cap on each search but not the total
+    k14 = clique(14).edges
+    g = Graph(28, k14 + tuple((u + 14, v + 14) for u, v in k14))
+    assert min_vc_auto(g, node_budget=46).nodes == 46
+    with pytest.raises(BudgetExceededError):
+        min_vc_auto(g, node_budget=23)
+
+
 def test_bipartition_on_even_structures():
     sides = bipartition(cycle(6))
     assert sides is not None
