@@ -4,9 +4,16 @@ The decomposition comes from the min-fill elimination heuristic, so its
 width is an upper bound on the treewidth with no optimality claim. Fill
 counts are incremental (Bodlaender & Koster, "Treewidth computations I.
 Upper bounds", 2010): each is computed once, kept in a heap, and
-updated only for the vertices near an eliminated one. The DP is
-correct on any valid decomposition, which decomposition_violation checks
-property by property, with the bags indexed by vertex.
+updated only for the vertices near an eliminated one.
+
+The vertex cover DP runs on the decomposition's own bags, with no nice
+form (Cygan et al., "Parameterized Algorithms", 2015, section 7.3): each
+bag enumerates the covers of its own edges, and each child is joined
+through a table keyed by its choice on the vertices it shares with its
+parent. Ties go to the least bits outside the parent bag, so the cover
+depends on the graph and the decomposition alone. The DP is correct on
+any valid decomposition, which decomposition_violation checks property
+by property, with the bags indexed by vertex.
 """
 
 from __future__ import annotations
@@ -36,6 +43,11 @@ def _fill(adj: list[set[int]], v: int) -> int:
     """Number of non-adjacent pairs among the neighbours of v."""
     nv = adj[v]
     d = len(nv)
+    if d <= 1:
+        return 0
+    if d == 2:
+        a, b = nv
+        return 0 if b in adj[a] else 1
     # every edge inside N(v) is counted from both of its ends
     inside = sum(len(adj[a] & nv) for a in nv)
     return (d * (d - 1) - inside) // 2
@@ -168,85 +180,54 @@ def decomposition_violation(g: Graph, td: TreeDecomposition) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class NiceNode:
-    kind: str  # "leaf" | "introduce" | "forget" | "join"
-    bag: tuple[int, ...]
-    vertex: int | None
-    left: int | None
-    right: int | None
+def _bag_covers(
+    verts: list[int], adj: tuple[frozenset[int], ...], up: dict[int, int]
+) -> list[int]:
+    """Covers of the edges inside one bag, as states.
 
-
-def nice_decomposition(td: TreeDecomposition) -> tuple[NiceNode, ...]:
-    """Nice form: children precede parents in the returned tuple, the
-    last node is the root and has an empty bag."""
-    nodes: list[NiceNode] = []
-
-    def add(kind: str, bag: tuple[int, ...], vertex=None, left=None, right=None) -> int:
-        nodes.append(NiceNode(kind, bag, vertex, left, right))
-        return len(nodes) - 1
-
-    def chain_to(idx: int, have: frozenset[int], want: frozenset[int]) -> int:
-        bag = set(have)
-        for v in sorted(have - want):
-            bag.discard(v)
-            idx = add("forget", tuple(sorted(bag)), vertex=v, left=idx)
-        for v in sorted(want - have):
-            bag.add(v)
-            idx = add("introduce", tuple(sorted(bag)), vertex=v, left=idx)
-        return idx
-
-    k = len(td.bags)
-    if k == 0:
-        add("leaf", ())
-        return tuple(nodes)
-
-    children: list[list[int]] = [[] for _ in range(k)]
-    parent = [-1] * k
-    nbrs: list[list[int]] = [[] for _ in range(k)]
-    for i, j in td.tree_edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    order = [0]
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in sorted(nbrs[i]):
-            if j not in seen:
-                seen.add(j)
-                parent[j] = i
-                children[i].append(j)
-                order.append(j)
-                queue.append(j)
-
-    root_of: dict[int, int] = {}
-    for b in reversed(order):
-        want = td.bags[b]
-        branches = []
-        for c in children[b]:
-            branches.append(chain_to(root_of[c], td.bags[c], want))
-        if not branches:
-            idx = add("leaf", ())
-            idx = chain_to(idx, frozenset(), want)
-        else:
-            idx = branches[0]
-            for other in branches[1:]:
-                idx = add("join", tuple(sorted(want)), left=idx, right=other)
-        root_of[b] = idx
-
-    top = chain_to(root_of[0], td.bags[0], frozenset())
-    del top
-    return tuple(nodes)
+    verts is the bag in ascending order; bit i of a state stands for
+    verts[i]. Above those len(verts) bits a state carries its key: the
+    same choice on the vertices the parent bag shares, as a mask over
+    the parent positions up[v]. Vertices are added one at a time, and
+    leaving one out needs its earlier neighbours in. The states without
+    a vertex go first, so the states ascend in their low bits.
+    """
+    shift = len(verts)
+    states = [0]
+    for v in verts:
+        nv = adj[v]
+        need = 0
+        bit = 1
+        for u in verts:  # the earlier vertices; bit ends at v's own
+            if u == v:
+                break
+            if u in nv:
+                need |= bit
+            bit <<= 1
+        add = bit | (1 << (shift + up[v]) if v in up else 0)
+        out = [s for s in states if s & need == need] if need else states
+        states = out + [s | add for s in states]
+    return states
 
 
 def vc_via_tree_decomposition(g: Graph, td: TreeDecomposition) -> VcResult:
-    """Exact minimum vertex cover by subset DP over a nice decomposition.
+    """Exact minimum vertex cover by subset DP over the decomposition's bags.
 
-    Table keys are bitmasks over bag-local positions: which bag members
-    the cover contains. States that leave an introduced edge uncovered
-    are dropped rather than stored. A decomposition wider than
-    WIDTH_BUDGET raises WidthBudgetError.
+    The DP roots the bag tree at bag 0, takes children in BFS order and
+    runs bottom up. A bag's states are the covers of the edges inside it
+    (_bag_covers). A state's cost is the least number of vertices
+    outside the parent bag that a cover of the bag's subtree agreeing
+    with the state holds. A child hands its parent, for each choice on
+    the vertices they share (its key), the least such cost, and a parent
+    state s adds proj[s & key_mask] of each child to its own count. The
+    full tables are dropped once projected; the cover is read top down
+    from each child's argmin per key.
+
+    Tie rule: a child's argmin is the state of least cost, then of least
+    integer value on its bits outside the parent, and the root takes the
+    least (cost, mask). As bits follow ascending vertex order, among
+    equal sizes the highest vertex is left out first. A decomposition
+    wider than WIDTH_BUDGET raises WidthBudgetError.
     """
     problem = decomposition_violation(g, td)
     if problem is not None:
@@ -255,83 +236,65 @@ def vc_via_tree_decomposition(g: Graph, td: TreeDecomposition) -> VcResult:
         raise WidthBudgetError(
             f"decomposition width {td.width} exceeds the budget of {WIDTH_BUDGET}"
         )
+    k = len(td.bags)
+    if k == 0:  # validated, so g has no vertices
+        return VcResult(cover=frozenset(), size=0, backend="treewidth")
 
-    nodes = nice_decomposition(td)
-    tables: list[dict[int, int]] = [{} for _ in nodes]
-    forget_kept: list[dict[int, bool]] = [{} for _ in nodes]
+    nbrs: list[list[int]] = [[] for _ in range(k)]
+    for i, j in td.tree_edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    parent = [-1] * k
+    order = [0]
+    for i in order:  # a BFS: order grows while it is read
+        for j in sorted(nbrs[i]):
+            if j != 0 and parent[j] < 0:
+                parent[j] = i
+                order.append(j)
 
-    for idx, node in enumerate(nodes):
-        table = tables[idx]
-        if node.kind == "leaf":
-            table[0] = 0
-        elif node.kind == "introduce":
-            v = node.vertex
-            pos = node.bag.index(v)
-            below = (1 << pos) - 1
-            nbr_mask = 0
-            for i, u in enumerate(node.bag):
-                if u != v and u in g.neighbours(v):
-                    nbr_mask |= 1 << i
-            for old_mask, cost in tables[node.left].items():
-                spread = (old_mask & below) | ((old_mask & ~below) << 1)
-                if nbr_mask & ~spread == 0:
-                    cur = table.get(spread)
-                    if cur is None or cost < cur:
-                        table[spread] = cost
-                with_v = spread | (1 << pos)
-                cur = table.get(with_v)
-                if cur is None or cost + 1 < cur:
-                    table[with_v] = cost + 1
-        elif node.kind == "forget":
-            v = node.vertex
-            child_bag = nodes[node.left].bag
-            pos = child_bag.index(v)
-            below = (1 << pos) - 1
-            kept = forget_kept[idx]
-            for old_mask, cost in tables[node.left].items():
-                new_mask = (old_mask & below) | ((old_mask >> 1) & ~below)
-                had_v = bool(old_mask & (1 << pos))
-                cur = table.get(new_mask)
-                if cur is None or cost < cur or (cost == cur and not had_v):
-                    table[new_mask] = cost
-                    kept[new_mask] = had_v
-        else:  # join
-            right = tables[node.right]
-            for mask, cost in tables[node.left].items():
-                other = right.get(mask)
-                if other is not None:
-                    table[mask] = cost + other - mask.bit_count()
+    verts = [sorted(bag) for bag in td.bags]
+    unset = g.n + 1  # above every cost
+    projected: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    key_mask = [0] * k
+    argmin: list[dict[int, int]] = [{}] * k
+    for b in reversed(order):
+        p = parent[b]
+        up = {v: i for i, v in enumerate(verts[p])} if p >= 0 else {}
+        states = _bag_covers(verts[b], g.adj, up)
+        # a state's cost counts the cover vertices of the subtree that
+        # the parent bag does not hold
+        own = km = 0
+        for i, v in enumerate(verts[b]):
+            if v in up:
+                km |= 1 << up[v]
+            else:
+                own |= 1 << i
+        costs = [(s & own).bit_count() for s in states]
+        for shared, below in projected.pop(b, ()):
+            costs = [c + below[s & shared] for s, c in zip(states, costs)]
+        if p < 0:
+            break
+        # states ascend in their low bits, so the first least cost of a
+        # key has the least bits outside the parent
+        shift = len(verts[b])
+        proj: dict[int, int] = {}
+        argmin[b] = arg = {}
+        for s, c in zip(states, costs):
+            key = s >> shift
+            if c < proj.get(key, unset):
+                proj[key] = c
+                arg[key] = s
+        key_mask[b] = km
+        projected.setdefault(p, []).append((km, proj))
 
-    root = len(nodes) - 1
-    if not tables[root]:
+    if not states:
         raise GuaranteeError("DP lost all states on a validated decomposition")
-    best = tables[root][0]
-
-    cover: set[int] = set()
-    stack: list[tuple[int, int]] = [(root, 0)]
-    while stack:
-        idx, mask = stack.pop()
-        node = nodes[idx]
-        if node.kind == "leaf":
-            continue
-        if node.kind == "join":
-            stack.append((node.left, mask))
-            stack.append((node.right, mask))
-        elif node.kind == "introduce":
-            pos = node.bag.index(node.vertex)
-            below = (1 << pos) - 1
-            child_mask = (mask & below) | ((mask >> 1) & ~below)
-            stack.append((node.left, child_mask))
-        else:  # forget
-            child_bag = nodes[node.left].bag
-            pos = child_bag.index(node.vertex)
-            below = (1 << pos) - 1
-            child_mask = (mask & below) | ((mask & ~below) << 1)
-            if forget_kept[idx][mask]:
-                child_mask |= 1 << pos
-                cover.add(node.vertex)
-            stack.append((node.left, child_mask))
-
-    if len(cover) != best:
+    size = min(costs)
+    chosen = [0] * k
+    chosen[0] = states[costs.index(size)]
+    for b in order[1:]:
+        chosen[b] = argmin[b][chosen[parent[b]] & key_mask[b]]
+    cover = {v for b in order for i, v in enumerate(verts[b]) if chosen[b] >> i & 1}
+    if len(cover) != size:
         raise GuaranteeError("reconstruction does not match the DP optimum")
-    return VcResult(cover=frozenset(cover), size=best, backend="treewidth")
+    return VcResult(cover=frozenset(cover), size=size, backend="treewidth")

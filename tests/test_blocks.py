@@ -1,3 +1,6 @@
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -184,3 +187,70 @@ def test_clique_has_no_cut_vertices():
     bct = blocks_and_cut_vertices(clique(5))
     assert bct.cut_vertices == frozenset()
     assert bct.blocks == (frozenset(range(5)),)
+
+
+def cactus_edges(n, rng):
+    """Bridges, triangles, 4-cycles and K4s, each hung at a random
+    vertex of the graph so far, until about n vertices."""
+    edges, size = [], 1
+    while size < n:
+        at = rng.randrange(size)
+        k = rng.choice((1, 2, 3, 3))
+        new = list(range(size, size + k))
+        size += k
+        if k == 3 and rng.random() < 0.5:  # K4
+            ring = [at] + new
+            edges += [(u, v) for i, u in enumerate(ring) for v in ring[i + 1 :]]
+        else:  # bridge, triangle or 4-cycle
+            ring = [at] + new
+            edges += list(zip(ring, ring[1:]))
+            if k > 1:
+                edges.append((ring[-1], at))
+    return size, edges
+
+
+def chain_edges(n, rng):
+    """Cycles of 3 to 40 vertices with a few chords, each glued at a
+    random vertex of the one before, until about n vertices."""
+    edges, size, prev = [], 1, [0]
+    while size < n:
+        k = rng.randint(3, 40)
+        ring = [rng.choice(prev)] + list(range(size, size + k - 1))
+        size += k - 1
+        edges += list(zip(ring, ring[1:])) + [(ring[-1], ring[0])]
+        chords = set()
+        for _ in range(rng.randint(0, k // 4)):
+            i, j = sorted(rng.sample(range(k), 2))
+            if j - i > 1 and (i, j) != (0, k - 1):
+                chords.add((ring[i], ring[j]))
+        edges += sorted(chords)
+        prev = ring
+    return size, edges
+
+
+def sparse_edges(n, rng):
+    """A random tree on n vertices plus n // 5 random extra edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + n // 5:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return n, sorted(edges)
+
+
+@pytest.mark.parametrize("family", [cactus_edges, chain_edges, sparse_edges])
+def test_blocks_match_networkx(family):
+    rng = random.Random(family.__name__)
+    for n in (20, 300, 10**4):
+        size, edges = family(n, rng)
+        perm = list(range(size))
+        rng.shuffle(perm)
+        g = Graph(size, [(perm[u], perm[v]) for u, v in edges])
+        other = nx.Graph()
+        other.add_nodes_from(range(g.n))
+        other.add_edges_from(g.edges)
+        bct = blocks_and_cut_vertices(g)
+        assert len(set(bct.blocks)) == len(bct.blocks)
+        assert set(bct.blocks) == {
+            frozenset(c) for c in nx.biconnected_components(other)
+        }
+        assert bct.cut_vertices == frozenset(nx.articulation_points(other))

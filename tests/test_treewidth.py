@@ -17,16 +17,15 @@ from simdom import (
     WidthBudgetError,
     solve_sds,
 )
+from simdom.oracle import min_vc_bruteforce
 from simdom.treewidth import (
-    NiceNode,
     TreeDecomposition,
     decomposition_violation,
     min_fill_decomposition,
-    nice_decomposition,
     vc_via_tree_decomposition,
 )
 from simdom.vertexcover import is_vertex_cover, min_vc_branch_and_bound
-from simdom.generators import random_connected_graph, random_graph
+from simdom.generators import random_graph
 
 
 def test_min_fill_width_on_known_families():
@@ -89,50 +88,6 @@ def test_violation_on_malformed_tree():
     assert decomposition_violation(g, td) is not None
     td = TreeDecomposition((frozenset({0, 1}),), ((0, 5),))
     assert decomposition_violation(g, td) is not None
-
-
-def test_nice_form_preserves_validity_and_width():
-    rng = random.Random(4)
-    for _ in range(60):
-        n = rng.randint(1, 14)
-        m = rng.randint(0, n * (n - 1) // 2)
-        g = random_graph(n, m, seed=rng.randint(0, 10**6))
-        td = min_fill_decomposition(g)
-        nice = nice_decomposition(td)
-        width = max(len(node.bag) for node in nice) - 1
-        assert width == td.width
-        # children precede parents, the root closes the list with an empty bag
-        assert nice[-1].bag == ()
-        for i, node in enumerate(nice):
-            for child in (node.left, node.right):
-                if child is not None:
-                    assert child < i
-        # re-validating the nice tree as a plain decomposition
-        bags = tuple(frozenset(node.bag) for node in nice)
-        edges = []
-        for i, node in enumerate(nice):
-            for child in (node.left, node.right):
-                if child is not None:
-                    edges.append((child, i))
-        back = TreeDecomposition(bags, tuple(edges))
-        assert decomposition_violation(g, back) is None, decomposition_violation(g, back)
-
-
-def test_nice_node_kinds_change_one_vertex_at_a_time():
-    g = random_connected_graph(9, 12, seed=6)
-    nice = nice_decomposition(min_fill_decomposition(g))
-    for node in nice:
-        if node.kind == "leaf":
-            assert node.bag == ()
-        elif node.kind == "introduce":
-            assert node.vertex in node.bag
-            assert set(nice[node.left].bag) | {node.vertex} == set(node.bag)
-        elif node.kind == "forget":
-            assert node.vertex not in node.bag
-            assert set(nice[node.left].bag) - {node.vertex} == set(node.bag)
-        else:
-            assert node.kind == "join"
-            assert nice[node.left].bag == nice[node.right].bag == node.bag
 
 
 def test_dp_cover_examples():
@@ -336,27 +291,122 @@ def test_damage_draws_reach_every_message(phrase):
 
 
 def test_dp_losing_every_state_raises(monkeypatch):
-    # a join of its own, still empty, table leaves the root with no states
-    monkeypatch.setattr(
-        simdom.treewidth,
-        "nice_decomposition",
-        lambda td: (NiceNode("join", (), None, 0, 0),),
-    )
+    # with no bag states the root has nothing to choose from; the real
+    # _bag_covers always keeps the state holding the whole bag, whose
+    # key every child also has
+    monkeypatch.setattr(simdom.treewidth, "_bag_covers", lambda verts, adj, up: [])
     with pytest.raises(GuaranteeError, match="lost all states"):
         vc_via_tree_decomposition(path(2), min_fill_decomposition(path(2)))
 
 
 def test_dp_reconstruction_mismatch_raises(monkeypatch):
-    # two branches each introduce the edge (0, 1): the DP counts a cover
-    # vertex in each, the reconstruction finds the same vertex twice
-    branch = [
-        NiceNode("leaf", (), None, None, None),
-        NiceNode("introduce", (0,), 0, 0, None),
-        NiceNode("introduce", (0, 1), 1, 1, None),
-        NiceNode("forget", (0,), 1, 2, None),
-        NiceNode("forget", (), 0, 3, None),
-    ]
-    nodes = tuple(branch) + (NiceNode("join", (), None, 4, 4),)
-    monkeypatch.setattr(simdom.treewidth, "nice_decomposition", lambda td: nodes)
+    # the star sits whole in bags 0 and 2, which the tree joins only
+    # through the empty bag 1: each of them counts its only least cover
+    # {0}, the reconstruction finds vertex 0 once
+    g = star(2)
+    bag = frozenset({0, 1, 2})
+    td = TreeDecomposition((bag, frozenset(), bag), ((0, 1), (1, 2)))
+    assert "property (iii)" in decomposition_violation(g, td)
+    monkeypatch.setattr(simdom.treewidth, "decomposition_violation", lambda g, td: None)
     with pytest.raises(GuaranteeError, match="reconstruction"):
-        vc_via_tree_decomposition(path(2), min_fill_decomposition(path(2)))
+        vc_via_tree_decomposition(g, td)
+
+
+def elimination_bags(g, order):
+    """Bags of eliminating g's vertices in order: each vertex with its
+    neighbours at elimination time, hung below the bag of the earliest
+    eliminated of those (or, with none, the next bag)."""
+    adj = [set(g.neighbours(v)) for v in range(g.n)]
+    at = {v: i for i, v in enumerate(order)}
+    bags, edges = [], []
+    for i, v in enumerate(order):
+        later = adj[v]
+        bags.append(frozenset(later | {v}))
+        for a in later:
+            adj[a] |= later - {a}
+            adj[a].discard(v)
+        if later:
+            edges.append((i, min(at[u] for u in later)))
+        elif i + 1 < g.n:
+            edges.append((i, i + 1))
+    return bags, edges
+
+
+@st.composite
+def decomposed_graphs(draw):
+    """Graphs on at most 14 vertices with a valid decomposition that
+    min-fill would not give: one bag, a random elimination order, or one
+    padded with empty and duplicate bags; bags are then renumbered, so
+    any bag may be the root."""
+    g = draw(small_graphs(max_n=14))
+    shape = draw(st.sampled_from(["single", "elimination", "padded"]))
+    if shape == "single":
+        bags, edges = ([frozenset(range(g.n))] if g.n else []), []
+    else:
+        bags, edges = elimination_bags(g, draw(st.permutations(range(g.n))))
+    if shape == "padded":
+        for _ in range(draw(st.integers(1, 4))):
+            if not bags:
+                bags.append(frozenset())
+                continue
+            j = draw(st.integers(0, len(bags) - 1))
+            edges.append((len(bags), j))
+            bags.append(draw(st.sampled_from([frozenset(), bags[j]])))
+    perm = draw(st.permutations(range(len(bags))))
+    renumbered = [frozenset()] * len(bags)
+    for i, bag in enumerate(bags):
+        renumbered[perm[i]] = bag
+    edges = [(perm[i], perm[j]) for i, j in edges]
+    return g, TreeDecomposition(tuple(renumbered), tuple(edges))
+
+
+@settings(deadline=None, max_examples=200)
+@given(decomposed_graphs())
+def test_dp_is_exact_on_any_valid_decomposition(case):
+    g, td = case
+    assert decomposition_violation(g, td) is None
+    res = vc_via_tree_decomposition(g, td)
+    assert res.size == len(min_vc_bruteforce(g))
+    assert len(res.cover) == res.size
+    assert is_vertex_cover(g, res.cover)
+
+
+def test_dp_on_the_empty_graph():
+    g = Graph(0, [])
+    for td in (TreeDecomposition((), ()), TreeDecomposition((frozenset(),), ())):
+        res = vc_via_tree_decomposition(g, td)
+        assert res.size == 0 and res.cover == frozenset()
+
+
+# Covers of random_graph(n, m, seed) under its min-fill decomposition.
+# Solve output depends on which optimal cover the DP picks, so these pin
+# the tie rule.
+PINNED_COVERS = [
+    (10, 13, 700, [1, 2, 6, 8]),
+    (12, 19, 701, [1, 3, 5, 7, 8, 10]),
+    (14, 26, 702, [0, 1, 2, 4, 5, 7, 13]),
+    (16, 35, 703, [0, 2, 3, 5, 6, 7, 9, 12, 13]),
+    (18, 21, 704, [2, 3, 5, 6, 7, 8, 16]),
+    (20, 29, 705, [1, 3, 4, 8, 9, 11, 12, 15, 18]),
+    (22, 39, 706, [0, 2, 3, 6, 8, 9, 10, 12, 14, 18, 19, 21]),
+    (24, 51, 707, [1, 3, 5, 7, 8, 10, 12, 13, 14, 15, 17, 18, 19, 21]),
+    (26, 29, 708, [4, 6, 8, 10, 14, 15, 17, 20, 22, 23]),
+    (28, 40, 709, [1, 2, 5, 6, 7, 11, 13, 14, 16, 17, 20, 22]),
+    (30, 53, 710, [0, 4, 6, 9, 10, 13, 15, 17, 18, 20, 22, 24, 26, 27, 29]),
+    (32, 67, 711, [0, 1, 3, 4, 5, 6, 7, 8, 10, 14, 15, 16, 19, 21, 22, 25, 26, 31]),
+    (34, 37, 712, [0, 1, 7, 11, 15, 17, 20, 21, 22, 23, 24, 25, 27, 28, 30]),
+    (36, 51, 713, [1, 2, 6, 9, 11, 12, 15, 23, 24, 26, 27, 28, 31, 32, 33, 35]),
+    (38, 66, 714, [0, 1, 4, 6, 9, 11, 13, 14, 15, 17, 20, 21, 25, 26, 27, 33, 34, 35, 37]),
+    (40, 83, 715, [0, 1, 4, 5, 10, 11, 18, 19, 21, 23, 24, 28, 29, 30, 32, 33, 34, 36, 37, 38, 39]),
+    (42, 45, 716, [3, 5, 6, 7, 8, 12, 13, 14, 16, 18, 19, 20, 22, 24, 30, 31, 35, 36, 38]),
+    (44, 61, 717, [0, 2, 7, 10, 11, 13, 15, 16, 17, 22, 23, 24, 25, 30, 31, 34, 37, 38, 39, 42]),
+    (46, 79, 718, [0, 2, 3, 4, 5, 6, 8, 10, 11, 13, 14, 17, 19, 20, 22, 25, 28, 30, 31, 36, 41, 43, 44, 45]),
+    (48, 99, 719, [0, 1, 2, 4, 5, 7, 11, 12, 14, 16, 17, 19, 20, 21, 24, 27, 29, 30, 33, 34, 35, 37, 40, 43, 45, 46, 47]),
+]
+
+
+def test_dp_tie_rule_is_pinned():
+    for n, m, seed, cover in PINNED_COVERS:
+        g = random_graph(n, m, seed=seed)
+        res = vc_via_tree_decomposition(g, min_fill_decomposition(g))
+        assert sorted(res.cover) == cover, (n, m, seed)
