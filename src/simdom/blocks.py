@@ -35,9 +35,15 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
     """Decompose a connected graph into blocks and cut vertices.
 
     Lowpoint DFS from vertex 0 with sorted neighbour order; blocks are
-    reported sorted by the smallest DFS discovery time they contain, so
-    the decomposition is reproducible. A vertex the DFS never reaches
-    means the graph is disconnected.
+    reported sorted by the smallest DFS discovery time they contain, then
+    by their sorted member lists, so the decomposition is reproducible. A
+    vertex the DFS never reaches means the graph is disconnected.
+
+    The DFS keeps a stack of vertices, not edges. When a child u of p
+    has low[u] >= disc[p], the vertices above u on the stack, u included,
+    form a block with p, its head: the member with the least discovery
+    time. Blocks with one head meet only there, so the least of their
+    other members orders them as their sorted member lists would.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -49,62 +55,57 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
         )
 
     n = g.n
-    order = [sorted(g.adj[v]) for v in range(n)]
+    adj = g.adj
     disc = [-1] * n
     low = [0] * n
-    parent = [-1] * n
-    ptr = [0] * n
-    edge_stack: list[tuple[int, int]] = []
-    block_edges: list[list[tuple[int, int]]] = []
+    at = [0] * n  # a vertex's position on vstack
+    vstack: list[int] = []
+    found: list[frozenset[int]] = []
+    keys: list[tuple[int, int]] = []
 
-    disc[0] = low[0] = 0
+    disc[0] = 0
     timer = 1
-    stack = [0]
+    stack = [(0, iter(sorted(adj[0])))]
     while stack:
-        u = stack[-1]
-        if ptr[u] < len(order[u]):
-            w = order[u][ptr[u]]
-            ptr[u] += 1
+        u, nbrs = stack[-1]
+        for w in nbrs:
             if disc[w] == -1:
-                parent[w] = u
-                edge_stack.append((u, w))
                 disc[w] = low[w] = timer
                 timer += 1
-                stack.append(w)
-            elif w != parent[u] and disc[w] < disc[u]:
-                edge_stack.append((u, w))
-                low[u] = min(low[u], disc[w])
+                at[w] = len(vstack)
+                vstack.append(w)
+                stack.append((w, iter(sorted(adj[w]))))
+                break
+            # the tree edge to u's parent p lowers low[u] to disc[p] at
+            # most, which moves neither the block test nor low[p]
+            if disc[w] < low[u]:
+                low[u] = disc[w]
         else:
             stack.pop()
             if stack:
-                p = stack[-1]
-                low[p] = min(low[p], low[u])
+                p = stack[-1][0]
+                if low[u] < low[p]:
+                    low[p] = low[u]
                 if low[u] >= disc[p]:
-                    comp: list[tuple[int, int]] = []
-                    while True:
-                        e = edge_stack.pop()
-                        comp.append(e)
-                        if e == (p, u):
-                            break
-                    block_edges.append(comp)
-    if -1 in disc:
+                    i = at[u]
+                    comp = vstack[i:]
+                    del vstack[i:]
+                    keys.append((disc[p], min(comp)))
+                    comp.append(p)
+                    found.append(frozenset(comp))
+    if timer < n:
         raise DisconnectedGraphError("block decomposition requires a connected graph")
-    if edge_stack:
-        raise GuaranteeError("edge stack left non-empty by the lowpoint DFS")
+    if vstack:
+        raise GuaranteeError("vertex stack left non-empty by the lowpoint DFS")
 
-    block_sets = [frozenset(v for e in comp for v in e) for comp in block_edges]
-    by_discovery = sorted(
-        range(len(block_sets)),
-        key=lambda i: (min(disc[v] for v in block_sets[i]), sorted(block_sets[i])),
-    )
-    blocks = tuple(block_sets[i] for i in by_discovery)
-
+    blocks = tuple(found[i] for i in sorted(range(len(found)), key=keys.__getitem__))
+    # blocks are appended in index order, so each list comes out sorted
     membership: list[list[int]] = [[] for _ in range(n)]
     for i, blk in enumerate(blocks):
         for v in blk:
             membership[v].append(i)
-    blocks_of_vertex = tuple(tuple(sorted(b)) for b in membership)
-    cut_vertices = frozenset(v for v in range(n) if len(blocks_of_vertex[v]) >= 2)
+    blocks_of_vertex = tuple(map(tuple, membership))
+    cut_vertices = frozenset(v for v in range(n) if len(membership[v]) >= 2)
 
     return BlockCutTree(
         blocks=blocks,

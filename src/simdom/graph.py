@@ -2,11 +2,20 @@
 
 Graphs are immutable after construction; every operation returns a new
 graph. DIMACS edge format and plain edge lists are supported for I/O.
+
+The trust boundary is ``Graph(n, edges)``: it checks every edge (range,
+self-loops, duplicates) and sorts them. Builds inside the package whose
+edges are already normalised, unique, in range and sorted (the parsers
+after their own line-numbered checks, induced subgraphs, edge deletion
+and the solver's residuals) go through ``Graph._trusted``, which skips
+those checks. Both end in the same adjacency build, which inserts the
+edges in sorted order, so a graph's ``adj`` iterates the same way
+however it was built.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from .errors import GraphParseError
 
@@ -27,7 +36,6 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         seen: set[tuple[int, int]] = set()
-        adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
@@ -37,11 +45,29 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
+        self._build(n, sorted(seen))
+
+    @classmethod
+    def _trusted(cls, n: int, edges: list[tuple[int, int]]) -> Graph:
+        """Graph on edges known to be normalised (u < v), unique, in
+        range 0..n-1 and sorted, built without checking any of that.
+
+        For builds inside the package only; outside callers use
+        ``Graph(n, edges)``.
+        """
+        g = cls.__new__(cls)
+        g._build(n, edges)
+        return g
+
+    def _build(self, n: int, edges: list[tuple[int, int]]) -> None:
+        # per-vertex sets filled in edge order, then frozen
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for u, v in edges:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self.edges: tuple[tuple[int, int], ...] = tuple(edges)
+        self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
 
     @property
     def m(self) -> int:
@@ -99,27 +125,40 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def induced_edges(
+    adj: tuple[frozenset[int], ...], vertices: AbstractSet[int], kept: list[int]
+) -> list[tuple[int, int]]:
+    """Sorted edges among ``vertices`` relabelled by position in ``kept``,
+    the same vertices in ascending order.
+
+    Each kept vertex's neighbourhood is intersected with ``vertices``,
+    which walks the smaller of the two, so a call costs the sum over kept
+    vertices of min(degree, len(kept)), plus sorting: a high-degree
+    vertex shared by many small vertex sets is not scanned whole for
+    each of them.
+    """
+    index = {v: i for i, v in enumerate(kept)}
+    edges = [
+        (i, index[w]) for i, v in enumerate(kept) for w in adj[v] & vertices if v < w
+    ]
+    edges.sort()
+    return edges
+
+
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
     """Subgraph induced on ``vertices``.
 
     Returns the new graph and the sorted list of original ids; new vertex i
-    corresponds to original id ``kept[i]``. Edges are gathered from the
-    adjacency of the kept vertices, so a call costs O(sum of deg(kept))
-    plus sorting, not a scan of every edge of ``g``.
+    corresponds to original id ``kept[i]``. The edges come from
+    induced_edges, checked by construction, so the graph takes the
+    trusted build.
     """
-    kept = sorted(set(vertices))
+    keep = set(vertices)
+    kept = sorted(keep)
     for v in kept:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    index = {old: new for new, old in enumerate(kept)}
-    adj = g.adj
-    edges = [
-        (i, index[w])
-        for i, u in enumerate(kept)
-        for w in adj[u]
-        if u < w and w in index
-    ]
-    return Graph(len(kept), edges), kept
+    return Graph._trusted(len(kept), induced_edges(g.adj, keep, kept)), kept
 
 
 def delete_vertices(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -139,7 +178,7 @@ def delete_edges_within(g: Graph, s: Iterable[int]) -> Graph:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
     edges = [e for e in g.edges if not (e[0] in inside and e[1] in inside)]
-    return Graph(g.n, edges)
+    return Graph._trusted(g.n, edges)
 
 
 def parse_graph(text: str, fmt: str = "dimacs") -> Graph:
@@ -206,7 +245,8 @@ def _parse_dimacs(text: str) -> Graph:
         raise GraphParseError(
             f"problem line declares {declared_m} edges, found {len(edges)}"
         )
-    return Graph(n, edges)
+    edges.sort()
+    return Graph._trusted(n, edges)
 
 
 def _parse_edgelist(text: str) -> Graph:
@@ -233,10 +273,12 @@ def _parse_edgelist(text: str) -> Graph:
             raise GraphParseError("duplicate edge", lineno)
         seen.add(e)
         edges.append(e)
-        top = max(top, u, v)
-        if top >= MAX_VERTICES:
-            raise GraphParseError(f"more than {MAX_VERTICES} vertices", lineno)
-    return Graph(top + 1, edges)
+        if e[1] > top:
+            top = e[1]
+            if top >= MAX_VERTICES:
+                raise GraphParseError(f"more than {MAX_VERTICES} vertices", lineno)
+    edges.sort()
+    return Graph._trusted(top + 1, edges)
 
 
 def write_graph(g: Graph, fmt: str = "dimacs") -> str:

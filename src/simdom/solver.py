@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from .blocks import BlockCutTree, blocks_and_cut_vertices, leaf_component_order
 from .domination import Colour, Colouring, all_zero_hat, is_colour_respecting
 from .errors import GuaranteeError, InvalidSdSetError
-from .graph import Graph, induced_subgraph
+from .graph import Graph, induced_edges
 # unused here, but perfbench --trace looks these up on this module by name
 from .domination import is_sd_set  # noqa: F401
-from .graph import delete_edges_within, delete_vertices  # noqa: F401
+from .graph import delete_edges_within, delete_vertices, induced_subgraph  # noqa: F401
 from .vertexcover import budget_left, min_vertex_cover
 
 
@@ -49,57 +49,60 @@ class SolveReport:
     verified: bool
 
 
-# (vertex count, sorted relabelled edges) of a residual -> (cover, backend tag)
-CoverMemo = dict[tuple[int, tuple[tuple[int, int], ...]], tuple[frozenset[int], str]]
+# (vertex count, u0, v0, u1, v1, ...) of a residual, its sorted relabelled
+# edges laid out flat -> (cover, backend tag)
+CoverMemo = dict[tuple[int, ...], tuple[frozenset[int], str]]
 
 
 def _residual_core(
-    h: Graph,
+    n: int,
+    edges: list[tuple[int, int]],
     fc: Colouring,
     backend: str,
     node_budget: int,
     memo: CoverMemo,
     min_size: int = 0,
 ) -> tuple[frozenset[int], str, int]:
-    """Minimum fc-respecting set of a block graph via vertex cover.
+    """Minimum fc-respecting set of a block via vertex cover.
 
-    The residual drops the ONE vertices and the edges between ZERO
-    vertices; its cover plus the ONE vertices is the answer. Every block
-    solve goes through here, leaf recolourings included. The residual's
-    edges are relabelled in order, so they stay sorted and (vertex
-    count, edges) is the key Graph equality compares; a residual already
-    in memo is not searched again. The key keeps the labels because the
+    The block has vertices 0..n-1 and the sorted edges ``edges``. The
+    residual drops the ONE vertices and the edges between ZERO vertices;
+    its cover plus the ONE vertices is the answer. Every block solve
+    goes through here, leaf recolourings included. The residual's edges
+    are relabelled in order, so they stay sorted, and the memo key is
+    the vertex count followed by the edges' endpoints, flat: the same
+    residuals share a key exactly when they compare equal as Graphs. A
+    residual already in memo is not searched again; on a miss its Graph
+    takes the trusted build. The key keeps the labels because the
     cover's tie-breaks depend on them. min_size is a lower bound on the
     answer's size known to the caller; it can only shorten the cover
     search, never change its result, so a memo entry serves any bound.
     The third value is the branch-and-bound nodes spent, 0 on a memo hit.
     """
+    one = Colour.ONE
+    zero = Colour.ZERO
     kept: list[int] = []
     ones: list[int] = []
-    index = [-1] * h.n
-    for v in range(h.n):
-        if fc[v] is Colour.ONE:
+    index = [-1] * n
+    for v, c in enumerate(fc):
+        if c is one:
             ones.append(v)
         else:
             index[v] = len(kept)
             kept.append(v)
-    zero = Colour.ZERO
-    edges = tuple(
-        (index[u], index[v])
-        for u, v in h.edges
-        if index[u] >= 0
-        and index[v] >= 0
-        and not (fc[u] is zero and fc[v] is zero)
-    )
-    key = (len(kept), edges)
+    flat = [len(kept)]
+    for u, v in edges:
+        a = index[u]
+        b = index[v]
+        if a >= 0 and b >= 0 and (fc[u] is not zero or fc[v] is not zero):
+            flat += a, b
+    key = tuple(flat)
     hit = memo.get(key)
     nodes = 0
     if hit is None:
+        residual = Graph._trusted(key[0], list(zip(key[1::2], key[2::2])))
         vc = min_vertex_cover(
-            Graph(len(kept), edges),
-            backend,
-            node_budget=node_budget,
-            target=min_size - len(ones),
+            residual, backend, node_budget=node_budget, target=min_size - len(ones)
         )
         hit = memo[key] = (vc.cover, vc.backend)
         nodes = vc.nodes or 0
@@ -148,53 +151,56 @@ def _solve(
     memo: CoverMemo = {}
     used = 0
 
+    adj = g.adj
+    one, zero, zero_hat = Colour.ONE, Colour.ZERO, Colour.ZERO_HAT
     for block_idx, conn in order[:-1]:
-        members = sorted(bct.blocks[block_idx])
-        h, kept = induced_subgraph(g, members)
-        local_f = [fcur[kept[i]] for i in range(h.n)]
+        block = bct.blocks[block_idx]
+        members = sorted(block)
+        edges = induced_edges(adj, block, members)
+        local_f = [fcur[v] for v in members]
         pivot = members.index(conn)
         sols: dict[Colour, frozenset[int]] = {}
-        for colour in (Colour.ZERO_HAT, Colour.ZERO, Colour.ONE):
+        for colour in (zero_hat, zero, one):
             local_f[pivot] = colour
-            bound = len(sols[Colour.ZERO_HAT]) if colour is Colour.ONE else 0
+            bound = len(sols[zero_hat]) if colour is one else 0
             sols[colour], tag, nodes = _residual_core(
-                h, local_f, backend, budget_left(node_budget, used), memo, bound
+                len(members), edges, local_f, backend,
+                budget_left(node_budget, used), memo, bound,
             )
             used += nodes
             tags.add(tag)
-        s1 = len(sols[Colour.ONE])
-        s0 = len(sols[Colour.ZERO])
-        s0h = len(sols[Colour.ZERO_HAT])
+        s1 = len(sols[one])
+        s0 = len(sols[zero])
+        s0h = len(sols[zero_hat])
         if not s0 <= s0h <= s1 <= s0 + 1:
             raise GuaranteeError(f"impossible size pattern {s1=} {s0h=} {s0=}")
         if s1 == s0h == s0:
-            fcur[conn] = Colour.ONE
-            chosen = sols[Colour.ONE]
+            fcur[conn] = one
+            chosen = sols[one]
             case = "all-equal"
-            recolour: Colour | None = Colour.ONE
+            recolour: Colour | None = one
         elif s1 > s0h == s0:
-            recolour = max(fcur[conn], Colour.ZERO)
+            recolour = max(fcur[conn], zero)
             fcur[conn] = recolour
-            chosen = sols[Colour.ZERO_HAT]
+            chosen = sols[zero_hat]
             case = "one-larger"
         else:  # the ladder leaves only s0 < s0h == s1
-            chosen = sols[Colour.ZERO]
+            chosen = sols[zero]
             case = "zero-smaller"
             recolour = None
-        solution.update(kept[w] for w in chosen)
+        solution.update(members[w] for w in chosen)
         log.append(
             BlockSolve(block_idx, conn, s1, s0, s0h, case, recolour)
         )
 
-    root_idx = order[-1][0]
-    members = sorted(bct.blocks[root_idx])
-    h, kept = induced_subgraph(g, members)
-    local_f = [fcur[kept[i]] for i in range(h.n)]
+    block = bct.blocks[order[-1][0]]
+    members = sorted(block)
     s, tag, _ = _residual_core(
-        h, local_f, backend, budget_left(node_budget, used), memo
+        len(members), induced_edges(adj, block, members),
+        [fcur[v] for v in members], backend, budget_left(node_budget, used), memo,
     )
     tags.add(tag)
-    solution.update(kept[w] for w in s)
+    solution.update(members[w] for w in s)
 
     result = frozenset(solution)
     if not is_colour_respecting(g, bct, f, result):

@@ -130,7 +130,8 @@ def min_fill_decomposition(
 
 
 def decomposition_violation(g: Graph, td: TreeDecomposition) -> str | None:
-    """None when valid, else a message naming the broken property."""
+    """None when valid, else a message naming the broken property, or
+    the bag holding a member that is not a vertex of g."""
     k = len(td.bags)
     for i, j in td.tree_edges:
         if not (0 <= i < k and 0 <= j < k):
@@ -156,8 +157,9 @@ def decomposition_violation(g: Graph, td: TreeDecomposition) -> str | None:
     where: list[set[int]] = [set() for _ in range(g.n)]
     for i, bag in enumerate(td.bags):
         for v in bag:
-            if 0 <= v < g.n:
-                where[v].add(i)
+            if not 0 <= v < g.n:
+                return f"bag {i}: member {v} is not a vertex of the graph (n={g.n})"
+            where[v].add(i)
     for v in range(g.n):
         if not where[v]:
             return f"property (i): vertex {v} is in no bag"

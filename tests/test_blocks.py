@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -254,3 +256,37 @@ def test_blocks_match_networkx(family):
             frozenset(c) for c in nx.biconnected_components(other)
         }
         assert bct.cut_vertices == frozenset(nx.articulation_points(other))
+
+
+PINNED_ORDER = Path(__file__).resolve().parent / "block_order_reference.json"
+
+
+def pinned_order_graphs():
+    """Seven relabelled graphs of each family, 20 to 140 vertices."""
+    for family in (cactus_edges, chain_edges, sparse_edges):
+        for i in range(7):
+            rng = random.Random(f"pin-{family.__name__}-{i}")
+            size, edges = family(20 + 20 * i, rng)
+            perm = list(range(size))
+            rng.shuffle(perm)
+            yield Graph(size, [(perm[u], perm[v]) for u, v in edges])
+
+
+def block_order_record(g):
+    bct = blocks_and_cut_vertices(g)
+    return {
+        "blocks": [sorted(b) for b in bct.blocks],
+        "blocks_of_vertex": [list(b) for b in bct.blocks_of_vertex],
+        "leaf_component_order": [list(e) for e in leaf_component_order(bct)],
+    }
+
+
+def test_block_order_is_pinned():
+    # block numbers are printed by `simdom blocks` and in the solver's
+    # block log; the reference was recorded from the edge-stack lowpoint
+    # DFS that the vertex-stack one replaced
+    expected = json.loads(PINNED_ORDER.read_text())
+    records = [block_order_record(g) for g in pinned_order_graphs()]
+    assert len(records) == len(expected) == 21
+    for i, (got, want) in enumerate(zip(records, expected)):
+        assert got == want, f"graph {i}"

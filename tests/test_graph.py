@@ -193,3 +193,48 @@ def test_induced_subgraph_matches_edge_scan(case):
     want, want_kept = edge_scan_subgraph(g, set(range(g.n)) - subset)
     assert old_to_new == {old: new for new, old in enumerate(want_kept)}
     assert (rest.n, rest.edges, rest.adj) == (want.n, want.edges, want.adj)
+
+
+@st.composite
+def shuffled_edge_lists(draw, max_n=40):
+    """A vertex count and edges in drawn order and orientation, on enough
+    vertices that neighbour sets collide in small hash tables, where
+    insertion order shows in the iteration order."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not pairs:
+        return n, []
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+
+
+def layout(g):
+    return g.n, g.edges, [list(a) for a in g.adj]
+
+
+@given(shuffled_edge_lists(), st.sampled_from(["dimacs", "edgelist"]))
+def test_parsers_build_the_checked_graph(case, fmt):
+    # the parsers check each line themselves and take the trusted build
+    n, edges = case
+    if fmt == "edgelist":
+        n = max((v for e in edges for v in e), default=-1) + 1
+        text = "".join(f"{u} {v}\n" for u, v in edges)
+    else:
+        text = f"p edge {n} {len(edges)}\n"
+        text += "".join(f"e {u + 1} {v + 1}\n" for u, v in edges)
+    g = Graph(n, edges)
+    want = layout(g)
+    assert layout(parse_graph(text, fmt)) == want
+    assert layout(parse_graph(write_graph(g, fmt), fmt)) == want
+
+
+@given(shuffled_edge_lists(), st.data())
+def test_induced_subgraph_builds_the_checked_graph(case, data):
+    n, edges = case
+    g = Graph(n, edges)
+    subset = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    sub, kept = induced_subgraph(g, subset)
+    index = {old: new for new, old in enumerate(kept)}
+    local = [(index[u], index[v]) for u, v in edges if u in index and v in index]
+    assert layout(sub) == layout(Graph(len(kept), local))

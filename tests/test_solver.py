@@ -220,7 +220,7 @@ def test_impossible_size_ladder_raises(monkeypatch, sizes):
     # {1, 2}: its only non-pivot vertex is a ZERO neighbour of the pivot,
     # so ZERO gets a search of its own, and the pivot colour is ONE or
     # ZERO_HAT when either appears, else ZERO
-    def fake_residual_core(h, fc, backend, node_budget, memo, min_size=0):
+    def fake_residual_core(n, edges, fc, backend, node_budget, memo, min_size=0):
         colour = next((c for c in (Colour.ONE, Colour.ZERO_HAT) if c in fc), Colour.ZERO)
         return frozenset(range(sizes[colour])), "bnb", 0
 
@@ -382,8 +382,8 @@ def test_memo_never_changes_a_report(g, data, backend):
     f = data.draw(st.lists(st.sampled_from(list(Colour)), min_size=g.n, max_size=g.n))
     memoised = simdom.solver._residual_core
 
-    def fresh_memo(h, fc, backend_name, node_budget, memo, min_size=0):
-        return memoised(h, fc, backend_name, node_budget, {}, min_size)
+    def fresh_memo(n, edges, fc, backend_name, node_budget, memo, min_size=0):
+        return memoised(n, edges, fc, backend_name, node_budget, {}, min_size)
 
     report = solve_crsds(g, f, backend=backend)
     with pytest.MonkeyPatch.context() as mp:

@@ -90,6 +90,18 @@ def test_violation_on_malformed_tree():
     assert decomposition_violation(g, td) is not None
 
 
+@pytest.mark.parametrize("member", [2, -1])
+def test_out_of_range_bag_member_is_named(member):
+    # a member outside 0..n-1 would index past the DP's vertex tables,
+    # or wrap around to the last vertex
+    g = Graph(2, [(0, 1)])
+    td = TreeDecomposition((frozenset({0, 1, member}),), ())
+    msg = decomposition_violation(g, td)
+    assert msg is not None and "bag 0" in msg and f"member {member} " in msg
+    with pytest.raises(InvalidDecompositionError, match=f"bag 0: member {member} "):
+        vc_via_tree_decomposition(g, td)
+
+
 def test_dp_cover_examples():
     res = vc_via_tree_decomposition(path(5), min_fill_decomposition(path(5)))
     assert res.size == 2
