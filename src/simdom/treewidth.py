@@ -4,7 +4,11 @@ The decomposition comes from the min-fill elimination heuristic, so its
 width is an upper bound on the treewidth with no optimality claim. Fill
 counts are incremental (Bodlaender & Koster, "Treewidth computations I.
 Upper bounds", 2010): each is computed once, kept in a heap, and
-updated only for the vertices near an eliminated one.
+updated only for the vertices near an eliminated one. On graphs of up
+to MASK_VERTEX_LIMIT vertices the elimination keeps each neighbourhood
+as an int bitmask, so a fill count is a popcount per neighbour and an
+elimination rewrites each neighbour's row with one expression; larger
+graphs keep sets, whose size follows the degree and not n.
 
 The vertex cover DP runs on the decomposition's own bags, with no nice
 form (Cygan et al., "Parameterized Algorithms", 2015, section 7.3): each
@@ -13,13 +17,12 @@ through a table keyed by its choice on the vertices it shares with its
 parent. Ties go to the least bits outside the parent bag, so the cover
 depends on the graph and the decomposition alone. The DP is correct on
 any valid decomposition, which decomposition_violation checks property
-by property, with the bags indexed by vertex.
+by property in time linear in the bags' total size.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import GuaranteeError, InvalidDecompositionError, WidthBudgetError
@@ -27,6 +30,7 @@ from .graph import Graph
 from .vertexcover import VcResult
 
 WIDTH_BUDGET = 20  # widest decomposition the DP accepts
+MASK_VERTEX_LIMIT = 512  # min-fill on more vertices keeps neighbour sets
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,66 @@ class TreeDecomposition:
         return max((len(b) for b in self.bags), default=0) - 1
 
 
-def _fill(adj: list[set[int]], v: int) -> int:
+def _bits(x: int) -> list[int]:
+    """Positions of the set bits of x, ascending."""
+    out = []
+    while x:
+        top = x.bit_length() - 1
+        out.append(top)
+        x ^= 1 << top
+    out.reverse()
+    return out
+
+
+def _mask_fill(adj: list[int], v: int) -> int:
+    """Number of non-adjacent pairs among the neighbours of v."""
+    nv = adj[v]
+    d = nv.bit_count()
+    if d <= 1:
+        return 0
+    if d == 2:
+        top = nv.bit_length() - 1
+        return 0 if adj[top] & (nv ^ 1 << top) else 1
+    # every edge inside N(v) is counted from both of its ends
+    inside = 0
+    rest = nv
+    while rest:
+        a = rest.bit_length() - 1
+        rest ^= 1 << a
+        inside += (adj[a] & nv).bit_count()
+    return (d * (d - 1) - inside) // 2
+
+
+def _mask_eliminate(
+    adj: list[int], v: int, nbrs: list[int], fill: list[int]
+) -> list[int]:
+    """Make N(v) a clique without v; see _set_eliminate."""
+    nv = adj[v]
+    vbit = 1 << v
+    closed = nv | vbit
+    touched = 0
+    later = nv
+    for a in nbrs:
+        # fill edges at a go to the later neighbours missing from its row
+        abit = 1 << a
+        later ^= abit
+        row = adj[a]
+        missing = (later | row) ^ row  # later & ~row, with no negative int
+        if missing:
+            row_out = (row | closed) ^ closed
+            while missing:
+                b = missing.bit_length() - 1
+                missing ^= 1 << b
+                common = row_out & adj[b]
+                if common:
+                    touched |= common
+                    for w in _bits(common):
+                        fill[w] -= 1
+        adj[a] = (row | nv) ^ (vbit | abit)
+    return _bits(touched) if touched else []
+
+
+def _set_fill(adj: list[set[int]], v: int) -> int:
     """Number of non-adjacent pairs among the neighbours of v."""
     nv = adj[v]
     d = len(nv)
@@ -51,6 +114,30 @@ def _fill(adj: list[set[int]], v: int) -> int:
     # every edge inside N(v) is counted from both of its ends
     inside = sum(len(adj[a] & nv) for a in nv)
     return (d * (d - 1) - inside) // 2
+
+
+def _set_eliminate(
+    adj: list[set[int]], v: int, nbrs: list[int], fill: list[int]
+) -> set[int]:
+    """Make N(v) a clique without v. Outside N[v] a neighbourhood keeps
+    its vertices and only loses the non-adjacent pairs that become fill
+    edges, so each vertex there that sees both ends of a new fill edge
+    has its fill decremented once per such edge; returns those vertices."""
+    added = [
+        (a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if b not in adj[a]
+    ]
+    for a in nbrs:
+        adj[a].discard(v)
+    for a, b in added:
+        adj[a].add(b)
+        adj[b].add(a)
+    outside: set[int] = set()
+    for a, b in added:
+        for w in adj[a] & adj[b]:
+            if w not in adj[v]:
+                fill[w] -= 1
+                outside.add(w)
+    return outside
 
 
 def min_fill_decomposition(
@@ -72,9 +159,19 @@ def min_fill_decomposition(
     changed. Eliminating v changes only the fill of N(v), which is
     recounted, and of the other vertices of N(N(v)) that see both ends
     of a new fill edge, whose counts drop by one per such edge.
+
+    Neighbourhoods are int bitmasks on graphs of at most
+    MASK_VERTEX_LIMIT vertices, and sets above: a row costs its width in
+    bits, so masks would take memory quadratic in n, while a set costs
+    its degree. Both give the same decomposition.
     """
-    adj: list[set[int]] = [set(g.neighbours(v)) for v in range(g.n)]
-    fill = [_fill(adj, v) for v in range(g.n)]
+    if g.n <= MASK_VERTEX_LIMIT:
+        adj: list = g.adjacency_masks()
+        ascending, count_fill, eliminate = _bits, _mask_fill, _mask_eliminate
+    else:
+        adj = [set(g.neighbours(v)) for v in range(g.n)]
+        ascending, count_fill, eliminate = sorted, _set_fill, _set_eliminate
+    fill = [count_fill(adj, v) for v in range(g.n)]
     heap = [(f, v) for v, f in enumerate(fill)]
     heapq.heapify(heap)
     alive = [True] * g.n
@@ -86,33 +183,17 @@ def min_fill_decomposition(
         f, v = heapq.heappop(heap)
         if not alive[v] or f != fill[v]:
             continue
-        if max_width is not None and len(adj[v]) > max_width:
+        nbrs = ascending(adj[v])
+        if max_width is not None and len(nbrs) > max_width:
             return None
-        nbrs = sorted(adj[v])
         elim_pos[v] = len(bags)
         bags.append(frozenset([v, *nbrs]))
         bag_members.append(nbrs)
         alive[v] = False
-        added = [
-            (a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if b not in adj[a]
-        ]
-        for a in nbrs:
-            adj[a].discard(v)
-        for a, b in added:
-            adj[a].add(b)
-            adj[b].add(a)
-        # outside N[v] a neighbourhood keeps its vertices and only loses
-        # the non-adjacent pairs that became fill edges
-        outside: set[int] = set()
-        for a, b in added:
-            for w in adj[a] & adj[b]:
-                if w not in adj[v]:
-                    fill[w] -= 1
-                    outside.add(w)
-        for w in outside:
+        for w in eliminate(adj, v, nbrs, fill):
             heapq.heappush(heap, (fill[w], w))
         for w in nbrs:
-            count = _fill(adj, w)
+            count = count_fill(adj, w)
             if count != fill[w]:
                 fill[w] = count
                 heapq.heappush(heap, (count, w))
@@ -129,56 +210,69 @@ def min_fill_decomposition(
     return TreeDecomposition(tuple(bags), tuple(edges))
 
 
+def _rooted(td: TreeDecomposition) -> tuple[list[int], list[int]]:
+    """Each bag's parent (-1 at the root, bag 0) and the bags in BFS
+    order from bag 0; bags it does not reach are left out."""
+    nbrs: list[list[int]] = [[] for _ in td.bags]
+    for i, j in td.tree_edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    parent = [-1] * len(td.bags)
+    order = [0] if td.bags else []
+    for i in order:  # a BFS: order grows while it is read
+        for j in nbrs[i]:
+            if j != 0 and parent[j] < 0:
+                parent[j] = i
+                order.append(j)
+    return parent, order
+
+
 def decomposition_violation(g: Graph, td: TreeDecomposition) -> str | None:
     """None when valid, else a message naming the broken property, or
-    the bag holding a member that is not a vertex of g."""
+    the bag holding a member that is not a vertex of g.
+
+    The BFS that proves the bags form a tree also roots it at bag 0.
+    Call a bag holding v whose parent does not hold v a top bag of v:
+    each connected part of v's bags has exactly one, so property (iii)
+    asks for one top bag per vertex. Two subtrees of a rooted tree meet
+    exactly when one holds the top of the other, so property (ii) looks
+    at two top bags per edge; only an edge at a vertex with more than
+    one top bag, which already breaks (iii), is checked against every
+    bag. On a valid decomposition that is linear in the bags' total size.
+    """
     k = len(td.bags)
     for i, j in td.tree_edges:
         if not (0 <= i < k and 0 <= j < k):
             return f"tree: edge ({i}, {j}) references a missing bag"
-    nbrs: list[list[int]] = [[] for _ in range(k)]
-    for i, j in td.tree_edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    if k > 0:
-        if len(td.tree_edges) != k - 1:
-            return f"tree: {len(td.tree_edges)} edges on {k} bags is not a tree"
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            for j in nbrs[i]:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        if len(seen) != k:
-            return "tree: bag graph is disconnected"
+    if k > 0 and len(td.tree_edges) != k - 1:
+        return f"tree: {len(td.tree_edges)} edges on {k} bags is not a tree"
+    parent, order = _rooted(td)
+    if len(order) != k:
+        return "tree: bag graph is disconnected"
 
-    where: list[set[int]] = [set() for _ in range(g.n)]
-    for i, bag in enumerate(td.bags):
+    bags = td.bags
+    top = [-1] * g.n
+    split: set[int] = set()  # vertices with more than one top bag
+    for i, bag in enumerate(bags):
+        above = bags[parent[i]] if parent[i] >= 0 else ()
         for v in bag:
             if not 0 <= v < g.n:
                 return f"bag {i}: member {v} is not a vertex of the graph (n={g.n})"
-            where[v].add(i)
-    for v in range(g.n):
-        if not where[v]:
-            return f"property (i): vertex {v} is in no bag"
+            if v not in above:
+                if top[v] < 0:
+                    top[v] = i
+                else:
+                    split.add(v)
+    if -1 in top:
+        return f"property (i): vertex {top.index(-1)} is in no bag"
     for u, v in g.edges:
-        if where[u].isdisjoint(where[v]):
-            return f"property (ii): edge ({u}, {v}) is in no bag"
-    for v in range(g.n):
-        member = where[v]
-        start = min(member)
-        reached = {start}
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for j in nbrs[i]:
-                if j in member and j not in reached:
-                    reached.add(j)
-                    queue.append(j)
-        if reached != member:
-            return f"property (iii): bags containing vertex {v} are disconnected"
+        if v in bags[top[u]] or u in bags[top[v]]:
+            continue
+        if (u in split or v in split) and any(u in b and v in b for b in bags):
+            continue
+        return f"property (ii): edge ({u}, {v}) is in no bag"
+    if split:
+        return f"property (iii): bags containing vertex {min(split)} are disconnected"
     return None
 
 
@@ -242,18 +336,7 @@ def vc_via_tree_decomposition(g: Graph, td: TreeDecomposition) -> VcResult:
     if k == 0:  # validated, so g has no vertices
         return VcResult(cover=frozenset(), size=0, backend="treewidth")
 
-    nbrs: list[list[int]] = [[] for _ in range(k)]
-    for i, j in td.tree_edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    parent = [-1] * k
-    order = [0]
-    for i in order:  # a BFS: order grows while it is read
-        for j in sorted(nbrs[i]):
-            if j != 0 and parent[j] < 0:
-                parent[j] = i
-                order.append(j)
-
+    parent, order = _rooted(td)
     verts = [sorted(bag) for bag in td.bags]
     unset = g.n + 1  # above every cost
     projected: dict[int, list[tuple[int, dict[int, int]]]] = {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
 from ._kernels import pure
-from .errors import GuaranteeError, InvalidBipartitionError
+from .errors import GuaranteeError, InvalidBipartitionError, WidthBudgetError
 from .graph import Graph, induced_subgraph
 
 AUTO_WIDTH_CAP = 12
@@ -219,9 +219,21 @@ def min_vc_bipartite(
 
 
 def min_vc_treewidth(g: Graph) -> VcResult:
-    from .treewidth import min_fill_decomposition, vc_via_tree_decomposition
+    """Exact cover by the DP over the min-fill decomposition. Min-fill
+    gives up as soon as a bag passes the DP's WIDTH_BUDGET, which raises
+    WidthBudgetError."""
+    from .treewidth import (
+        WIDTH_BUDGET,
+        min_fill_decomposition,
+        vc_via_tree_decomposition,
+    )
 
-    return vc_via_tree_decomposition(g, min_fill_decomposition(g))
+    td = min_fill_decomposition(g, max_width=WIDTH_BUDGET)
+    if td is None:
+        raise WidthBudgetError(
+            f"min-fill decomposition width exceeds the budget of {WIDTH_BUDGET}"
+        )
+    return vc_via_tree_decomposition(g, td)
 
 
 def min_vc_auto(

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import simdom
+import simdom.treewidth
 from simdom.cli import main
 
 
@@ -253,6 +254,27 @@ def test_exit_code_on_budget(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert "budget" in err
+
+
+def test_treewidth_backend_stops_at_the_width_budget(tmp_path, capsys, monkeypatch):
+    # min-fill width 88; the elimination gives up at the DP's budget of
+    # 20 instead of finishing the decomposition first
+    _, text, _ = run(capsys, "gen", "random-2connected", "300", "750", "--seed", "1")
+    path = write(tmp_path, "block.txt", text)
+    calls = []
+    decompose = simdom.treewidth.min_fill_decomposition
+
+    def recording(g, **kwargs):
+        td = decompose(g, **kwargs)
+        calls.append((kwargs, td))
+        return td
+
+    monkeypatch.setattr(simdom.treewidth, "min_fill_decomposition", recording)
+    code, out, err = run(capsys, "solve", path, "--backend", "treewidth")
+    assert code == 4
+    assert out == ""
+    assert err == "error: min-fill decomposition width exceeds the budget of 20\n"
+    assert calls == [({"max_width": 20}, None)]
 
 
 def test_exit_code_on_bad_colour_file(p3, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, example, find, given, settings, strategies as st
@@ -25,7 +27,7 @@ from simdom.treewidth import (
     vc_via_tree_decomposition,
 )
 from simdom.vertexcover import is_vertex_cover, min_vc_branch_and_bound
-from simdom.generators import random_graph
+from simdom.generators import random_2connected_graph, random_graph
 
 
 def test_min_fill_width_on_known_families():
@@ -162,6 +164,15 @@ def two_cliques_and_an_isolated_vertex() -> Graph:
     return Graph(10, edges)
 
 
+@contextmanager
+def rows(kind):
+    """Make min-fill keep its neighbourhoods as bitmasks ("masks") or as
+    sets ("sets") whatever the vertex count."""
+    limit = {"masks": 10**9, "sets": -1}[kind]
+    with mock.patch.object(simdom.treewidth, "MASK_VERTEX_LIMIT", limit):
+        yield
+
+
 @settings(deadline=None, max_examples=300)
 @given(small_graphs())
 @example(Graph(0, []))
@@ -169,7 +180,10 @@ def two_cliques_and_an_isolated_vertex() -> Graph:
 @example(clique(30))
 @example(two_cliques_and_an_isolated_vertex())
 def test_min_fill_matches_rescanning_reference(g):
-    assert min_fill_decomposition(g) == rescanning_min_fill_decomposition(g)
+    reference = rescanning_min_fill_decomposition(g)
+    for kind in ("masks", "sets"):
+        with rows(kind):
+            assert min_fill_decomposition(g) == reference
 
 
 @settings(deadline=None, max_examples=300)
@@ -180,11 +194,13 @@ def test_min_fill_matches_rescanning_reference(g):
 @example(Graph(5, []), 0)
 def test_min_fill_stops_exactly_past_max_width(g, k):
     reference = rescanning_min_fill_decomposition(g)
-    td = min_fill_decomposition(g, max_width=k)
-    if reference.width > k:
-        assert td is None
-    else:
-        assert td == reference
+    for kind in ("masks", "sets"):
+        with rows(kind):
+            td = min_fill_decomposition(g, max_width=k)
+        if reference.width > k:
+            assert td is None
+        else:
+            assert td == reference
 
 
 def cycle_with_chords(n, m, rng, span):
@@ -241,6 +257,37 @@ def test_min_fill_matches_reference_on_low_width_blocks_and_residuals(monkeypatc
         assert decomposition_violation(h, td) is None
 
 
+def graph_state(g):
+    return g.n, g.edges, g.adj
+
+
+@pytest.mark.parametrize("n", [60, 100, 200, 300])
+def test_min_fill_matches_reference_on_masks_wider_than_a_word(n):
+    # 2.5n edges give min-fill widths of 18 to 88, well past the cap
+    g = random_2connected_graph(n, 5 * n // 2, seed=n)
+    assert g.n <= simdom.treewidth.MASK_VERTEX_LIMIT  # eliminates on masks
+    before = graph_state(g)
+    reference = rescanning_min_fill_decomposition(g)
+    assert reference.width > 12
+    assert min_fill_decomposition(g) == reference
+    assert min_fill_decomposition(g, max_width=12) is None
+    assert min_fill_decomposition(g, max_width=reference.width) == reference
+    assert min_fill_decomposition(g, max_width=reference.width - 1) is None
+    assert graph_state(g) == before
+
+
+def test_min_fill_matches_reference_on_a_sparse_2000_vertex_graph():
+    g = Graph(2000, cycle_with_chords(2000, 2200, random.Random(9), 40))
+    assert g.n > simdom.treewidth.MASK_VERTEX_LIMIT  # keeps sets by default
+    before = graph_state(g)
+    reference = rescanning_min_fill_decomposition(g)
+    assert min_fill_decomposition(g) == reference
+    with rows("masks"):
+        assert min_fill_decomposition(g) == reference
+        assert min_fill_decomposition(g, max_width=reference.width) == reference
+    assert graph_state(g) == before
+
+
 def test_min_fill_on_a_3001_cycle():
     g = cycle(3001)
     td = min_fill_decomposition(g)
@@ -277,6 +324,25 @@ def damaged_decompositions(draw):
 def test_violation_messages_match_scanning_reference(case):
     g, td = case
     assert decomposition_violation(g, td) == scanning_decomposition_violation(g, td)
+
+
+def test_violation_order_when_a_vertex_has_two_top_bags():
+    # the bags chain 0 - 1 - 2; vertex 1 sits in bags 0 and 2 but not 1
+    g = path(3)
+    covered = TreeDecomposition(
+        (frozenset({0, 1}), frozenset({2}), frozenset({1, 2})), ((0, 1), (1, 2))
+    )
+    # edge (1, 2) is only in bag 2, which is neither end's top bag
+    msg = decomposition_violation(g, covered)
+    assert msg == scanning_decomposition_violation(g, covered)
+    assert msg.startswith("property (iii): bags containing vertex 1 ")
+    # (ii) is reported before (iii) when both break
+    uncovered = TreeDecomposition(
+        (frozenset({0, 1}), frozenset({2}), frozenset({1})), ((0, 1), (1, 2))
+    )
+    msg = decomposition_violation(g, uncovered)
+    assert msg == scanning_decomposition_violation(g, uncovered)
+    assert msg == "property (ii): edge (1, 2) is in no bag"
 
 
 @pytest.mark.parametrize(
