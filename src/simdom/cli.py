@@ -3,13 +3,15 @@
 Commands: solve, approx, verify, gen, oracle, blocks, bench. Results go
 to stdout; diagnostics go to stderr. Exit codes: 0 success, 1 failed
 verification, 2 parse or parameter error, 3 disconnected input,
-4 budget exceeded.
+4 budget exceeded, 141 stdout closed before the output was written (the
+status a shell reports for a process that SIGPIPE ended).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Sequence
@@ -46,6 +48,7 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_BUDGET = 4
+EXIT_PIPE = 141
 
 BACKENDS = ("auto", "bnb", "bipartite", "treewidth")
 
@@ -411,7 +414,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # output still buffered would meet a closed pipe at exit, where
+        # the error can only be printed as a traceback
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit: send that
+        # flush to devnull, as the reader wants no more output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

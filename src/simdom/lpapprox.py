@@ -60,9 +60,12 @@ def build_sds_ip(g: Graph, bct: BlockCutTree) -> LpModel:
     """The domination model: its rows with 0/1 variables are the integer
     program, and with 0 <= z they are the LP relaxation.
 
-    Row order: one adjacent-pair row per (non-cut v, neighbour u), then
-    block-neighbour rows per (cut v, block, block neighbour), then one
-    cut-cover row per cut vertex, each group sorted by vertex index.
+    Rows: x_u + x_v >= 1 once for each edge uv with a non-cut end,
+    about (v, u) with v the smaller non-cut end; then one
+    block-neighbour row per (cut v, block, block neighbour); then one
+    cut-cover row per cut vertex. Each group is sorted by vertex index.
+    An edge with two non-cut ends would otherwise give the same pair row
+    twice, which only adds a duplicate column to the dual.
     """
     cut = sorted(bct.cut_vertices)
     y_keys: list[tuple[int, int]] = []
@@ -76,6 +79,8 @@ def build_sds_ip(g: Graph, bct: BlockCutTree) -> LpModel:
         if bct.is_cut(v):
             continue
         for u in sorted(g.adj[v]):
+            if u < v and not bct.is_cut(u):
+                continue  # given as (u, v) already
             rows.append(
                 LpRow("adjacent-pair", {u: 1, v: 1}, 1, (v, u))
             )

@@ -1,14 +1,25 @@
 """One-phase primal simplex in exact integer arithmetic, with sparse rows.
 
 Input constraints are all of the form sum(coeffs) >= rhs with rhs <= 0
-and nonnegative variables, so the slack basis is feasible and one run of
-Bland's rule solves the program; lpapprox passes the dual of the LP
-relaxation, which has this shape. Bland's smallest-index rule picks both
-the entering column and, among tied minimum ratios, the leaving basic
-variable, so the method cannot cycle and every run is deterministic. At
-an optimum the objective row's entries in the slack columns solve the
-dual program, max rhs . y subject to A^T y <= objective and y >= 0, and
-are returned as `duals`.
+and nonnegative variables, so the slack basis is feasible and one run
+of the primal simplex solves the program; lpapprox passes the dual of
+the LP relaxation, which has this shape. At an optimum the objective
+row's entries in the slack columns solve the dual program, max rhs . y
+subject to A^T y <= objective and y >= 0, and are returned as `duals`.
+
+Pricing is Dantzig's rule: the entering column has the most negative
+reduced cost, the smallest index among ties. The objective row has one
+denominator, so this compares its integer numerators. The leaving row
+has the minimum ratio, the smallest basic index among ties. A pivot
+whose leaving row has rhs 0 is degenerate: it moves to another basis of
+the same vertex and leaves the objective unchanged, and Dantzig's rule
+alone can cycle through such bases. So after DEGENERATE_LIMIT
+degenerate pivots in a row, Bland's smallest-index rule picks the
+entering column until the next non-degenerate pivot. Every run ends:
+a non-degenerate pivot strictly lowers the objective, so no basis comes
+back after one, and Bland's rule (Bland 1977) cannot cycle, so each
+stretch of degenerate pivots is finite. With DEGENERATE_LIMIT = 0 every
+pivot follows Bland's rule. Every run is deterministic.
 
 Each tableau row, and the objective row, is a {column: int} dict holding
 only its nonzero numerators, over a positive integer denominator of its
@@ -34,6 +45,8 @@ from typing import Mapping, Sequence
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
+# degenerate pivots in a row after which Bland's rule prices
+DEGENERATE_LIMIT = 50
 
 
 @dataclass(frozen=True)
@@ -88,7 +101,6 @@ def simplex_min(
     """
     pivots = 0
     slack_start = num_vars
-    # every entering scan stops below rhs_col, so the RHS key never enters
     rhs_col = num_vars + len(rows)
 
     tableau: list[dict[int, int]] = []
@@ -106,10 +118,19 @@ def simplex_min(
     zrow = {j: c for j, c in enumerate(objective) if c}
     zden = 1
 
+    limit = DEGENERATE_LIMIT
+    degenerate = 0
     while True:
-        enter = min((j for j, a in zrow.items() if a < 0 and j < rhs_col), default=-1)
-        if enter < 0:
-            break
+        # the objective never rises from 0, so the objective row's RHS
+        # entry is never negative and never enters
+        if degenerate < limit:
+            cost, enter = min(zip(zrow.values(), zrow.keys()), default=(0, -1))
+            if cost >= 0:
+                break
+        else:
+            enter = min((j for j, a in zrow.items() if a < 0), default=-1)
+            if enter < 0:
+                break
         # minimum rhs/a over rows with a > 0; a row's denominator cancels
         leave = -1
         best_rhs = best_a = 0
@@ -127,6 +148,7 @@ def simplex_min(
         if leave < 0:
             return SimplexResult(UNBOUNDED, None, None, pivots)
         pivots += 1
+        degenerate = degenerate + 1 if best_rhs == 0 else 0
         # dividing the pivot row by its entry p only makes p its
         # denominator; the row stays in lowest terms, as its entries have
         # no common factor: its basic column holds its old denominator

@@ -3,13 +3,18 @@
 This is `simdom.simplex.simplex_min` as it was before its rows became
 sparse, copied line for line, over `fractions.Fraction`. It keeps its
 own rational helpers and infeasible status, so it shares no arithmetic
-with the integer-row method it checks. Two things are added: the pivot
-counter, so the tests can check that the sparse method takes the very
-same Bland pivots and not just reaches the same optimum, and the
-optional ``cases`` set, into which the run records
+with the integer-row method it checks. Phase 1 prices by Bland's rule.
+Phase 2 prices as the sparse method does, by its own code: the most
+negative reduced cost enters, the smallest index among ties, and after
+``degenerate_limit`` degenerate pivots in a row (ratio 0) Bland's rule
+enters until the next non-degenerate pivot; a limit of 0 is pure
+Bland. Added to the copy are the pivot counter, so the tests can check
+that the sparse method takes the very same pivots and not just reaches
+the same optimum, and the optional ``cases`` set, so the tests can
+check that their draws reach two branches. The run records
 "degenerate-artificial" when phase 1 ends with an artificial variable
-basic at zero, so the tests can check that their draws reach that
-branch.
+basic at zero, and "bland-fallback" when, under a positive limit,
+Bland's rule enters a column that Dantzig's rule would not.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ def dense_simplex_min(
     objective: Sequence[int],
     rows: Sequence[tuple[Mapping[int, int], int]],
     cases: set[str] | None = None,
+    *,
+    degenerate_limit: int,
 ) -> SimplexResult:
     """Minimize objective . z subject to each row holding as >= and z >= 0."""
     zero = _rat(0)
@@ -92,17 +99,22 @@ def dense_simplex_min(
             zrow[:] = [a - f * b for a, b in zip(zrow, prow)]
         basis[r] = c
 
-    def bland(zrow: list, allowed: int) -> str:
+    def price(zrow: list, allowed: int, limit: int) -> str:
         # allowed caps the entering column index (phase 2 excludes
         # artificial columns without rebuilding the tableau)
+        degenerate = 0
         while True:
-            enter = -1
-            for j in range(allowed):
-                if zrow[j] < zero:
-                    enter = j
-                    break
-            if enter < 0:
+            negative = [j for j in range(allowed) if zrow[j] < zero]
+            if not negative:
                 return OPTIMAL
+            # min returns the first, so the smallest index, of equal costs
+            dantzig = min(negative, key=lambda j: zrow[j])
+            if degenerate < limit:
+                enter = dantzig
+            else:
+                enter = negative[0]
+                if limit > 0 and enter != dantzig and cases is not None:
+                    cases.add("bland-fallback")
             leave = -1
             best = None
             for r in range(nrows):
@@ -118,6 +130,7 @@ def dense_simplex_min(
                         leave = r
             if leave < 0:
                 return UNBOUNDED
+            degenerate = degenerate + 1 if best == zero else 0
             pivot(leave, enter, zrow)
 
     if art_cols:
@@ -128,7 +141,7 @@ def dense_simplex_min(
             if basis[r] >= art_start:
                 row = tableau[r]
                 zrow = [a - b for a, b in zip(zrow, row)]
-        status = bland(zrow, ncols)
+        status = price(zrow, ncols, 0)
         assert status == OPTIMAL, "phase 1 objective is bounded by zero"
         if -zrow[-1] != zero:
             return SimplexResult(INFEASIBLE, None, None, pivots)
@@ -157,7 +170,7 @@ def dense_simplex_min(
         if cb != zero:
             row = tableau[r]
             zrow = [a - cb * b for a, b in zip(zrow, row)]
-    status = bland(zrow, art_start)
+    status = price(zrow, art_start, degenerate_limit)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, pivots)
 

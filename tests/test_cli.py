@@ -327,6 +327,26 @@ def test_solve_checks_run_under_optimize(gap3):
     assert "verified true" in proc.stdout.splitlines()
 
 
+def test_closed_stdout_exits_without_a_traceback(tmp_path):
+    # a reader that stops after 300 bytes, as `| head -c 300` does, of a
+    # block log far longer than a pipe's buffer
+    text = "".join(f"{v} {v + 1}\n" for v in range(999))
+    graph = write(tmp_path, "path.txt", text)
+    env = dict(os.environ, PYTHONPATH=str(Path(simdom.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "simdom.cli", "solve", graph, "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(300).startswith(b'{"schema": 1, "size": 334,')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
 def many_block_graph():
     """Edge-list text and a colour file for a connected graph of 80
     blocks: bridges, triangles, 4- and 5-cycles, K4s, 5-cycles with a

@@ -17,6 +17,7 @@ from simdom import (
     solve_sds,
 )
 from simdom.lpapprox import (
+    LpRow,
     LpSolution,
     build_sds_ip,
     round_lp,
@@ -27,8 +28,8 @@ from simdom.oracle import ip_optimum_bruteforce, min_sds_bruteforce
 from simdom.vertexcover import is_vertex_cover
 from simdom import lpapprox
 from simdom.errors import BudgetExceededError
-from simdom.generators import gap_graph, random_connected_graph
-from simdom.simplex import OPTIMAL, UNBOUNDED, SimplexResult
+from simdom.generators import gap_graph, random_2connected_graph, random_connected_graph
+from simdom.simplex import OPTIMAL, UNBOUNDED, SimplexResult, simplex_min
 
 
 def test_model_shape_for_a_path():
@@ -44,12 +45,21 @@ def test_model_shape_for_a_path():
     assert m.y_keys == ((1, 0), (1, 1))
 
 
-def test_model_keeps_ordered_pair_duplicates():
+def test_model_gives_each_pair_row_once():
     g = cycle(3)
     bct = blocks_and_cut_vertices(g)
     m = build_sds_ip(g, bct)
-    # each edge contributes one row per endpoint on a block with no cuts
-    assert Counter(r.kind for r in m.rows) == {"adjacent-pair": 6}
+    # one row per edge, about its smaller end, on a block with no cuts
+    assert [(r.kind, r.about) for r in m.rows] == [
+        ("adjacent-pair", (0, 1)),
+        ("adjacent-pair", (0, 2)),
+        ("adjacent-pair", (1, 2)),
+    ]
+    # a cut end does not give the row: the non-cut end does, once
+    g = path(3)
+    m = build_sds_ip(g, blocks_and_cut_vertices(g))
+    pairs = [r.about for r in m.rows if r.kind == "adjacent-pair"]
+    assert pairs == [(0, 1), (2, 1)]
 
 
 def test_row_count_identities():
@@ -62,13 +72,34 @@ def test_row_count_identities():
         counts = Counter(r.kind for r in m.rows)
         cuts = bct.cut_vertices
         assert counts.get("adjacent-pair", 0) == sum(
-            g.degree(v) for v in range(n) if v not in cuts
+            1 for u, v in g.edges if u not in cuts or v not in cuts
         )
         assert counts.get("block-neighbour", 0) == sum(
             len(g.neighbours(v) & bct.blocks[b]) for v in cuts for b in bct.blocks_of_vertex[v]
         )
         assert counts.get("cut-cover", 0) == len(cuts)
         assert len(m.y_keys) == sum(len(bct.blocks_of_vertex[v]) for v in cuts)
+
+
+def test_pair_duplicates_leave_the_lp_optimum():
+    # the model with both rows of each edge with two non-cut ends, as
+    # it was built before each pair row was given once
+    rng = random.Random(19)
+    for _ in range(30):
+        n = rng.randint(2, 30)
+        g = random_connected_graph(n, rng.randint(n - 1, 2 * n), seed=rng.randint(0, 10**6))
+        bct = blocks_and_cut_vertices(g)
+        m = build_sds_ip(g, bct)
+        twins = tuple(
+            LpRow("adjacent-pair", row.coeffs, 1, row.about[::-1])
+            for row in m.rows
+            if row.kind == "adjacent-pair" and not bct.is_cut(row.about[1])
+        )
+        full = replace(m, rows=twins + m.rows)
+        assert len(twins) + sum(r.kind == "adjacent-pair" for r in m.rows) == sum(
+            g.degree(v) for v in range(n) if not bct.is_cut(v)
+        )
+        assert solve_lp_simplex(full).objective == solve_lp_simplex(m).objective
 
 
 def test_approx2_on_one_vertex():
@@ -217,10 +248,26 @@ def test_approx2_sets_are_pinned(g, expected, bound):
     assert (sorted(rounded), lp_bound) == (expected, bound)
 
 
-def test_approx2_at_lp_scale_is_pinned():
-    # 200 vertices: hundreds of pivots whose integer rows fill in
+def test_approx2_at_lp_scale_is_pinned(monkeypatch):
+    # 200 vertices: hundreds of pivots whose integer rows fill in; Bland's
+    # rule alone took 735
+    pivots = []
+
+    def counted(*args):
+        result = simplex_min(*args)
+        pivots.append(result.pivots)
+        return result
+
+    monkeypatch.setattr(lpapprox, "simplex_min", counted)
     rounded, lp_bound = approx2_sds(random_connected_graph(200, 400, seed=1400))
-    assert (len(rounded), lp_bound) == (185, 99)
+    assert (len(rounded), lp_bound, pivots) == (185, 99, [442])
+
+
+def test_approx2_on_a_300_vertex_block_is_pinned():
+    # one 2-connected block: no cut vertices, an all-1/2 optimum, and
+    # every vertex rounded up; under Bland's rule alone it took seconds
+    g = random_2connected_graph(300, 750, seed=1)
+    assert approx2_sds(g) == (frozenset(range(300)), 150)
 
 
 # The result checks below raise typed errors rather than assert, so they

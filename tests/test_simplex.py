@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -10,13 +11,34 @@ from simdom.blocks import blocks_and_cut_vertices
 from simdom.generators import random_connected_graph
 from simdom.lpapprox import build_sds_ip, dual_program, solve_lp_simplex
 from simdom.oracle import lp_vertex_enumeration_optimum
-from simdom.simplex import OPTIMAL, UNBOUNDED, simplex_min
+from simdom import simplex
+from simdom.simplex import DEGENERATE_LIMIT, OPTIMAL, UNBOUNDED, simplex_min
 
 from dense_simplex_reference import dense_simplex_min
+
+# degenerate-pivot limits the comparisons run at: 0 is pure Bland, 2 lets
+# the fallback run on small draws, and then the default
+LIMITS = (0, 2, DEGENERATE_LIMIT)
 
 
 def outcome(result):
     return result.status, result.objective, result.values, result.pivots
+
+
+def both(lp, limit):
+    """The sparse method and the dense reference, at one limit."""
+    with mock.patch.object(simplex, "DEGENERATE_LIMIT", limit):
+        sparse = simplex_min(*lp)
+    return sparse, dense_simplex_min(*lp, degenerate_limit=limit)
+
+
+def assert_same_pivots(lp, limits=LIMITS):
+    # status, objective, values and the number of pivots all agree
+    for limit in limits:
+        sparse, dense = both(lp, limit)
+        assert outcome(sparse) == outcome(dense), f"limit {limit}"
+        if sparse.status == OPTIMAL:
+            assert_duals_certify(*lp, sparse)
 
 
 def assert_duals_certify(num_vars, objective, rows, result):
@@ -139,24 +161,29 @@ def test_pivots_are_counted():
 
 
 @st.composite
-def ge_lps(draw, bound=3):
+def ge_lps(draw, bound=3, degenerate=False):
     """Random min c.z, rows >= rhs <= 0, z >= 0, with repeated rows mixed in.
 
     Repeats, doubled rows and negated rows with rhs 0 (which pin a row
     to equality) all make ties in the ratio test and degenerate pivots.
     Objective and row coefficients lie in [-bound, bound] and
-    right-hand sides in [-bound, 0].
+    right-hand sides in [-bound, 0]. With ``degenerate``, there are up
+    to 7 variables and 10 drawn rows and most right-hand sides are 0,
+    so most pivots are degenerate and runs of them grow longer.
     """
-    num_vars = draw(st.integers(1, 5))
+    num_vars = draw(st.integers(1, 7 if degenerate else 5))
+    rhs = st.integers(-bound, 0)
+    if degenerate:
+        rhs = st.one_of(st.just(0), st.just(0), st.just(0), rhs)
     row = st.tuples(
         st.dictionaries(
             st.integers(0, num_vars - 1),
             st.integers(-bound, bound),
             max_size=num_vars,
         ),
-        st.integers(-bound, 0),
+        rhs,
     )
-    rows = draw(st.lists(row, min_size=1, max_size=7))
+    rows = draw(st.lists(row, min_size=1, max_size=10 if degenerate else 7))
     repeat = st.tuples(st.sampled_from(rows), st.sampled_from((1, 2, -1)))
     rows += [
         ({j: k * a for j, a in coeffs.items()}, k * rhs)
@@ -175,11 +202,7 @@ def ge_lps(draw, bound=3):
 @settings(max_examples=400, deadline=None)
 @given(ge_lps())
 def test_sparse_pivots_match_dense_reference(lp):
-    # status, objective, values and the number of Bland pivots all agree
-    result = simplex_min(*lp)
-    assert outcome(result) == outcome(dense_simplex_min(*lp))
-    if result.status == OPTIMAL:
-        assert_duals_certify(*lp, result)
+    assert_same_pivots(lp)
 
 
 @settings(max_examples=400, deadline=None)
@@ -187,22 +210,33 @@ def test_sparse_pivots_match_dense_reference(lp):
 def test_sparse_pivots_match_dense_reference_wide_coefficients(lp):
     # non-unit pivots and rows with common factors exercise the integer
     # rows' denominators and gcd reduction against the Fraction reference
-    result = simplex_min(*lp)
-    assert outcome(result) == outcome(dense_simplex_min(*lp))
-    if result.status == OPTIMAL:
-        assert_duals_certify(*lp, result)
+    assert_same_pivots(lp)
 
 
-@pytest.mark.parametrize("case", [UNBOUNDED])
-def test_reference_draws_reach_every_case(case):
+@settings(max_examples=400, deadline=None)
+@given(ge_lps(degenerate=True))
+def test_sparse_pivots_match_dense_reference_degenerate(lp):
+    # long degenerate runs, so Bland's rule takes over in some draws
+    assert_same_pivots(lp, (1, 2))
+
+
+@pytest.mark.parametrize(
+    "case, draws",
+    [(UNBOUNDED, ge_lps()), ("bland-fallback", ge_lps(degenerate=True))],
+    ids=[UNBOUNDED, "bland-fallback"],
+)
+def test_reference_draws_reach_every_case(case, draws):
+    limit = 2
+
     def hits(lp):
-        return dense_simplex_min(*lp).status == case
+        cases = set()
+        result = dense_simplex_min(*lp, cases, degenerate_limit=limit)
+        return case in cases | {result.status}
 
     quick = settings(
         max_examples=2000, database=None, phases=[Phase.generate], derandomize=True
     )
-    lp = find(ge_lps(), hits, settings=quick)
-    assert outcome(simplex_min(*lp)) == outcome(dense_simplex_min(*lp))
+    assert_same_pivots(find(draws, hits, settings=quick), (limit,))
 
 
 def test_sparse_pivots_match_dense_reference_on_domination_models():
@@ -213,10 +247,8 @@ def test_sparse_pivots_match_dense_reference_on_domination_models():
         )
         model = build_sds_ip(g, blocks_and_cut_vertices(g))
         args = dual_program(model)
-        sparse = simplex_min(*args)
-        assert sparse.status == OPTIMAL
-        assert outcome(sparse) == outcome(dense_simplex_min(*args))
-        assert_duals_certify(*args, sparse)
+        assert simplex_min(*args).status == OPTIMAL
+        assert_same_pivots(args)
 
 
 def test_objective_matches_highs_on_larger_models():
