@@ -41,9 +41,18 @@ A node's adjacency list is its parent's until the node first folds,
 when it takes its own copy, so the caller's list is never changed. Each
 search path keeps its folds; at a leaf they are undone newest first: if
 the folded vertex is in the cover, u and w are, else v is.
+
+A caller may hand the root's kernel, what steps 1-4 leave at the root
+when edges remain, to another exact backend through vc_search's root
+hook. The kernel is a minor of the input (folds contract edges, the
+other rules delete vertices), so its treewidth is no larger. A cover of
+the kernel ends the search as a leaf would, folds undone the same way;
+without one the search goes on from that same state.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from ..errors import BudgetExceededError, GuaranteeError
 
@@ -102,7 +111,11 @@ def augment(
 
 
 def vc_search(
-    n: int, adj: list[int], node_budget: int = 0, target: int = -1
+    n: int,
+    adj: list[int],
+    node_budget: int = 0,
+    target: int = -1,
+    root: Callable[[int, list[int]], int | None] | None = None,
 ) -> tuple[int, int]:
     """Minimum vertex cover of the graph given by adjacency bitmasks.
 
@@ -116,11 +129,33 @@ def vc_search(
     optimum in search order is returned with or without a target; a
     valid target only saves the nodes that would prove it optimal. A
     target above the optimum may return a larger cover.
+
+    root, when given, is called once, when the root's reductions settle
+    with edges left, as root(alive, adj): the kernel is the alive
+    vertices, and adj[v] & alive is the neighbourhood of an alive v. It
+    must not change adj. It returns a minimum cover of the kernel as a
+    mask inside alive, which ends the search, or None, on which the
+    search branches from that same state. Either way the root is the
+    search's first node, counted against node_budget before its
+    reductions run.
     """
     full = (1 << n) - 1
     best_size = n + 1
     best_mask = 0
     nodes = 0
+
+    def settle(size: int, cover: int, folds: tuple | None) -> None:
+        # a cover of what is left after the folds: undo them, newest first
+        nonlocal best_size, best_mask
+        if size < best_size:
+            best_size = size
+            while folds is not None:
+                v, u, w, folds = folds
+                if cover >> v & 1:
+                    cover ^= 1 << v | 1 << u | 1 << w
+                else:
+                    cover |= 1 << v
+            best_mask = cover
 
     def walk(
         alive: int,
@@ -142,7 +177,7 @@ def vc_search(
         # folds) chain. mate_l and mate_r hold a matching of the double
         # cover of the synced vertices; free_l and free_r are its
         # unmatched copies.
-        nonlocal best_size, best_mask, nodes
+        nonlocal root, nodes
         if best_size <= target:
             return
         nodes += 1
@@ -205,15 +240,7 @@ def vc_search(
                     adj[x] |= low
                 folds = (v, u, w, folds)
             if not alive:  # no edges left
-                if size < best_size:
-                    best_size = size
-                    while folds is not None:
-                        v, u, w, folds = folds
-                        if cover >> v & 1:
-                            cover ^= 1 << v | 1 << u | 1 << w
-                        else:
-                            cover |= 1 << v
-                    best_mask = cover
+                settle(size, cover, folds)
                 return
 
             # Drop the pairs that touch deleted vertices, then re-augment.
@@ -273,6 +300,13 @@ def vc_search(
             alive &= ~(ones | zeros)
             touched = alive
             if size >= best_size:
+                return
+
+        if root is not None:  # only the root gets here first
+            hook, root = root, None
+            kernel_cover = hook(alive, adj)
+            if kernel_cover is not None:
+                settle(size + kernel_cover.bit_count(), cover | kernel_cover, folds)
                 return
 
         # The matching is perfect, so mate_l permutes the alive vertices.

@@ -6,8 +6,47 @@ All generators are deterministic for a fixed seed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 
 from .graph import Graph
+
+
+class _PairsOutside(Sequence):
+    """The pairs (u, v), u < v < n, not in ``taken``, in lexicographic
+    order, without listing them: memory is linear in n and len(taken).
+
+    A pair is found by bisection twice: over the rows' first indices for
+    u, then over the taken pairs of row u, each keyed by how many free
+    pairs come before it in the row, for v. ``rng.sample`` draws the
+    same indices from this as from the full list, so it draws the same
+    pairs.
+    """
+
+    def __init__(self, n: int, taken: Iterable[tuple[int, int]]):
+        # per row with taken pairs: the free pairs before each of them
+        self._before: dict[int, list[int]] = {}
+        for u, v in sorted(taken):  # each normalised, u < v
+            row = self._before.setdefault(u, [])
+            row.append(v - u - 1 - len(row))
+        self._starts = []
+        total = 0
+        for u in range(n):
+            self._starts.append(total)
+            total += n - 1 - u - len(self._before.get(u, ()))
+        self._len = total
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("pair index out of range")
+        u = bisect_right(self._starts, i) - 1
+        j = i - self._starts[u]  # the j-th free pair of row u
+        return u, u + 1 + j + bisect_right(self._before.get(u, ()), j)
 
 
 def gap_graph(k: int) -> Graph:
@@ -35,8 +74,7 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
     if not 0 <= m <= max_m:
         raise ValueError(f"m must be in 0..{max_m}")
     rng = random.Random(seed)
-    all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph(n, rng.sample(all_edges, m))
+    return Graph(n, rng.sample(_PairsOutside(n, ()), m))
 
 
 def random_connected_graph(n: int, m: int, seed: int) -> Graph:
@@ -51,8 +89,7 @@ def random_connected_graph(n: int, m: int, seed: int) -> Graph:
     for v in range(1, n):
         u = rng.randrange(v)
         edges.add((u, v))
-    spare = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
-    edges.update(rng.sample(spare, m - len(edges)))
+    edges.update(rng.sample(_PairsOutside(n, edges), m - len(edges)))
     return Graph(n, edges)
 
 
@@ -65,8 +102,7 @@ def random_2connected_graph(n: int, m: int, seed: int) -> Graph:
         raise ValueError(f"m must be in {n}..{max_m}")
     rng = random.Random(seed)
     edges = {(v, (v + 1) % n) if v < (v + 1) % n else ((v + 1) % n, v) for v in range(n)}
-    spare = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
-    edges.update(rng.sample(spare, m - len(edges)))
+    edges.update(rng.sample(_PairsOutside(n, edges), m - len(edges)))
     return Graph(n, edges)
 
 

@@ -1,24 +1,32 @@
 """Minimum vertex cover backends and graph-class recognition.
 
 Three exact backends: branch and reduce (any graph; see
-_kernels/pure.py for its LP reduction and cycle-cover bound), König via
-Hopcroft-Karp (bipartite), and dynamic programming over a tree
-decomposition (see treewidth module). The auto dispatcher picks per
-connected component. A greedy maximal matching gives the classic
-2-approximation.
+_kernels/pure.py for its reductions, LP reduction and cycle-cover
+bound), König via Hopcroft-Karp (bipartite), and dynamic programming
+over a tree decomposition (see treewidth module). The auto dispatcher
+picks per connected component, and on a non-bipartite one runs the
+branch-and-reduce root reductions first, so that min-fill and the DP
+see only the kernel they leave. A greedy maximal matching gives the
+classic 2-approximation.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Callable, Sequence
 
 from ._kernels import pure
 from .errors import GuaranteeError, InvalidBipartitionError, WidthBudgetError
 from .graph import Graph, induced_subgraph
 
 AUTO_WIDTH_CAP = 12
+# Largest component the auto dispatcher reduces before min-fill. The
+# reductions keep an n-bit adjacency mask per vertex, n^2/8 bytes in
+# all, 2 MB at this size. On odd cycles they peaked at 2.7 MB against
+# 3.1 MB for min-fill on the whole cycle at 4,097 vertices, but at
+# 9.8 against 6.0 MB at 8,193 and 36.7 against 12.5 MB at 16,385.
+KERNEL_VERTEX_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -28,7 +36,8 @@ class VcResult:
     backend is one of "bnb", "bipartite", "treewidth", or a +-joined
     combination when the auto dispatcher mixed backends across
     components. nodes counts branch-and-bound search nodes when that
-    backend ran.
+    search ran, its root reductions included, even when another backend
+    then covered the kernel they left.
     """
 
     cover: frozenset[int]
@@ -68,8 +77,32 @@ def budget_left(node_budget: int, used: int) -> int:
     return node_budget and (node_budget - used or -1)
 
 
+def _kernel_graph(alive: int, adj: list[int]) -> tuple[Graph, list[int]]:
+    """The graph on the vertices of the alive mask, relabelled in
+    ascending order, and the old label of each new vertex."""
+    kept: list[int] = []
+    rest = alive
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        kept.append(low.bit_length() - 1)
+    index = {v: i for i, v in enumerate(kept)}
+    edges: list[tuple[int, int]] = []
+    for i, v in enumerate(kept):
+        later = adj[v] & alive & ~((2 << v) - 1)
+        while later:
+            low = later & -later
+            later ^= low
+            edges.append((i, index[low.bit_length() - 1]))
+    return Graph._trusted(len(kept), edges), kept
+
+
 def min_vc_branch_and_bound(
-    g: Graph, *, node_budget: int = 0, target: int = -1
+    g: Graph,
+    *,
+    node_budget: int = 0,
+    target: int = -1,
+    kernel_backend: Callable[[Graph], VcResult | None] | None = None,
 ) -> VcResult:
     """Exact minimum cover by branch and bound.
 
@@ -77,10 +110,34 @@ def min_vc_branch_and_bound(
     BudgetExceededError. target is a lower bound on the optimum known to
     the caller (see pure.vc_search); it changes the node count, not the
     cover.
+
+    kernel_backend, when given, is offered the kernel the root's
+    reductions leave when edges remain, as a graph relabelled in
+    ascending order. A result it returns is taken as the kernel's
+    minimum cover, and its backend tags the answer; on None the search
+    branches from the root's state.
     """
-    mask, nodes = pure.vc_search(g.n, g.adjacency_masks(), node_budget, target)
+    backend = "bnb"
+    root = None
+    if kernel_backend is not None:
+
+        def root(alive: int, adj: list[int]) -> int | None:
+            nonlocal backend
+            kernel, kept = _kernel_graph(alive, adj)
+            part = kernel_backend(kernel)
+            if part is None:
+                return None
+            backend = part.backend
+            mask = 0
+            for v in part.cover:
+                mask |= 1 << kept[v]
+            return mask
+
+    mask, nodes = pure.vc_search(
+        g.n, g.adjacency_masks(), node_budget, target, root
+    )
     cover = frozenset(v for v in range(g.n) if (mask >> v) & 1)
-    return VcResult(cover=cover, size=len(cover), backend="bnb", nodes=nodes)
+    return VcResult(cover=cover, size=len(cover), backend=backend, nodes=nodes)
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -243,16 +300,30 @@ def min_vc_auto(
     width_cap: int = AUTO_WIDTH_CAP,
     target: int = -1,
 ) -> VcResult:
-    """Per-component dispatch: König when bipartite, treewidth DP when the
-    min-fill decomposition has width at most width_cap, branch and bound
-    otherwise. Min-fill gives up as soon as a bag passes the cap.
+    """Per-component dispatch. A bipartite component goes to König.
+    Otherwise the branch-and-reduce search starts, and its root
+    reductions run once: when they leave no edges, the component is
+    covered; else the treewidth DP covers the kernel they leave when its
+    min-fill decomposition has width at most width_cap, and only when it
+    is wider does the search branch, from that same root state.
+    Min-fill gives up as soon as a bag passes the cap.
+
+    A component of more than KERNEL_VERTEX_LIMIT vertices is not
+    reduced first, as the reductions' bitmasks take memory quadratic in
+    its size: min-fill and the DP run on it whole when it is narrow, and
+    branch and bound runs on it otherwise.
 
     target, a lower bound on the optimum of g, reaches the branch and
     bound only when a single component has edges: then that component's
     cover is the whole cover. node_budget bounds the nodes of all the
-    components' searches together.
+    components' searches together, and each root reduction pass is one
+    node.
     """
     from .treewidth import min_fill_decomposition, vc_via_tree_decomposition
+
+    def narrow(h: Graph) -> VcResult | None:
+        td = min_fill_decomposition(h, max_width=width_cap)
+        return None if td is None else vc_via_tree_decomposition(h, td)
 
     cover: set[int] = set()
     backends: list[str] = []
@@ -270,20 +341,19 @@ def min_vc_auto(
         if sub.m == 0:
             continue
         sides = bipartition(sub)
+        reduce_first = sub.n <= KERNEL_VERTEX_LIMIT
         if sides is not None:
             part = min_vc_bipartite(sub, sides)
-        else:
-            td = min_fill_decomposition(sub, max_width=width_cap)
-            if td is not None:
-                part = vc_via_tree_decomposition(sub, td)
-            else:
-                part = min_vc_branch_and_bound(
-                    sub,
-                    node_budget=budget_left(node_budget, nodes_total),
-                    target=target,
-                )
-                saw_nodes = True
-                nodes_total += part.nodes or 0
+        # above the limit, min-fill and the DP first try it whole
+        elif reduce_first or (part := narrow(sub)) is None:
+            part = min_vc_branch_and_bound(
+                sub,
+                node_budget=budget_left(node_budget, nodes_total),
+                target=target,
+                kernel_backend=narrow if reduce_first else None,
+            )
+            saw_nodes = True
+            nodes_total += part.nodes or 0
         backends.append(part.backend)
         cover.update(kept[v] for v in part.cover)
     backend = "+".join(sorted(set(backends))) if backends else "bipartite"

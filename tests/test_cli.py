@@ -377,21 +377,55 @@ def many_block_graph():
     return "".join(f"{u} {v}\n" for u, v in edges), colours
 
 
+# Per colouring: the solve's size, and (size_one, size_zero,
+# size_zero_hat) of each peeled block in log order. These have held
+# since before each residual was searched once per solve; reducing each
+# component before min-fill changed covers and backend tags only.
+MANY_BLOCK_SIZES = {
+    False: (127, """
+        2,2,2 1,1,1 1,1,1 2,2,2 1,1,1 2,1,1 1,0,1 1,1,1 3,3,3 2,2,2 2,2,2
+        3,3,3 3,3,3 1,1,1 2,2,2 1,1,1 1,1,1 3,3,3 3,3,3 3,3,3 2,2,2 2,2,2
+        3,3,3 3,2,2 13,12,13 4,3,3 1,1,1 3,3,3 2,2,2 1,1,1 1,1,1 3,3,3
+        3,3,3 1,1,1 4,4,4 4,3,3 2,2,2 2,2,2 3,3,3 3,3,3 3,3,3 1,1,1 3,2,2
+        2,2,2 3,3,3 3,3,3 3,2,2 3,3,3 3,3,3 3,3,3 2,1,2 3,3,3 1,1,1 2,2,2
+        3,3,3 3,3,3 3,3,3 3,2,2 3,3,3 2,2,2 4,3,3 2,2,2 2,2,2 1,1,1 3,3,3
+        3,3,3 3,3,3 3,3,3 4,3,3 2,2,2 2,1,1 3,2,3 2,2,2 3,3,3 3,3,3 3,3,3
+        3,3,3 4,3,4 3,3,3
+    """),
+    True: (137, """
+        2,2,2 1,1,1 2,1,1 2,2,2 1,1,1 2,1,1 1,0,1 1,1,1 3,3,3 2,2,2 2,2,2
+        4,4,4 3,3,3 1,1,1 2,2,2 1,1,1 2,1,1 3,2,3 3,2,3 3,3,3 2,2,2 2,2,2
+        2,1,2 2,2,2 13,12,13 4,3,3 1,1,1 3,3,3 2,1,2 1,1,1 1,1,1 3,3,3
+        4,3,3 2,1,1 4,3,3 4,3,3 2,2,2 2,1,2 3,2,3 2,1,2 3,2,3 2,1,1 3,2,2
+        2,2,2 3,3,3 4,3,3 2,1,2 4,3,3 3,3,3 4,3,3 2,1,2 3,3,3 2,1,1 2,2,2
+        3,3,3 3,3,3 3,3,3 3,2,2 3,3,3 3,2,2 4,3,3 2,2,2 2,2,2 1,1,1 3,3,3
+        4,3,3 3,2,2 3,3,3 4,3,3 3,2,2 1,0,1 3,2,3 2,2,2 3,3,3 3,3,3 3,3,3
+        4,3,3 5,4,4 3,3,3
+    """),
+}
+
+
 @pytest.mark.parametrize(
     "coloured, digest",
     [
-        (False, "14cbde365f218adc4bf2ee272c28fcadf50f5d6253189ca9a8d41be440b0a88d"),
-        (True, "ff0b23f0a5a641e0b0b20363920ce81eac7cfa717ec195b7a38bd8da902777bb"),
+        (False, "dcd74650f222c621b7d2b3b56e07c3a347f381486d7401f284f128fa02fb1fac"),
+        (True, "ad637c488eb9982c58d3f621f11cf5ae2c1938b044a39a31e23d592ec3e794eb"),
     ],
     ids=["uncoloured", "coloured"],
 )
 def test_solve_json_is_pinned_on_a_many_block_graph(tmp_path, capsys, coloured, digest):
-    # digests of the output before each residual was searched once per
-    # solve: reusing covers may change no answer, block log or backend
+    # digests of the output since each component is reduced before
+    # min-fill; sizes and block-log sizes are pinned on their own above
     text, colours = many_block_graph()
     argv = ["solve", write(tmp_path, "g.txt", text), "--json"]
     if coloured:
         argv += ["--colours", write(tmp_path, "c.txt", colours)]
     code, out, _ = run(capsys, *argv)
     assert code == 0
+    payload = json.loads(out)
+    size, block_sizes = MANY_BLOCK_SIZES[coloured]
+    assert payload["size"] == size
+    assert [
+        f"{b['size_one']},{b['size_zero']},{b['size_zero_hat']}" for b in payload["blocks"]
+    ] == block_sizes.split()
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,11 +1,15 @@
 import math
+import random
+import tracemalloc
 
 import networkx as nx
 import pytest
 
+import generators_reference
 from conftest import random_colouring_values
 from simdom import blocks_and_cut_vertices
 from simdom.generators import (
+    _PairsOutside,
     gap_graph,
     random_2connected_graph,
     random_bipartite_graph,
@@ -101,3 +105,53 @@ def test_colouring_values_are_colour_codes():
     assert len(values) == 20
     assert set(values) <= {0, 1, 2}
     assert values == random_colouring_values(20, seed=9)
+
+
+RANDOM_FAMILIES = {
+    "random_graph": (random_graph, lambda n: 0),
+    "random_connected_graph": (random_connected_graph, lambda n: max(n - 1, 0)),
+    "random_2connected_graph": (random_2connected_graph, lambda n: n),
+}
+
+
+@pytest.mark.parametrize("family", sorted(RANDOM_FAMILIES))
+def test_random_generators_match_the_list_based_reference(family):
+    # every n below 40 at both ends of its edge range and four counts
+    # between, then three larger graphs, among them the CI's LP-scale one
+    ours, low = RANDOM_FAMILIES[family]
+    reference = getattr(generators_reference, family)
+    rng = random.Random(family)
+    first = {"random_graph": 0, "random_connected_graph": 1}.get(family, 3)
+    for n in range(first, 40):
+        top = n * (n - 1) // 2
+        for m in {low(n), top, *(rng.randint(low(n), top) for _ in range(4))}:
+            seed = rng.randrange(10**6)
+            assert ours(n, m, seed) == reference(n, m, seed), (n, m, seed)
+    for n, m, seed in ((300, 600, 2100), (1000, 3000, 1), (1000, 3000, 2)):
+        assert ours(n, m, seed) == reference(n, m, seed), (n, m, seed)
+
+
+def test_pairs_outside_indexes_the_free_pairs_in_order():
+    n = 9
+    taken = {(0, 1), (0, 2), (0, 8), (3, 4), (3, 6), (7, 8)}
+    free = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in taken]
+    pairs = _PairsOutside(n, taken)
+    assert len(pairs) == len(free)
+    assert list(pairs) == free
+    assert pairs[-1] == free[-1]
+    with pytest.raises(IndexError):
+        pairs[len(free)]
+    assert list(_PairsOutside(0, ())) == list(_PairsOutside(1, ())) == []
+
+
+def test_random_connected_graph_memory_is_linear():
+    # the list of free pairs would hold about 2 * 10^8 tuples here; the
+    # graph itself peaks at about 25 MB
+    tracemalloc.start()
+    try:
+        g = random_connected_graph(20_000, 40_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 40_000 and g.is_connected()
+    assert peak < 64 * 2**20

@@ -199,3 +199,53 @@ def test_target_at_or_below_the_optimum_keeps_the_cover(n, density, seed, data):
     assert targeted_mask == mask
     assert targeted_nodes <= nodes
 
+
+
+def kernel_of(alive, rows):
+    """The root kernel a hook is offered, as a Graph on the alive
+    vertices in ascending order, and those vertices."""
+    kept = [v for v in range(len(rows)) if alive >> v & 1]
+    edges = [
+        (i, j)
+        for i, u in enumerate(kept)
+        for j, w in enumerate(kept)
+        if i < j and rows[u] >> w & 1
+    ]
+    return Graph(len(kept), edges), kept
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(degree_two_graphs(), small_graphs()))
+def test_root_hook_declined_leaves_the_search_unchanged(g):
+    # offered once, exactly when the root's reductions leave edges, with
+    # every kernel vertex of degree at least 3
+    adj = g.adjacency_masks()
+    offered = []
+
+    def decline(alive, rows):
+        offered.append(kernel_of(alive, rows)[0])
+        return None
+
+    plain = pure.vc_search(g.n, adj)
+    assert pure.vc_search(g.n, adj, 0, -1, decline) == plain
+    assert adj == g.adjacency_masks()
+    assert len(offered) <= 1
+    if plain[1] > 1:
+        assert len(offered) == 1
+    for kernel in offered:
+        assert kernel.m > 0
+        assert min(kernel.degree(v) for v in range(kernel.n)) >= 3
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(degree_two_graphs(), small_graphs()))
+def test_root_hook_cover_is_unfolded_to_an_optimum(g):
+    def brute_force(alive, rows):
+        kernel, kept = kernel_of(alive, rows)
+        return sum(1 << kept[v] for v in min_vc_bruteforce(kernel))
+
+    mask, nodes = pure.vc_search(g.n, g.adjacency_masks(), 0, -1, brute_force)
+    cover = {v for v in range(g.n) if mask >> v & 1}
+    assert nodes == 1
+    assert all(u in cover or v in cover for u, v in g.edges)
+    assert len(cover) == len(min_vc_bruteforce(g))

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import clique, cycle, path, petersen, star
 import simdom.vertexcover
+from simdom._kernels import pure
 from simdom import (
     BudgetExceededError,
     Graph,
@@ -13,6 +14,7 @@ from simdom import (
 )
 from simdom.oracle import min_vc_bruteforce
 from simdom.vertexcover import (
+    KERNEL_VERTEX_LIMIT,
     bipartition,
     greedy_matching,
     is_vertex_cover,
@@ -227,11 +229,11 @@ def test_konig_cover_missing_an_edge_raises(monkeypatch):
 
 
 def test_auto_passes_the_target_only_to_a_lone_component():
-    # with width_cap=-1 every non-bipartite component goes to branch and
-    # bound; the target bounds the whole cover, so it may end a search
-    # only when that search sees every edge
+    # with width_cap=-1 the DP takes no kernel, so every non-bipartite
+    # component goes to branch and bound; the target bounds the whole
+    # cover, so it may end a search only when that search sees every edge
     rng = random.Random(21)
-    saved = 0
+    saved = branched = 0
     for _ in range(10):
         a = random_graph(14, 40, seed=rng.randint(0, 10**6))
         b = random_graph(14, 40, seed=rng.randint(0, 10**6))
@@ -243,7 +245,11 @@ def test_auto_passes_the_target_only_to_a_lone_component():
             assert targeted.cover == plain.cover
             assert targeted.nodes <= plain.nodes
             saved += plain.nodes - targeted.nodes
+            branched += plain.nodes > 1
     assert saved > 0
+    # the root reductions finish one draw of a, alone and beside isolated
+    # vertices, with no branching; the other 28 of the 30 searches branch
+    assert branched == 28
 
 
 def test_bnb_target_keeps_the_cover_and_saves_nodes():
@@ -252,3 +258,61 @@ def test_bnb_target_keeps_the_cover_and_saves_nodes():
     targeted = min_vertex_cover(g, "bnb", target=plain.size)
     assert targeted.cover == plain.cover
     assert targeted.nodes < plain.nodes
+
+
+def test_auto_reduces_first_and_matches_bruteforce():
+    # width_cap -1 and 0 leave every kernel with edges to branch and
+    # bound; 12 lets the DP take the kernels
+    rng = random.Random(17)
+    tags = set()
+    for _ in range(80):
+        n = rng.randint(1, 12)
+        m = rng.randint(0, n * (n - 1) // 2)
+        g = random_graph(n, m, seed=rng.randint(0, 10**6))
+        expected = len(min_vc_bruteforce(g))
+        for cap in (-1, 0, 12):
+            res = min_vc_auto(g, width_cap=cap)
+            assert is_vertex_cover(g, res.cover)
+            assert res.size == expected
+            tags.update(res.backend.split("+"))
+    assert tags == {"bipartite", "bnb", "treewidth"}
+
+
+def chorded_cycle(n, chords, seed, span=20):
+    """Cycle 0..n-1 plus random chords, each at most span steps long."""
+    rng = random.Random(seed)
+    edges = {(v, v + 1) for v in range(n - 1)} | {(0, n - 1)}
+    while len(edges) < n + chords:
+        u = rng.randrange(n - 2)
+        edges.add((u, min(u + rng.randint(2, span), n - 1)))
+    return Graph(n, edges)
+
+
+def test_auto_covers_the_kernel_by_the_dp_without_branching():
+    # branch and bound alone takes 107,621 nodes on this graph; the
+    # root reductions leave a kernel that min-fill finds narrow
+    g = chorded_cycle(1001, 600, seed=3)
+    res = min_vc_auto(g, node_budget=1000)
+    assert (res.backend, res.nodes) == ("treewidth", 1)
+    assert is_vertex_cover(g, res.cover)
+    assert res.size == min_vc_treewidth(g).size == 545
+
+
+def test_auto_does_not_reduce_a_component_above_the_size_limit(monkeypatch):
+    searches = []
+    search = pure.vc_search
+
+    def counting(n, *args):
+        searches.append(n)
+        return search(n, *args)
+
+    monkeypatch.setattr(pure, "vc_search", counting)
+    # the benchmark's odd cycles reach 1,003 vertices
+    assert KERNEL_VERTEX_LIMIT >= 1003
+    big = KERNEL_VERTEX_LIMIT + 1 | 1  # the odd length just above the limit
+    g = Graph(big + 9, list(cycle(big).edges) + [(big + u, big + v) for u, v in cycle(9).edges])
+    res = min_vc_auto(g)
+    assert searches == [9]
+    assert res.size == (big + 1) // 2 + 5
+    assert res.backend == "bnb+treewidth" and res.nodes == 1
+    assert is_vertex_cover(g, res.cover)
