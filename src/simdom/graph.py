@@ -90,28 +90,43 @@ class Graph:
             masks[v] |= 1 << u
         return masks
 
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by smallest vertex."""
-        seen = [False] * self.n
-        out: list[list[int]] = []
-        for start in range(self.n):
-            if seen[start]:
+    def coloured_components(self) -> list[tuple[list[int], list[int] | None]]:
+        """Connected components in one breadth-first pass, ordered by
+        smallest vertex. Each is its sorted vertex list and, for each of
+        those vertices, its side (0 or 1) of the component's two-colouring,
+        or None when the component has an odd cycle.
+
+        The smallest vertex is on side 0. A connected bipartite graph has
+        no other two-colouring that does so, so the sides do not depend on
+        the order in which neighbours are visited.
+        """
+        adj = self.adj
+        side = [-1] * self.n
+        out: list[tuple[list[int], list[int] | None]] = []
+        for root in range(self.n):
+            if side[root] >= 0:
                 continue
-            seen[start] = True
-            stack = [start]
-            comp = [start]
-            while stack:
-                u = stack.pop()
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
+            side[root] = 0
+            comp = [root]
+            odd = False
+            for u in comp:  # the list grows while it is read: a BFS queue
+                other = 1 - side[u]
+                for w in adj[u]:
+                    if side[w] < 0:
+                        side[w] = other
                         comp.append(w)
-                        stack.append(w)
-            out.append(sorted(comp))
+                    elif side[w] != other:
+                        odd = True
+            comp.sort()
+            out.append((comp, None if odd else [side[v] for v in comp]))
         return out
 
+    def components(self) -> list[list[int]]:
+        """Connected components as sorted vertex lists, ordered by smallest vertex."""
+        return [comp for comp, _ in self.coloured_components()]
+
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or len(self.coloured_components()) == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

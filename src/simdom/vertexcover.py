@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import AbstractSet, Callable, Sequence
 
 from ._kernels import pure
@@ -141,28 +142,17 @@ def min_vc_branch_and_bound(
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Two-colour the graph by BFS, or None when an odd cycle exists.
+    """Two-colour the graph, or None when an odd cycle exists.
 
     The smallest vertex of each component lands on the first side.
     """
-    side = [-1] * g.n
-    for root in range(g.n):
-        if side[root] >= 0:
-            continue
-        side[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in sorted(g.neighbours(u)):
-                if side[w] < 0:
-                    side[w] = 1 - side[u]
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return None
-    return (
-        frozenset(v for v in range(g.n) if side[v] == 0),
-        frozenset(v for v in range(g.n) if side[v] == 1),
-    )
+    sides: tuple[list[int], list[int]] = ([], [])
+    for comp, colours in g.coloured_components():
+        if colours is None:
+            return None
+        for v, c in zip(comp, colours):
+            sides[c].append(v)
+    return frozenset(sides[0]), frozenset(sides[1])
 
 
 def _hopcroft_karp(
@@ -275,37 +265,24 @@ def min_vc_bipartite(
     return VcResult(cover=cover, size=len(cover), backend="bipartite")
 
 
-def min_vc_treewidth(g: Graph) -> VcResult:
-    """Exact cover by the DP over the min-fill decomposition. Min-fill
-    gives up as soon as a bag passes the DP's WIDTH_BUDGET, which raises
-    WidthBudgetError."""
-    from .treewidth import (
-        WIDTH_BUDGET,
-        min_fill_decomposition,
-        vc_via_tree_decomposition,
-    )
+def min_vc_treewidth(g: Graph, max_width: int) -> VcResult | None:
+    """Exact cover by the DP over the min-fill decomposition, or None
+    when min-fill gives up as a bag passes max_width."""
+    from .treewidth import min_fill_decomposition, vc_via_tree_decomposition
 
-    td = min_fill_decomposition(g, max_width=WIDTH_BUDGET)
-    if td is None:
-        raise WidthBudgetError(
-            f"min-fill decomposition width exceeds the budget of {WIDTH_BUDGET}"
-        )
-    return vc_via_tree_decomposition(g, td)
+    td = min_fill_decomposition(g, max_width=max_width)
+    return None if td is None else vc_via_tree_decomposition(g, td)
 
 
 def min_vc_auto(
-    g: Graph,
-    *,
-    node_budget: int = 0,
-    width_cap: int = AUTO_WIDTH_CAP,
-    target: int = -1,
+    g: Graph, *, node_budget: int = 0, target: int = -1
 ) -> VcResult:
     """Per-component dispatch. A bipartite component goes to König.
     Otherwise the branch-and-reduce search starts, and its root
     reductions run once: when they leave no edges, the component is
     covered; else the treewidth DP covers the kernel they leave when its
-    min-fill decomposition has width at most width_cap, and only when it
-    is wider does the search branch, from that same root state.
+    min-fill decomposition has width at most AUTO_WIDTH_CAP, and only
+    when it is wider does the search branch, from that same root state.
     Min-fill gives up as soon as a bag passes the cap.
 
     A component of more than KERNEL_VERTEX_LIMIT vertices is not
@@ -319,20 +296,15 @@ def min_vc_auto(
     components' searches together, and each root reduction pass is one
     node.
     """
-    from .treewidth import min_fill_decomposition, vc_via_tree_decomposition
-
-    def narrow(h: Graph) -> VcResult | None:
-        td = min_fill_decomposition(h, max_width=width_cap)
-        return None if td is None else vc_via_tree_decomposition(h, td)
-
+    narrow = partial(min_vc_treewidth, max_width=AUTO_WIDTH_CAP)
     cover: set[int] = set()
     backends: list[str] = []
     nodes_total = 0
     saw_nodes = False
-    comps = g.components()
-    if sum(1 for comp in comps if len(comp) > 1) != 1:
+    comps = g.coloured_components()
+    if sum(1 for comp, _ in comps if len(comp) > 1) != 1:
         target = -1
-    for comp in comps:
+    for comp, colours in comps:
         if len(comps) == 1:
             # g is its own only component; a relabelled copy would equal it
             sub, kept = g, comp
@@ -340,9 +312,12 @@ def min_vc_auto(
             sub, kept = induced_subgraph(g, comp)
         if sub.m == 0:
             continue
-        sides = bipartition(sub)
         reduce_first = sub.n <= KERNEL_VERTEX_LIMIT
-        if sides is not None:
+        if colours is not None:
+            # sub numbers the component's vertices in the order of colours
+            sides: tuple[list[int], list[int]] = ([], [])
+            for v, c in enumerate(colours):
+                sides[c].append(v)
             part = min_vc_bipartite(sub, sides)
         # above the limit, min-fill and the DP first try it whole
         elif reduce_first or (part := narrow(sub)) is None:
@@ -381,5 +356,12 @@ def min_vertex_cover(
     if backend == "bipartite":
         return min_vc_bipartite(g)
     if backend == "treewidth":
-        return min_vc_treewidth(g)
+        from .treewidth import WIDTH_BUDGET
+
+        res = min_vc_treewidth(g, WIDTH_BUDGET)
+        if res is None:
+            raise WidthBudgetError(
+                f"min-fill decomposition width exceeds the budget of {WIDTH_BUDGET}"
+            )
+        return res
     raise ValueError(f"unknown vertex cover backend: {backend!r}")

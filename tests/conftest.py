@@ -1,6 +1,9 @@
 """Shared graph builders and helpers for the test suite."""
 
+import itertools
 import random
+
+from hypothesis import strategies as st
 
 from simdom import Graph
 
@@ -37,3 +40,13 @@ def random_colouring_values(n: int, seed: int) -> list[int]:
     """Random values in {0, 1, 2} used to build colourings in tests."""
     rng = random.Random(seed)
     return [rng.randrange(3) for _ in range(n)]
+
+
+@st.composite
+def small_graphs(draw, max_n=14):
+    """Any graph on up to max_n vertices: isolated vertices and several
+    components included."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])

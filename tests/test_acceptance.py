@@ -19,6 +19,7 @@ from simdom import (
     approx2_sds,
     blocks_and_cut_vertices,
     is_sd_set,
+    min_vertex_cover,
     solve_sds,
 )
 from simdom.lpapprox import build_sds_ip, sds_to_vertex_cover
@@ -43,7 +44,6 @@ from simdom.generators import (
     random_connected_graph,
     random_graph,
 )
-from simdom.vertexcover import min_vc_treewidth
 
 
 @contextmanager
@@ -199,7 +199,7 @@ def test_criterion_09_cover_backends_agree():
             g = random_graph(n, m, seed=rng.randint(0, 10**9))
             expected = len(min_vc_bruteforce(g))
             assert min_vc_branch_and_bound(g).size == expected
-            assert min_vc_treewidth(g).size == expected
+            assert min_vertex_cover(g, "treewidth").size == expected
             if bipartition(g) is not None:
                 assert min_vc_bipartite(g).size == expected
         for _ in range(100):

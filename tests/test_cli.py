@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import simdom
+import simdom.cli
 import simdom.treewidth
 from simdom.cli import main
 
@@ -145,6 +146,31 @@ def test_verify_fig_set_on_gap3(gap3, tmp_path, capsys):
     assert out.strip() == "valid"
 
 
+def test_verify_enumerate_agrees_with_the_block_test(p3, tmp_path, capsys):
+    # the empty set is the SD-set of one vertex for every command, and
+    # --enumerate reports a witness with each invalid set
+    k1 = write(tmp_path, "k1.dimacs", "p edge 1 0\n")
+    empty = write(tmp_path, "empty.txt", "")
+    code, out, _ = run(capsys, "verify", k1, empty, "--enumerate")
+    assert (code, out) == (0, "valid\n")
+    code, out, _ = run(capsys, "verify", k1, empty, "--enumerate", "--json")
+    assert code == 0
+    assert json.loads(out) == {"schema": 1, "valid": True, "witness": None}
+    bad = write(tmp_path, "bad.txt", "0\n")
+    code, out, _ = run(capsys, "verify", p3, bad, "--enumerate")
+    assert code == 1
+    assert out.strip() == "invalid witness 2"
+
+
+def test_verify_enumerate_refuses_a_disagreement(p3, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simdom.cli, "is_sd_set_by_enumeration", lambda *a, **k: False)
+    good = write(tmp_path, "good.txt", "1\n")
+    code, out, err = run(capsys, "verify", p3, good, "--enumerate")
+    assert code == 1
+    assert out == ""
+    assert err == "error: block conditions and spanning trees disagree\n"
+
+
 def test_verify_json_reports_witness(p3, tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "0\n")
     code, out, _ = run(capsys, "verify", p3, bad, "--json")
@@ -199,26 +225,6 @@ def test_blocks_listing(p3, capsys):
     payload = json.loads(out)
     assert payload["blocks"] == [[0, 1], [1, 2]]
     assert payload["cut_vertices"] == [1]
-
-
-def test_bench_agrees(gap3, capsys):
-    code, out, _ = run(capsys, "bench", gap3, "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert (payload["n"], payload["m"]) == (9, 9)
-    assert "agree" not in payload
-    [row] = payload["kernels"]
-    assert (row["name"], row["size"]) == ("pure", 5)
-    assert row["nodes"] >= 1 and row["ms"] >= 0
-
-
-def test_bench_budget_exit_code(tmp_path, capsys):
-    # K6 has no vertex of degree at most 2, so its search must branch
-    k6 = "".join(f"{u} {v}\n" for u in range(6) for v in range(u + 1, 6))
-    code, out, err = run(capsys, "bench", write(tmp_path, "k6.txt", k6), "--budget", "1")
-    assert code == 4
-    assert out == ""
-    assert "budget" in err
 
 
 def test_exit_code_on_parse_error(tmp_path, capsys):

@@ -1,10 +1,12 @@
+import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import clique, cycle, path
+from conftest import clique, cycle, path, small_graphs
 from simdom import graph
 from simdom import Graph, GraphParseError, parse_graph, write_graph
 from simdom.graph import delete_edges_within, delete_vertices, induced_subgraph
+from simdom.vertexcover import bipartition
 
 
 def test_edges_are_normalized_and_sorted():
@@ -45,6 +47,44 @@ def test_components():
     assert path(5).is_connected()
     assert Graph(1, []).is_connected()
     assert Graph(0, []).is_connected()
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_graphs())
+@example(Graph(0, []))
+@example(Graph(5, []))
+# a 5-cycle, an isolated vertex and a 4-cycle
+@example(
+    Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (6, 7), (7, 8), (8, 9), (6, 9)])
+)
+def test_coloured_components_match_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    expected = sorted(sorted(c) for c in nx.connected_components(h))
+    parts = g.coloured_components()
+    assert [comp for comp, _ in parts] == g.components() == expected
+    assert g.is_connected() == (len(expected) <= 1)
+    side = [-1] * g.n
+    for comp, colours in parts:
+        assert (colours is not None) == nx.is_bipartite(h.subgraph(comp))
+        if colours is not None:
+            assert len(colours) == len(comp) and set(colours) <= {0, 1}
+            assert colours[0] == 0  # the smallest vertex is on side 0
+            for v, c in zip(comp, colours):
+                side[v] = c
+    # proper on each bipartite component; an edge joins one component
+    assert all(side[u] != side[v] for u, v in g.edges if side[u] >= 0)
+    bipartite = all(colours is not None for _, colours in parts)
+    assert bipartite == nx.is_bipartite(h)
+    if bipartite:
+        sides = bipartition(g)
+        assert sides == (
+            frozenset(v for v in range(g.n) if side[v] == 0),
+            frozenset(v for v in range(g.n) if side[v] == 1),
+        )
+    else:
+        assert bipartition(g) is None
 
 
 def test_induced_subgraph_relabels():

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import small_graphs
 from simdom import BudgetExceededError, Graph
 from simdom._kernels import pure
 from simdom.generators import random_2connected_graph, random_graph
@@ -71,22 +72,12 @@ def test_odd_cycle_folds_down_to_a_triangle_at_the_root():
 
 
 def test_search_leaves_its_adjacency_unchanged():
-    # cmd_bench reuses one adjacency list across --repeat runs
+    # the search works on copies: a caller may search one list twice
     g = random_2connected_graph(60, 110, seed=3)
     adj = g.adjacency_masks()
     first = pure.vc_search(g.n, adj)
     assert adj == g.adjacency_masks()
     assert pure.vc_search(g.n, adj) == first
-
-
-@st.composite
-def small_graphs(draw, max_n=14):
-    """Any graph on up to max_n vertices: isolated vertices and several
-    components included."""
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 @settings(deadline=None, max_examples=150)

@@ -22,7 +22,6 @@ from simdom.vertexcover import (
     min_vc_auto,
     min_vc_bipartite,
     min_vc_branch_and_bound,
-    min_vc_treewidth,
 )
 from simdom.generators import (
     random_bipartite_graph,
@@ -164,7 +163,7 @@ def test_treewidth_backend_matches_bruteforce():
         n = rng.randint(1, 10)
         m = rng.randint(0, n * (n - 1) // 2)
         g = random_graph(n, m, seed=rng.randint(0, 10**6))
-        res = min_vc_treewidth(g)
+        res = min_vertex_cover(g, "treewidth")
         assert is_vertex_cover(g, res.cover)
         assert res.size == len(min_vc_bruteforce(g))
         assert res.backend == "treewidth"
@@ -228,10 +227,11 @@ def test_konig_cover_missing_an_edge_raises(monkeypatch):
         min_vc_bipartite(path(4))
 
 
-def test_auto_passes_the_target_only_to_a_lone_component():
-    # with width_cap=-1 the DP takes no kernel, so every non-bipartite
+def test_auto_passes_the_target_only_to_a_lone_component(monkeypatch):
+    # with a width cap of -1 the DP takes no kernel, so every non-bipartite
     # component goes to branch and bound; the target bounds the whole
     # cover, so it may end a search only when that search sees every edge
+    monkeypatch.setattr(simdom.vertexcover, "AUTO_WIDTH_CAP", -1)
     rng = random.Random(21)
     saved = branched = 0
     for _ in range(10):
@@ -240,8 +240,8 @@ def test_auto_passes_the_target_only_to_a_lone_component():
         two = Graph(28, list(a.edges) + [(u + 14, v + 14) for u, v in b.edges])
         with_isolated = Graph(16, list(a.edges))
         for g in (a, two, with_isolated):
-            plain = min_vc_auto(g, width_cap=-1)
-            targeted = min_vc_auto(g, width_cap=-1, target=plain.size)
+            plain = min_vc_auto(g)
+            targeted = min_vc_auto(g, target=plain.size)
             assert targeted.cover == plain.cover
             assert targeted.nodes <= plain.nodes
             saved += plain.nodes - targeted.nodes
@@ -260,8 +260,8 @@ def test_bnb_target_keeps_the_cover_and_saves_nodes():
     assert targeted.nodes < plain.nodes
 
 
-def test_auto_reduces_first_and_matches_bruteforce():
-    # width_cap -1 and 0 leave every kernel with edges to branch and
+def test_auto_reduces_first_and_matches_bruteforce(monkeypatch):
+    # width caps -1 and 0 leave every kernel with edges to branch and
     # bound; 12 lets the DP take the kernels
     rng = random.Random(17)
     tags = set()
@@ -271,7 +271,8 @@ def test_auto_reduces_first_and_matches_bruteforce():
         g = random_graph(n, m, seed=rng.randint(0, 10**6))
         expected = len(min_vc_bruteforce(g))
         for cap in (-1, 0, 12):
-            res = min_vc_auto(g, width_cap=cap)
+            monkeypatch.setattr(simdom.vertexcover, "AUTO_WIDTH_CAP", cap)
+            res = min_vc_auto(g)
             assert is_vertex_cover(g, res.cover)
             assert res.size == expected
             tags.update(res.backend.split("+"))
@@ -295,7 +296,7 @@ def test_auto_covers_the_kernel_by_the_dp_without_branching():
     res = min_vc_auto(g, node_budget=1000)
     assert (res.backend, res.nodes) == ("treewidth", 1)
     assert is_vertex_cover(g, res.cover)
-    assert res.size == min_vc_treewidth(g).size == 545
+    assert res.size == min_vertex_cover(g, "treewidth").size == 545
 
 
 def test_auto_does_not_reduce_a_component_above_the_size_limit(monkeypatch):
