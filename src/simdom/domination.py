@@ -11,7 +11,7 @@ equivalence on small instances.
 from __future__ import annotations
 
 import enum
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .blocks import BlockCutTree
 from .graph import Graph
@@ -55,29 +55,40 @@ def domination_requirements(g: Graph, bct: BlockCutTree) -> list[list[frozenset[
     return reqs
 
 
-def is_simultaneously_dominated(
-    g: Graph, bct: BlockCutTree, s: AbstractSet[int], v: int
-) -> bool:
-    if v in s:
-        return True
-    if not bct.is_cut(v):
-        return g.adj[v] <= s
-    return any(
-        (g.adj[v] & bct.blocks[b]) <= s for b in bct.blocks_of_vertex[v]
-    )
+def _first_undominated(
+    g: Graph, bct: BlockCutTree, s: AbstractSet[int], vertices: Iterable[int]
+) -> int | None:
+    """First of ``vertices`` that s does not simultaneously dominate, or
+    None. The one domination test of the module: v is dominated when it
+    is in s, or all its neighbours are (v not a cut vertex), or all its
+    neighbours in one of its blocks are (v a cut vertex)."""
+    adj = g.adj
+    cuts = bct.cut_vertices
+    blocks = bct.blocks
+    blocks_of = bct.blocks_of_vertex
+    for v in vertices:
+        if v in s:
+            continue
+        nbrs = adj[v]
+        if v in cuts:
+            for b in blocks_of[v]:
+                if nbrs & blocks[b] <= s:
+                    break
+            else:
+                return v
+        elif not nbrs <= s:
+            return v
+    return None
 
 
 def is_sd_set(g: Graph, bct: BlockCutTree, s: AbstractSet[int]) -> bool:
     """True iff every vertex is simultaneously dominated by s."""
-    return all(is_simultaneously_dominated(g, bct, s, v) for v in range(g.n))
+    return _first_undominated(g, bct, s, range(g.n)) is None
 
 
 def sd_witness(g: Graph, bct: BlockCutTree, s: AbstractSet[int]) -> int | None:
     """Smallest vertex not simultaneously dominated, or None if s is valid."""
-    for v in range(g.n):
-        if not is_simultaneously_dominated(g, bct, s, v):
-            return v
-    return None
+    return _first_undominated(g, bct, s, range(g.n))
 
 
 def is_colour_respecting(
@@ -87,11 +98,9 @@ def is_colour_respecting(
     every ZERO_HAT vertex."""
     if len(colouring) != g.n:
         raise ValueError(f"colouring has {len(colouring)} entries for n={g.n}")
-    for v in range(g.n):
-        if colouring[v] is Colour.ONE and v not in s:
+    one, zero_hat = Colour.ONE, Colour.ZERO_HAT
+    for v, c in enumerate(colouring):
+        if c is one and v not in s:
             return False
-        if colouring[v] is Colour.ZERO_HAT and not is_simultaneously_dominated(
-            g, bct, s, v
-        ):
-            return False
-    return True
+    need = [v for v, c in enumerate(colouring) if c is zero_hat]
+    return _first_undominated(g, bct, s, need) is None

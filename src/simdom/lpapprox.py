@@ -5,9 +5,10 @@ The model has one x-variable per vertex and one y-variable per
 vertex cover; cut vertices are covered blockwise: y_{v,B} may only rise
 to 1 when every block neighbour is picked, and some block (or v itself)
 must cover v. Rounding the LP relaxation in three steps yields a
-2-approximation; extending any SD-set by busy cut vertices yields a
-vertex cover of size at most 2|S| - 1, which in turn gives a
-4-approximation from the matching cover.
+2-approximation. Extending any SD-set by busy cut vertices yields a
+vertex cover of size at most 2|S| - 1 (oracle.sds_to_vertex_cover
+checks it), so the matching cover, itself an SD-set, is a
+4-approximation.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import AbstractSet
 
 from .blocks import BlockCutTree, blocks_and_cut_vertices, root_block_tree
 from .domination import is_sd_set
 from .errors import GuaranteeError, InvalidSdSetError
 from .graph import Graph
 from .simplex import OPTIMAL, simplex_min
-from .vertexcover import is_vertex_cover, matching_2approx_vc
+from .vertexcover import matching_2approx_vc
 
 HALF = Fraction(1, 2)
 
@@ -259,37 +259,6 @@ def approx2_sds(g: Graph) -> tuple[frozenset[int], Fraction]:
     if len(rounded) > 2 * sol.objective:
         raise GuaranteeError("rounding exceeded the 2x guarantee")
     return rounded, sol.objective
-
-
-def sds_to_vertex_cover(
-    g: Graph, bct: BlockCutTree, s: AbstractSet[int]
-) -> frozenset[int]:
-    """Extend an SD-set to a vertex cover, adding at most |s| - 1 vertices.
-
-    The block tree is rooted at a block meeting s; a cut vertex joins
-    the cover whenever one of its child blocks contains an s-vertex.
-    """
-    if g.n < 2:
-        raise ValueError("cover extension is defined for graphs with n >= 2")
-    if not is_sd_set(g, bct, s):
-        raise InvalidSdSetError("input set is not a simultaneous dominating set")
-    root_block = next(
-        i for i, blk in enumerate(bct.blocks) if blk & frozenset(s)
-    )
-    tree = root_block_tree(bct, ("block", root_block))
-    cover = set(s)
-    for v in sorted(bct.cut_vertices):
-        below = set()
-        for b in tree.child_blocks_of_cut(v):
-            below |= bct.blocks[b]
-        if below & set(s):
-            cover.add(v)
-    result = frozenset(cover)
-    if not is_vertex_cover(g, result):
-        raise GuaranteeError("cover extension missed an edge")
-    if len(result) > 2 * len(set(s)) - 1:
-        raise GuaranteeError("cover extension exceeded the size bound")
-    return result
 
 
 def approx4_sds_via_vc(g: Graph) -> frozenset[int]:

@@ -6,7 +6,9 @@ code with it: spanning trees are enumerated directly, covers and
 dominating sets are found by subset search ordered by size then
 lexicographically, which makes the returned optimum canonical. The 0/1
 program of lpapprox is solved by enumerating assignments, and its LP
-relaxation by enumerating basic solutions.
+relaxation by enumerating basic solutions. The paper's extension of an
+SD-set to a vertex cover of at most 2|S| - 1 vertices lives here too:
+only tests call it, to check the lemma behind approx4_sds_via_vc.
 """
 
 from __future__ import annotations
@@ -17,11 +19,17 @@ from fractions import Fraction
 from math import comb
 from typing import AbstractSet, Iterator
 
-from .blocks import blocks_and_cut_vertices
-from .domination import Colour, Colouring, domination_requirements
-from .errors import BudgetExceededError, DisconnectedGraphError, GuaranteeError
+from .blocks import BlockCutTree, blocks_and_cut_vertices, root_block_tree
+from .domination import Colour, Colouring, domination_requirements, is_sd_set
+from .errors import (
+    BudgetExceededError,
+    DisconnectedGraphError,
+    GuaranteeError,
+    InvalidSdSetError,
+)
 from .graph import Graph
 from .lpapprox import LpModel
+from .vertexcover import is_vertex_cover
 
 EDGE_ENUMERATION_BUDGET = 16
 VC_VERTEX_BUDGET = 20
@@ -150,6 +158,37 @@ def is_sd_set_by_enumeration(
             if v not in s and not (nbr[v] & s):
                 return False
     return True
+
+
+def sds_to_vertex_cover(
+    g: Graph, bct: BlockCutTree, s: AbstractSet[int]
+) -> frozenset[int]:
+    """Extend an SD-set to a vertex cover, adding at most |s| - 1 vertices.
+
+    The block tree is rooted at a block meeting s; a cut vertex joins
+    the cover whenever one of its child blocks contains an s-vertex.
+    """
+    if g.n < 2:
+        raise ValueError("cover extension is defined for graphs with n >= 2")
+    if not is_sd_set(g, bct, s):
+        raise InvalidSdSetError("input set is not a simultaneous dominating set")
+    root_block = next(
+        i for i, blk in enumerate(bct.blocks) if blk & frozenset(s)
+    )
+    tree = root_block_tree(bct, ("block", root_block))
+    cover = set(s)
+    for v in sorted(bct.cut_vertices):
+        below = set()
+        for b in tree.child_blocks_of_cut(v):
+            below |= bct.blocks[b]
+        if below & set(s):
+            cover.add(v)
+    result = frozenset(cover)
+    if not is_vertex_cover(g, result):
+        raise GuaranteeError("cover extension missed an edge")
+    if len(result) > 2 * len(set(s)) - 1:
+        raise GuaranteeError("cover extension exceeded the size bound")
+    return result
 
 
 def _subsets_by_size(universe: list[int]) -> Iterator[tuple[int, ...]]:

@@ -5,12 +5,21 @@ residual graph: delete the vertices that must be in the set, drop edges
 between vertices that are exempt from domination, cover what remains.
 General graphs peel leaf blocks off the block-cut tree, sizing the
 three possible recolourings of each connection vertex and committing
-the cheapest, then finish on the root block; a graph that is one block
-is its own root block. One solve keeps a memo from each residual graph
-to its cover, so a residual that comes up again (in another recolouring,
-another leaf block or the root block) is searched once; the ONE search
-is told the smallest size it can have. A node budget bounds the
-branch-and-bound nodes of the whole solve.
+the cheapest, then finish on the root block. A graph that is one block
+with every vertex to dominate (solve_sds on a 2-connected graph, an
+edge or a vertex) is its own residual, as its SD-sets are exactly its
+vertex covers: it goes to the cover backends as it is, with no residual
+built. One solve keeps a memo from each residual graph to its cover, so
+a residual that comes up again (in another recolouring, another leaf
+block or the root block) is searched once; the ONE search is told the
+smallest size it can have. A node budget bounds the branch-and-bound
+nodes of the whole solve.
+
+Outside the cover backends a solve is near-linear in n + m. It is
+polynomial as a whole when every residual is: a bipartite one goes to
+König, and one whose kernel (what the root reductions leave) has
+min-fill width at most 12 goes to the treewidth DP. Any other residual,
+a chordal one with a large clique among them, may branch.
 """
 
 from __future__ import annotations
@@ -68,7 +77,8 @@ def _residual_core(
     The block has vertices 0..n-1 and the sorted edges ``edges``. The
     residual drops the ONE vertices and the edges between ZERO vertices;
     its cover plus the ONE vertices is the answer. Every block solve
-    goes through here, leaf recolourings included. The residual's edges
+    goes through here, leaf recolourings included, except a graph that
+    is one block with every vertex ZERO_HAT. The residual's edges
     are relabelled in order, so they stay sorted, and the memo key is
     the vertex count followed by the edges' endpoints, flat: the same
     residuals share a key exactly when they compare equal as Graphs. A
@@ -129,7 +139,8 @@ def solve_crsds(
 def _solve(
     g: Graph, bct: BlockCutTree, f: Colouring, backend: str, node_budget: int
 ) -> SolveReport:
-    """Peel the leaf blocks of ``bct`` in order, then solve the root block.
+    """Peel the leaf blocks of ``bct`` in order, then solve the root block,
+    as g itself when it is all of g and every vertex is ZERO_HAT.
 
     Per leaf block, the pivot is sized as ZERO_HAT, ZERO and ONE. The
     memo, local to this call, answers every residual already searched:
@@ -194,13 +205,23 @@ def _solve(
         )
 
     block = bct.blocks[order[-1][0]]
-    members = sorted(block)
-    s, tag, _ = _residual_core(
-        len(members), induced_edges(adj, block, members),
-        [fcur[v] for v in members], backend, budget_left(node_budget, used), memo,
-    )
-    tags.add(tag)
-    solution.update(members[w] for w in s)
+    if len(block) == g.n and fcur.count(zero_hat) == g.n:
+        # one block with every vertex to dominate: its SD-sets are its
+        # vertex covers, so g is its own residual
+        vc = min_vertex_cover(
+            g, backend, node_budget=budget_left(node_budget, used), target=0
+        )
+        tags.add(vc.backend)
+        solution.update(vc.cover)
+    else:
+        members = sorted(block)
+        s, tag, _ = _residual_core(
+            len(members), induced_edges(adj, block, members),
+            [fcur[v] for v in members], backend, budget_left(node_budget, used),
+            memo,
+        )
+        tags.add(tag)
+        solution.update(members[w] for w in s)
 
     result = frozenset(solution)
     if not is_colour_respecting(g, bct, f, result):

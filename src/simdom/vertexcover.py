@@ -305,13 +305,13 @@ def min_vc_auto(
     if sum(1 for comp, _ in comps if len(comp) > 1) != 1:
         target = -1
     for comp, colours in comps:
+        if len(comp) == 1:
+            continue  # an isolated vertex: nothing to cover
         if len(comps) == 1:
             # g is its own only component; a relabelled copy would equal it
             sub, kept = g, comp
         else:
             sub, kept = induced_subgraph(g, comp)
-        if sub.m == 0:
-            continue
         reduce_first = sub.n <= KERNEL_VERTEX_LIMIT
         if colours is not None:
             # sub numbers the component's vertices in the order of colours

@@ -22,13 +22,14 @@ from simdom import (
     min_vertex_cover,
     solve_sds,
 )
-from simdom.lpapprox import build_sds_ip, sds_to_vertex_cover
+from simdom.lpapprox import build_sds_ip
 from simdom.oracle import (
     ip_optimum_bruteforce,
     is_sd_set_by_enumeration,
     min_crsds_bruteforce,
     min_sds_bruteforce,
     min_vc_bruteforce,
+    sds_to_vertex_cover,
 )
 from simdom.vertexcover import (
     bipartition,

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -133,3 +134,51 @@ def test_colour_respecting_length_check():
     bct = blocks_and_cut_vertices(g)
     with pytest.raises(ValueError):
         is_colour_respecting(g, bct, [Colour.ONE], {0})
+
+
+@st.composite
+def glued_blocks(draw):
+    """A connected graph of 2 to 5 blocks (edges, cycles or cliques of up
+    to 5 vertices), each glued at one vertex to those before it, so that
+    it has cut vertices, some of them in several blocks."""
+    n, edges = 1, []
+    for _ in range(draw(st.integers(min_value=2, max_value=5))):
+        size = draw(st.integers(min_value=2, max_value=5))
+        ids = [draw(st.integers(0, n - 1))] + list(range(n, n + size - 1))
+        n += size - 1
+        if size == 2:
+            edges.append((ids[0], ids[1]))
+        elif draw(st.booleans()):
+            edges += [(ids[i], ids[(i + 1) % size]) for i in range(size)]
+        else:
+            edges += [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    return Graph(n, edges)
+
+
+@settings(deadline=None, max_examples=200)
+@given(glued_blocks(), st.data())
+def test_domination_checks_match_the_per_vertex_definition(g, data):
+    # the definition, with blocks from networkx: v is dominated when it
+    # is in s or one of its block neighbourhoods (its neighbours inside
+    # one block holding it) is inside s
+    colouring = data.draw(
+        st.lists(st.sampled_from(list(Colour)), min_size=g.n, max_size=g.n)
+    )
+    s = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+    if data.draw(st.booleans()):
+        s = set(range(g.n)) - s  # large sets too, so that some are valid
+    blocks = list(nx.biconnected_components(nx.Graph(g.edges)))
+    dominated = [
+        v in s or any(g.adj[v] & b <= s for b in blocks if v in b)
+        for v in range(g.n)
+    ]
+    bct = blocks_and_cut_vertices(g)
+    assert bct.cut_vertices
+    undominated = [v for v in range(g.n) if not dominated[v]]
+    assert is_sd_set(g, bct, s) == (not undominated)
+    assert sd_witness(g, bct, s) == (undominated[0] if undominated else None)
+    respects = all(
+        v in s if c is Colour.ONE else c is Colour.ZERO or dominated[v]
+        for v, c in enumerate(colouring)
+    )
+    assert is_colour_respecting(g, bct, colouring, s) == respects

@@ -21,12 +21,15 @@ from simdom.lpapprox import (
     LpSolution,
     build_sds_ip,
     round_lp,
-    sds_to_vertex_cover,
     solve_lp_simplex,
 )
-from simdom.oracle import ip_optimum_bruteforce, min_sds_bruteforce
+from simdom.oracle import (
+    ip_optimum_bruteforce,
+    min_sds_bruteforce,
+    sds_to_vertex_cover,
+)
 from simdom.vertexcover import is_vertex_cover
-from simdom import lpapprox
+from simdom import lpapprox, oracle
 from simdom.errors import BudgetExceededError
 from simdom.generators import gap_graph, random_2connected_graph, random_connected_graph
 from simdom.simplex import OPTIMAL, UNBOUNDED, SimplexResult, simplex_min
@@ -346,7 +349,7 @@ def test_rounding_beyond_twice_the_bound_raises(monkeypatch):
 
 def test_cover_extension_missing_an_edge_raises(monkeypatch):
     g = path(3)
-    monkeypatch.setattr(lpapprox, "is_vertex_cover", lambda *args: False)
+    monkeypatch.setattr(oracle, "is_vertex_cover", lambda *args: False)
     with pytest.raises(GuaranteeError):
         sds_to_vertex_cover(g, blocks_and_cut_vertices(g), {1})
 
@@ -362,8 +365,8 @@ def test_cover_extension_over_the_size_bound_raises(monkeypatch):
             return self.bct.blocks_of_vertex[v]
 
     g = star(3)
-    monkeypatch.setattr(lpapprox, "is_sd_set", lambda *args: True)
-    monkeypatch.setattr(lpapprox, "root_block_tree", EveryBlockIsAChild)
+    monkeypatch.setattr(oracle, "is_sd_set", lambda *args: True)
+    monkeypatch.setattr(oracle, "root_block_tree", EveryBlockIsAChild)
     with pytest.raises(GuaranteeError):
         sds_to_vertex_cover(g, blocks_and_cut_vertices(g), {1})
 

@@ -7,6 +7,7 @@ from conftest import (
     clique,
     cycle,
     path,
+    petersen,
     random_colouring_values,
     star,
     two_triangles_sharing_vertex,
@@ -24,10 +25,10 @@ from simdom import (
     solve_crsds,
     solve_sds,
 )
-from simdom.domination import is_colour_respecting
+from simdom.domination import all_zero_hat, is_colour_respecting
 from simdom.graph import induced_subgraph
 from simdom.oracle import min_crsds_bruteforce, min_sds_bruteforce
-from simdom.vertexcover import min_vc_branch_and_bound
+from simdom.vertexcover import min_vc_branch_and_bound, min_vertex_cover
 from simdom.generators import (
     gap_graph,
     random_2connected_graph,
@@ -330,6 +331,53 @@ def test_zero_neighbour_of_the_pivot_adds_the_third_cover_call(monkeypatch):
     report = solve_crsds(g, f)
     assert len(calls) == 3
     assert report.size == len(min_crsds_bruteforce(g, f))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cycle(7), petersen(), random_2connected_graph(40, 70, seed=3)],
+    ids=["C7", "petersen", "random-2connected"],
+)
+@pytest.mark.parametrize("backend", ["auto", "bnb"])
+def test_one_block_graph_is_its_own_vertex_cover(monkeypatch, g, backend):
+    # on a 2-connected graph the SD-sets are the vertex covers, so the
+    # solve is one cover call on g itself, with no residual built; that
+    # call gives what the residual path gave: the residual of the
+    # all-ZERO_HAT colouring is g
+    residual = simdom.solver._residual_core(
+        g.n, list(g.edges), all_zero_hat(g.n), backend, 0, {}
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-block graph was solved as a residual")
+
+    monkeypatch.setattr(simdom.solver, "_residual_core", refuse)
+    calls = record_cover_calls(monkeypatch)
+    report = solve_sds(g, backend=backend)
+    assert calls == [(g, 0)] and calls[0][0] is g
+    vc = min_vertex_cover(g, backend)
+    assert report.solution == vc.cover == residual[0]
+    assert report.backends == (vc.backend,) == (residual[1],)
+    assert report.block_log == ()
+
+
+def test_two_blocks_or_a_colour_still_build_residuals(monkeypatch):
+    calls = []
+    original = simdom.solver._residual_core
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simdom.solver, "_residual_core", counting)
+    g = two_triangles_sharing_vertex()
+    assert solve_sds(g).size == len(min_sds_bruteforce(g))
+    assert calls == [3, 3, 3, 3]
+    # one block, but vertex 0 must be in the set: not a plain vertex cover
+    calls.clear()
+    f = [Colour.ONE] + [Colour.ZERO_HAT] * 6
+    assert solve_crsds(cycle(7), f).size == len(min_crsds_bruteforce(cycle(7), f))
+    assert calls == [7]
 
 
 def flower(k):

@@ -200,18 +200,34 @@ def test_star_cover_is_centre():
     assert res.cover == frozenset({0})
 
 
-def test_auto_on_one_component_builds_no_subgraph(monkeypatch):
+def record_subgraph_calls(monkeypatch):
+    """The vertex list of every subgraph the dispatcher builds."""
     calls = []
     original = simdom.vertexcover.induced_subgraph
 
-    def counting(g, vertices):
-        calls.append(g)
+    def recording(g, vertices):
+        vertices = list(vertices)
+        calls.append(vertices)
         return original(g, vertices)
 
-    monkeypatch.setattr(simdom.vertexcover, "induced_subgraph", counting)
+    monkeypatch.setattr(simdom.vertexcover, "induced_subgraph", recording)
+    return calls
+
+
+def test_auto_on_one_component_builds_no_subgraph(monkeypatch):
+    calls = record_subgraph_calls(monkeypatch)
     g = petersen()
     assert min_vc_auto(g).size == min_vc_branch_and_bound(g).size == 6
     assert calls == []
+
+
+def test_auto_builds_no_subgraph_for_an_isolated_vertex(monkeypatch):
+    calls = record_subgraph_calls(monkeypatch)
+    tri = [(0, 1), (1, 2), (0, 2)]
+    g = Graph(9, tri + [(u + 4, v + 4) for u, v in tri])  # 3, 7 and 8 isolated
+    res = min_vc_auto(g)
+    assert (res.size, res.backend) == (4, "bnb")
+    assert calls == [[0, 1, 2], [4, 5, 6]]
 
 
 def test_konig_equality_failure_raises(monkeypatch):
