@@ -11,8 +11,12 @@ raises DisconnectedGraphError when it leaves a vertex unreached.
 from __future__ import annotations
 
 import heapq
+from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import DisconnectedGraphError, GuaranteeError
 from .graph import Graph
@@ -114,6 +118,90 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
     )
 
 
+class FlatBlocks(NamedTuple):
+    """Every block's sorted members and relabelled edges, laid out flat.
+
+    Block b's members are ``members[member_start[b]:member_start[b + 1]]``,
+    ascending. Its edges are ``ends[edge_start[b]:edge_start[b + 1]]``,
+    read in pairs u0, v0, u1, v1, ..., each end replaced by its position
+    among the block's members, the pairs sorted. Four flat sequences, not
+    a list per block, hold the whole layout. The two offset tables are
+    arrays of machine ints, as a list would keep an int object per block.
+    """
+
+    members: list[int]
+    member_start: array[int]
+    ends: list[int]
+    edge_start: array[int]
+
+
+def flat_blocks(g: Graph, bct: BlockCutTree) -> FlatBlocks:
+    """The members and relabelled edges of every block, from one pass
+    over g.edges.
+
+    An edge with a non-cut end lies in that end's only block; otherwise
+    both ends are cut vertices, and it lies in the one block they share
+    (two blocks share at most one vertex). A non-cut vertex's position
+    is kept per vertex, and a cut vertex's is found by bisecting the
+    block's members. g.edges is sorted, and relabelling by position in
+    the sorted members keeps that order, so grouping the edges by block,
+    stably, leaves each block's sorted.
+    """
+    blocks = bct.blocks
+    bov = bct.blocks_of_vertex
+    members: list[int] = []
+    member_start = [0]
+    # a vertex's position in the last block that holds it: for a non-cut
+    # vertex, its only block
+    pos = [0] * g.n
+    for blk in blocks:
+        ordered = sorted(blk)
+        for i, v in enumerate(ordered):
+            pos[v] = i
+        members += ordered
+        member_start.append(len(members))
+
+    block_of: list[int] = []
+    first: list[int] = []
+    second: list[int] = []
+    count = [0] * len(blocks)
+    for u, v in g.edges:
+        bu = bov[u]
+        bv = bov[v]
+        if len(bu) == 1:
+            b = bu[0]
+            first.append(pos[u])
+            if len(bv) == 1:
+                second.append(pos[v])
+            else:
+                lo = member_start[b]
+                second.append(bisect_left(members, v, lo, member_start[b + 1]) - lo)
+        elif len(bv) == 1:
+            b = bv[0]
+            lo = member_start[b]
+            first.append(bisect_left(members, u, lo, member_start[b + 1]) - lo)
+            second.append(pos[v])
+        else:
+            # walk the shorter block list: a cut vertex may lie in many blocks
+            if len(bu) <= len(bv):
+                b = next(x for x in bu if v in blocks[x])
+            else:
+                b = next(x for x in bv if u in blocks[x])
+            lo = member_start[b]
+            hi = member_start[b + 1]
+            first.append(bisect_left(members, u, lo, hi) - lo)
+            second.append(bisect_left(members, v, lo, hi) - lo)
+        block_of.append(b)
+        count[b] += 2
+    by_block = sorted(range(len(block_of)), key=block_of.__getitem__)
+    ends = [0] * (2 * len(block_of))
+    ends[0::2] = map(first.__getitem__, by_block)
+    ends[1::2] = map(second.__getitem__, by_block)
+    return FlatBlocks(
+        members, array("l", member_start), ends, array("l", accumulate(count, initial=0))
+    )
+
+
 def leaf_component_order(bct: BlockCutTree) -> tuple[tuple[int, int | None], ...]:
     """Blocks in an order where each is a leaf of the remaining tree.
 
@@ -128,8 +216,14 @@ def leaf_component_order(bct: BlockCutTree) -> tuple[tuple[int, int | None], ...
     order costs O((B + sum of |block|) log B) for B blocks.
     """
     nblocks = len(bct.blocks)
-    cuts_of = [sorted(blk & bct.cut_vertices) for blk in bct.blocks]
-    count = {v: len(bct.blocks_of_vertex[v]) for v in bct.cut_vertices}
+    bov = bct.blocks_of_vertex
+    # each block's cut vertices, ascending as the cuts are visited in order
+    cuts_of: list[list[int]] = [[] for _ in range(nblocks)]
+    count: dict[int, int] = {}
+    for v in sorted(bct.cut_vertices):
+        count[v] = len(bov[v])
+        for b in bov[v]:
+            cuts_of[b].append(v)
     live = [len(cuts) for cuts in cuts_of]
     removed = [False] * nblocks
     heap = [i for i in range(nblocks) if live[i] == 1]
@@ -138,16 +232,20 @@ def leaf_component_order(bct: BlockCutTree) -> tuple[tuple[int, int | None], ...
     for _ in range(nblocks - 1):
         leaf = heapq.heappop(heap)
         removed[leaf] = True
-        conn = next(v for v in cuts_of[leaf] if count[v] >= 2)
-        entries.append((leaf, conn))
         for w in cuts_of[leaf]:
-            count[w] -= 1
-            if count[w] == 1:
-                # w stops being live in the one remaining block holding it
-                j = next(b for b in bct.blocks_of_vertex[w] if not removed[b])
-                live[j] -= 1
-                if live[j] == 1:
-                    heapq.heappush(heap, j)
+            left = count[w] = count[w] - 1
+            if left:
+                # w was live: the leaf's one live cut, its connection
+                conn = w
+                if left == 1:
+                    # w stops being live in the one remaining block holding it
+                    for j in bov[w]:
+                        if not removed[j]:
+                            break
+                    live[j] -= 1
+                    if live[j] == 1:
+                        heapq.heappush(heap, j)
+        entries.append((leaf, conn))
     entries.append((removed.index(False), None))
     return tuple(entries)
 

@@ -125,7 +125,13 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload))
 
 
+def _check_budget(args: argparse.Namespace) -> None:
+    if args.budget < 0:
+        raise ValueError(f"--budget must be nonnegative, got {args.budget}")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
+    _check_budget(args)
     g = _load_graph(args)
     if args.colours is not None:
         colours = _load_colours(args.colours, g.n)
@@ -208,6 +214,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_budget(args)
     g = _load_graph(args)
     chosen = _load_vertex_set(args.set, g.n)
     witness = sd_witness(g, blocks_and_cut_vertices(g), chosen)

@@ -9,11 +9,14 @@ the cheapest, then finish on the root block. A graph that is one block
 with every vertex to dominate (solve_sds on a 2-connected graph, an
 edge or a vertex) is its own residual, as its SD-sets are exactly its
 vertex covers: it goes to the cover backends as it is, with no residual
-built. One solve keeps a memo from each residual graph to its cover, so
-a residual that comes up again (in another recolouring, another leaf
-block or the root block) is searched once; the ONE search is told the
-smallest size it can have. A node budget bounds the branch-and-bound
-nodes of the whole solve.
+built. One solve keeps two memos. The block memo maps a leaf block's
+local view (the pivot's position, the other members' colours and the
+relabelled edges) to its outcome, so a leaf block whose view repeats
+builds no residual and only recolours its pivot. Below it, the residual
+memo maps each residual graph to its cover, so a residual that comes up
+again (in another recolouring, another leaf block or the root block) is
+searched once; the ONE search is told the smallest size it can have. A
+node budget bounds the branch-and-bound nodes of the whole solve.
 
 Outside the cover backends a solve is near-linear in n + m. It is
 polynomial as a whole when every residual is: a bipartite one goes to
@@ -25,19 +28,20 @@ a chordal one with a large clique among them, may branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
-from .blocks import BlockCutTree, blocks_and_cut_vertices, leaf_component_order
+from .blocks import BlockCutTree, blocks_and_cut_vertices, flat_blocks, leaf_component_order
 from .domination import Colour, Colouring, all_zero_hat, is_colour_respecting
 from .errors import GuaranteeError, InvalidSdSetError
-from .graph import Graph, induced_edges
+from .graph import Graph
 # unused here, but perfbench --trace looks these up on this module by name
 from .domination import is_sd_set  # noqa: F401
 from .graph import delete_edges_within, delete_vertices, induced_subgraph  # noqa: F401
 from .vertexcover import budget_left, min_vertex_cover
 
 
-@dataclass(frozen=True)
-class BlockSolve:
+class BlockSolve(NamedTuple):
     """Log entry for one peeled leaf block."""
 
     block: int
@@ -61,11 +65,15 @@ class SolveReport:
 # (vertex count, u0, v0, u1, v1, ...) of a residual, its sorted relabelled
 # edges laid out flat -> (cover, backend tag)
 CoverMemo = dict[tuple[int, ...], tuple[frozenset[int], str]]
+# (vertex count, pivot position, the members' colours with the pivot's
+# read as ZERO_HAT, u0, v0, u1, v1, ...) of a leaf block -> (size_one,
+# size_zero, size_zero_hat, case, the members it keeps, by position)
+BlockMemo = dict[tuple[int, ...], tuple[int, int, int, str, tuple[int, ...]]]
 
 
 def _residual_core(
     n: int,
-    edges: list[tuple[int, int]],
+    edges: list[int],
     fc: Colouring,
     backend: str,
     node_budget: int,
@@ -74,7 +82,8 @@ def _residual_core(
 ) -> tuple[frozenset[int], str, int]:
     """Minimum fc-respecting set of a block via vertex cover.
 
-    The block has vertices 0..n-1 and the sorted edges ``edges``. The
+    The block has vertices 0..n-1 and the sorted edges ``edges``, laid
+    out flat as u0, v0, u1, v1, .... The
     residual drops the ONE vertices and the edges between ZERO vertices;
     its cover plus the ONE vertices is the answer. Every block solve
     goes through here, leaf recolourings included, except a graph that
@@ -101,7 +110,8 @@ def _residual_core(
             index[v] = len(kept)
             kept.append(v)
     flat = [len(kept)]
-    for u, v in edges:
+    ends = iter(edges)
+    for u, v in zip(ends, ends):
         a = index[u]
         b = index[v]
         if a >= 0 and b >= 0 and (fc[u] is not zero or fc[v] is not zero):
@@ -133,21 +143,41 @@ def solve_crsds(
     """
     if len(f) != g.n:
         raise ValueError("colouring length does not match the vertex count")
+    if node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     return _solve(g, blocks_and_cut_vertices(g), f, backend, node_budget)
 
 
 def _solve(
-    g: Graph, bct: BlockCutTree, f: Colouring, backend: str, node_budget: int
+    g: Graph,
+    bct: BlockCutTree,
+    f: Colouring,
+    backend: str,
+    node_budget: int,
+    *,
+    block_memo: bool = True,
 ) -> SolveReport:
     """Peel the leaf blocks of ``bct`` in order, then solve the root block,
     as g itself when it is all of g and every vertex is ZERO_HAT.
 
-    Per leaf block, the pivot is sized as ZERO_HAT, ZERO and ONE. The
-    memo, local to this call, answers every residual already searched:
-    recolouring the pivot from ZERO_HAT to ZERO drops only its edges to
-    ZERO neighbours, so without such a neighbour the ZERO residual is the
-    ZERO_HAT one, and on graphs of many small blocks the same residual
-    recurs across blocks. The ONE residual is the ZERO_HAT residual less
+    Every block's sorted members and relabelled edges come from one pass
+    over g's edges (flat_blocks), made only when g has two blocks or more.
+
+    A leaf block's outcome (its three sizes, its case and the members it
+    keeps) depends only on its local view: the pivot's position, the
+    other members' colours and the relabelled edges. A block memo, local
+    to this call, maps each view to its outcome, so a leaf block whose
+    view repeats costs one lookup and recolours its pivot as the case
+    says; on graphs of many small blocks most views repeat. block_memo
+    False turns that memo off, so tests can compare against solving
+    every block afresh.
+
+    On a block memo miss the pivot is sized as ZERO_HAT, ZERO and ONE.
+    The residual memo, also local to this call, answers every residual
+    already searched: recolouring the pivot from ZERO_HAT to ZERO drops
+    only its edges to ZERO neighbours, so without such a neighbour the
+    ZERO residual is the ZERO_HAT one, and residuals recur across blocks
+    whose views differ. The ONE residual is the ZERO_HAT residual less
     the pivot, so its answer has at least s0h vertices, and that bound
     lets its search stop at the first set of that size. node_budget
     bounds the branch-and-bound nodes of all searches together; each
@@ -160,52 +190,57 @@ def _solve(
     log: list[BlockSolve] = []
     tags: set[str] = set()
     memo: CoverMemo = {}
+    peeled: BlockMemo = {}
     used = 0
 
-    adj = g.adj
     one, zero, zero_hat = Colour.ONE, Colour.ZERO, Colour.ZERO_HAT
+    if len(order) > 1:
+        members_of, member_start, ends, edge_start = flat_blocks(g, bct)
     for block_idx, conn in order[:-1]:
-        block = bct.blocks[block_idx]
-        members = sorted(block)
-        edges = induced_edges(adj, block, members)
+        members = members_of[member_start[block_idx]:member_start[block_idx + 1]]
+        edges = ends[edge_start[block_idx]:edge_start[block_idx + 1]]
         local_f = [fcur[v] for v in members]
         pivot = members.index(conn)
-        sols: dict[Colour, frozenset[int]] = {}
-        for colour in (zero_hat, zero, one):
-            local_f[pivot] = colour
-            bound = len(sols[zero_hat]) if colour is one else 0
-            sols[colour], tag, nodes = _residual_core(
-                len(members), edges, local_f, backend,
-                budget_left(node_budget, used), memo, bound,
-            )
-            used += nodes
-            tags.add(tag)
-        s1 = len(sols[one])
-        s0 = len(sols[zero])
-        s0h = len(sols[zero_hat])
-        if not s0 <= s0h <= s1 <= s0 + 1:
-            raise GuaranteeError(f"impossible size pattern {s1=} {s0h=} {s0=}")
-        if s1 == s0h == s0:
-            fcur[conn] = one
-            chosen = sols[one]
-            case = "all-equal"
+        local_f[pivot] = zero_hat
+        key = (len(members), pivot, *local_f, *edges)
+        outcome = peeled.get(key) if block_memo else None
+        if outcome is None:
+            sols: dict[Colour, frozenset[int]] = {}
+            for colour in (zero_hat, zero, one):
+                local_f[pivot] = colour
+                bound = len(sols[zero_hat]) if colour is one else 0
+                sols[colour], tag, nodes = _residual_core(
+                    len(members), edges, local_f, backend,
+                    budget_left(node_budget, used), memo, bound,
+                )
+                used += nodes
+                tags.add(tag)
+            s1 = len(sols[one])
+            s0 = len(sols[zero])
+            s0h = len(sols[zero_hat])
+            if not s0 <= s0h <= s1 <= s0 + 1:
+                raise GuaranteeError(f"impossible size pattern {s1=} {s0h=} {s0=}")
+            if s1 == s0h == s0:
+                case, chosen = "all-equal", sols[one]
+            elif s1 > s0h == s0:
+                case, chosen = "one-larger", sols[zero_hat]
+            else:  # the ladder leaves only s0 < s0h == s1
+                case, chosen = "zero-smaller", sols[zero]
+            # a tuple, as the memo keeps every outcome to the end of the
+            # solve: it takes a quarter of the memory of a small frozenset
+            outcome = peeled[key] = (s1, s0, s0h, case, tuple(chosen))
+        s1, s0, s0h, case, chosen = outcome
+        if case == "all-equal":
             recolour: Colour | None = one
-        elif s1 > s0h == s0:
-            recolour = max(fcur[conn], zero)
-            fcur[conn] = recolour
-            chosen = sols[zero_hat]
-            case = "one-larger"
-        else:  # the ladder leaves only s0 < s0h == s1
-            chosen = sols[zero]
-            case = "zero-smaller"
+            fcur[conn] = one
+        elif case == "one-larger":
+            recolour = fcur[conn] = max(fcur[conn], zero)
+        else:  # zero-smaller: the pivot keeps its colour
             recolour = None
         solution.update(members[w] for w in chosen)
-        log.append(
-            BlockSolve(block_idx, conn, s1, s0, s0h, case, recolour)
-        )
+        log.append(BlockSolve(block_idx, conn, s1, s0, s0h, case, recolour))
 
-    block = bct.blocks[order[-1][0]]
-    if len(block) == g.n and fcur.count(zero_hat) == g.n:
+    if len(order) == 1 and fcur.count(zero_hat) == g.n:
         # one block with every vertex to dominate: its SD-sets are its
         # vertex covers, so g is its own residual
         vc = min_vertex_cover(
@@ -214,11 +249,16 @@ def _solve(
         tags.add(vc.backend)
         solution.update(vc.cover)
     else:
-        members = sorted(block)
+        if len(order) == 1:  # g is one block, on its own labels
+            members = list(range(g.n))
+            edges = list(chain.from_iterable(g.edges))
+        else:
+            root = order[-1][0]
+            members = members_of[member_start[root]:member_start[root + 1]]
+            edges = ends[edge_start[root]:edge_start[root + 1]]
         s, tag, _ = _residual_core(
-            len(members), induced_edges(adj, block, members),
-            [fcur[v] for v in members], backend, budget_left(node_budget, used),
-            memo,
+            len(members), edges, [fcur[v] for v in members], backend,
+            budget_left(node_budget, used), memo,
         )
         tags.add(tag)
         solution.update(members[w] for w in s)
@@ -243,5 +283,7 @@ def solve_sds(
     _solve's check that the set respects the colouring is, for this
     colouring, the check that it is an SD-set.
     """
+    if node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     bct = blocks_and_cut_vertices(g)
     return _solve(g, bct, all_zero_hat(g.n), backend, node_budget)

@@ -6,6 +6,7 @@ import random
 from hypothesis import strategies as st
 
 from simdom import Graph
+from simdom.generators import random_connected_graph
 
 
 def path(n: int) -> Graph:
@@ -50,3 +51,25 @@ def small_graphs(draw, max_n=14):
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+PETALS = ([(0, 1)], [(0, 1), (0, 2), (1, 2)], [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+@st.composite
+def connected_graphs(draw, max_n=12):
+    """Random connected graphs, half of them small blocks (edges,
+    triangles, 4-cycles) hung at random vertices, where residuals recur."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=max_n))
+        m = draw(st.integers(min_value=n - 1, max_value=n * (n - 1) // 2))
+        return random_connected_graph(n, m, draw(st.integers(0, 10**6)))
+    n, edges = 1, []
+    for petal in draw(st.lists(st.sampled_from(PETALS), max_size=max_n)):
+        k = max(max(e) for e in petal)
+        if n + k > max_n:
+            break
+        ids = [draw(st.integers(0, n - 1))] + list(range(n, n + k))
+        edges += [(ids[u], ids[v]) for u, v in petal]
+        n += k
+    return Graph(n, edges)

@@ -4,11 +4,19 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import clique, cycle, path, star, two_triangles_sharing_vertex
+from conftest import (
+    clique,
+    connected_graphs,
+    cycle,
+    path,
+    star,
+    two_triangles_sharing_vertex,
+)
 from simdom import DisconnectedGraphError, Graph, blocks_and_cut_vertices
-from simdom.blocks import leaf_component_order, root_block_tree
+from simdom.blocks import flat_blocks, leaf_component_order, root_block_tree
+from simdom.graph import induced_edges
 from simdom.generators import random_connected_graph
 
 
@@ -54,6 +62,27 @@ def test_every_edge_in_exactly_one_block():
     for u, v in g.edges:
         owners = [i for i, blk in enumerate(bct.blocks) if u in blk and v in blk]
         assert len(owners) == 1
+
+
+@settings(deadline=None, max_examples=150)
+@given(connected_graphs(max_n=16))
+def test_flat_blocks_match_induced_edges(g):
+    # the one pass over g.edges gives each block the edges that
+    # induced_edges builds for that block alone, and each edge of g
+    # lands in exactly one block
+    bct = blocks_and_cut_vertices(g)
+    assume(bct.cut_vertices)
+    members, member_start, ends, edge_start = flat_blocks(g, bct)
+    assert len(member_start) == len(edge_start) == len(bct.blocks) + 1
+    seen = []
+    for b, block in enumerate(bct.blocks):
+        kept = members[member_start[b]:member_start[b + 1]]
+        assert kept == sorted(block)
+        flat = ends[edge_start[b]:edge_start[b + 1]]
+        pairs = list(zip(flat[::2], flat[1::2]))
+        assert pairs == induced_edges(g.adj, block, kept)
+        seen += [(kept[a], kept[c]) for a, c in pairs]
+    assert sorted(seen) == list(g.edges)
 
 
 def test_cut_vertex_definition_matches_component_count():

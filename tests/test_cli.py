@@ -262,6 +262,16 @@ def test_exit_code_on_budget(tmp_path, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_negative_budget_is_a_parameter_error(triangle, tmp_path, capsys, command):
+    # a parameter out of range, not a budget the search ran out of
+    extra = [write(tmp_path, "set.txt", "0 1\n"), "--enumerate"] if command == "verify" else []
+    code, out, err = run(capsys, command, triangle, *extra, "--budget", "-5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--budget" in err
+
+
 def test_treewidth_backend_stops_at_the_width_budget(tmp_path, capsys, monkeypatch):
     # min-fill width 88; the elimination gives up at the DP's budget of
     # 20 instead of finishing the decomposition first

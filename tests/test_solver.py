@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     clique,
+    connected_graphs,
     cycle,
     path,
     petersen,
@@ -345,7 +346,7 @@ def test_one_block_graph_is_its_own_vertex_cover(monkeypatch, g, backend):
     # call gives what the residual path gave: the residual of the
     # all-ZERO_HAT colouring is g
     residual = simdom.solver._residual_core(
-        g.n, list(g.edges), all_zero_hat(g.n), backend, 0, {}
+        g.n, [x for e in g.edges for x in e], all_zero_hat(g.n), backend, 0, {}
     )
 
     def refuse(*args, **kwargs):
@@ -402,31 +403,38 @@ def test_flower_takes_two_cover_calls_whatever_its_size(monkeypatch, k):
     assert len(min_sds_bruteforce(flower(3))) == 4
 
 
-PETALS = ([(0, 1)], [(0, 1), (0, 2), (1, 2)], [(0, 1), (1, 2), (2, 3), (0, 3)])
+@pytest.mark.parametrize("k", [50, 200, 400])
+def test_flower_builds_four_residuals_whatever_its_size(monkeypatch, k):
+    # the first petal builds its three residuals and every later leaf
+    # petal has the same local view, so the block memo answers it; the
+    # root petal, its pivot now ONE, builds the fourth
+    calls = []
+    original = simdom.solver._residual_core
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simdom.solver, "_residual_core", counting)
+    report = solve_sds(flower(k))
+    assert calls == [3, 3, 3, 3]
+    assert report.size == k + 1
+    assert len(report.block_log) == k - 1
 
 
-@st.composite
-def connected_graphs(draw, max_n=12):
-    """Random connected graphs, half of them small blocks (edges,
-    triangles, 4-cycles) hung at random vertices, where residuals recur."""
-    if draw(st.booleans()):
-        n = draw(st.integers(min_value=1, max_value=max_n))
-        m = draw(st.integers(min_value=n - 1, max_value=n * (n - 1) // 2))
-        return random_connected_graph(n, m, draw(st.integers(0, 10**6)))
-    n, edges = 1, []
-    for petal in draw(st.lists(st.sampled_from(PETALS), max_size=max_n)):
-        k = max(max(e) for e in petal)
-        if n + k > max_n:
-            break
-        ids = [draw(st.integers(0, n - 1))] + list(range(n, n + k))
-        edges += [(ids[u], ids[v]) for u, v in petal]
-        n += k
-    return Graph(n, edges)
+def test_negative_node_budget_is_rejected():
+    g = two_triangles_sharing_vertex()
+    with pytest.raises(ValueError, match="node budget"):
+        solve_sds(g, node_budget=-1)
+    with pytest.raises(ValueError, match="node budget"):
+        solve_crsds(g, all_zero_hat(g.n), node_budget=-1)
 
 
 @settings(deadline=None, max_examples=200)
 @given(connected_graphs(), st.data(), st.sampled_from(["auto", "bnb"]))
 def test_memo_never_changes_a_report(g, data, backend):
+    # the unmemoised run solves every leaf block afresh (no block memo)
+    # and searches every residual afresh (a new residual memo per call)
     f = data.draw(st.lists(st.sampled_from(list(Colour)), min_size=g.n, max_size=g.n))
     memoised = simdom.solver._residual_core
 
@@ -436,4 +444,6 @@ def test_memo_never_changes_a_report(g, data, backend):
     report = solve_crsds(g, f, backend=backend)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simdom.solver, "_residual_core", fresh_memo)
-        assert solve_crsds(g, f, backend=backend) == report
+        bct = blocks_and_cut_vertices(g)
+        unmemoised = simdom.solver._solve(g, bct, f, backend, 0, block_memo=False)
+        assert unmemoised == report
