@@ -20,7 +20,11 @@ Search shape, in order, at every node:
      vertex; take both neighbours u and w of a degree-2 vertex v when
      they are adjacent (triangle rule); otherwise fold u, v and w into
      one vertex at v's index, adjacent to N(u) | N(w) - {u, v, w}, which
-     adds one to the cover size (Chen, Kanj and Jia 2001). The parent
+     adds one to the cover size (Chen, Kanj and Jia 2001). While v is
+     still the lowest pending vertex and has two neighbours that are not
+     adjacent, it folds again at once, and only the neighbours the last
+     of these folds leaves get v's bit: a degree-2 path folds in one
+     pass, in the order one fold at a time would take. The parent
      branched with every degree at least 3, so a node first looks only
      at the neighbours of the vertices its parent took (the root, and a
      node back from step 4, look at every alive vertex), and after that
@@ -221,24 +225,40 @@ def vc_search(
                         return
                     pending = (pending | adj[u] | adj[w]) & alive
                     continue
-                size += 1
-                if size >= best_size:
-                    return
-                # Only the common neighbours of u and w lose degree.
-                pending |= low | (adj[u] & adj[w])
-                alive ^= d
-                pending &= alive
-                if not own:
-                    adj = adj[:]
-                    own = True
-                merged = (adj[u] | adj[w]) & alive & ~low
-                adj[v] = merged
-                while merged:
-                    b = merged & -merged
-                    merged ^= b
-                    x = b.bit_length() - 1
-                    adj[x] |= low
-                folds = (v, u, w, folds)
+                while True:
+                    size += 1
+                    if size >= best_size:
+                        return
+                    if not own:
+                        adj = adj[:]
+                        own = True
+                    # Only the common neighbours of u and w lose degree.
+                    pending |= low | (adj[u] & adj[w])
+                    alive ^= d
+                    pending &= alive
+                    d = adj[v] = (adj[u] | adj[w]) & alive & ~low
+                    folds = (v, u, w, folds)
+                    # v is next in pending unless a common neighbour below
+                    # it joined; then, with two neighbours not adjacent, it
+                    # folds again, so a degree-2 path folds in one pass
+                    if pending & (low - 1):
+                        break
+                    w_bit = d & (d - 1)
+                    if not w_bit:
+                        break
+                    if w_bit & (w_bit - 1):
+                        # degree 3 or more: v, popped next, would be passed over
+                        pending ^= low
+                        break
+                    u = (d ^ w_bit).bit_length() - 1
+                    if adj[u] & w_bit:
+                        break
+                    w = w_bit.bit_length() - 1
+                # only the neighbours the last fold left need v's bit
+                while d:
+                    b = d & -d
+                    d ^= b
+                    adj[b.bit_length() - 1] |= low
             if not alive:  # no edges left
                 settle(size, cover, folds)
                 return

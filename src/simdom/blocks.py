@@ -30,6 +30,13 @@ class BlockCutTree:
     blocks: tuple[frozenset[int], ...]
     cut_vertices: frozenset[int]
     blocks_of_vertex: tuple[tuple[int, ...], ...] = field(repr=False)
+    # Block b's members in ascending order are
+    # members[member_start[b]:member_start[b + 1]], sorted once by the
+    # DFS and read-only by contract. They restate ``blocks``, so they
+    # are left out of equality. They are flat because a list per block
+    # raised the peak memory of a chain of 50,000 triangles by 6 MB.
+    members: list[int] = field(repr=False, compare=False)
+    member_start: array[int] = field(repr=False, compare=False)
 
     def is_cut(self, v: int) -> bool:
         return v in self.cut_vertices
@@ -38,16 +45,19 @@ class BlockCutTree:
 def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
     """Decompose a connected graph into blocks and cut vertices.
 
-    Lowpoint DFS from vertex 0 with sorted neighbour order; blocks are
-    reported sorted by the smallest DFS discovery time they contain, then
-    by their sorted member lists, so the decomposition is reproducible. A
-    vertex the DFS never reaches means the graph is disconnected.
+    Lowpoint DFS from vertex 0, visiting neighbours in ascending order
+    as g.nbrs lists them; blocks are reported sorted by the smallest DFS
+    discovery time they contain, then by their sorted member lists, so
+    the decomposition is reproducible. A vertex the DFS never reaches
+    means the graph is disconnected.
 
     The DFS keeps a stack of vertices, not edges. When a child u of p
     has low[u] >= disc[p], the vertices above u on the stack, u included,
     form a block with p, its head: the member with the least discovery
     time. Blocks with one head meet only there, so the least of their
-    other members orders them as their sorted member lists would.
+    other members orders them as their sorted member lists would. Each
+    block's members are sorted once, here, and laid out flat in
+    ``members``.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -56,29 +66,31 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
             blocks=(frozenset({0}),),
             cut_vertices=frozenset(),
             blocks_of_vertex=((0,),),
+            members=[0],
+            member_start=array("l", [0, 1]),
         )
 
     n = g.n
-    adj = g.adj
+    nbrs = g.nbrs
     disc = [-1] * n
     low = [0] * n
     at = [0] * n  # a vertex's position on vstack
     vstack: list[int] = []
-    found: list[frozenset[int]] = []
+    found: list[list[int]] = []  # each block's sorted members
     keys: list[tuple[int, int]] = []
 
     disc[0] = 0
     timer = 1
-    stack = [(0, iter(sorted(adj[0])))]
+    stack = [(0, iter(nbrs[0]))]
     while stack:
-        u, nbrs = stack[-1]
-        for w in nbrs:
+        u, it = stack[-1]
+        for w in it:
             if disc[w] == -1:
                 disc[w] = low[w] = timer
                 timer += 1
                 at[w] = len(vstack)
                 vstack.append(w)
-                stack.append((w, iter(sorted(adj[w]))))
+                stack.append((w, iter(nbrs[w])))
                 break
             # the tree edge to u's parent p lowers low[u] to disc[p] at
             # most, which moves neither the block test nor low[p]
@@ -96,25 +108,32 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
                     del vstack[i:]
                     keys.append((disc[p], min(comp)))
                     comp.append(p)
-                    found.append(frozenset(comp))
+                    comp.sort()
+                    found.append(comp)
     if timer < n:
         raise DisconnectedGraphError("block decomposition requires a connected graph")
     if vstack:
         raise GuaranteeError("vertex stack left non-empty by the lowpoint DFS")
 
-    blocks = tuple(found[i] for i in sorted(range(len(found)), key=keys.__getitem__))
+    ordered = [found[i] for i in sorted(range(len(found)), key=keys.__getitem__)]
+    members: list[int] = []
+    member_start = array("l", [0])
     # blocks are appended in index order, so each list comes out sorted
     membership: list[list[int]] = [[] for _ in range(n)]
-    for i, blk in enumerate(blocks):
+    for b, blk in enumerate(ordered):
         for v in blk:
-            membership[v].append(i)
+            membership[v].append(b)
+        members += blk
+        member_start.append(len(members))
     blocks_of_vertex = tuple(map(tuple, membership))
     cut_vertices = frozenset(v for v in range(n) if len(membership[v]) >= 2)
 
     return BlockCutTree(
-        blocks=blocks,
+        blocks=tuple(map(frozenset, ordered)),
         cut_vertices=cut_vertices,
         blocks_of_vertex=blocks_of_vertex,
+        members=members,
+        member_start=member_start,
     )
 
 
@@ -145,21 +164,21 @@ def flat_blocks(g: Graph, bct: BlockCutTree) -> FlatBlocks:
     is kept per vertex, and a cut vertex's is found by bisecting the
     block's members. g.edges is sorted, and relabelling by position in
     the sorted members keeps that order, so grouping the edges by block,
-    stably, leaves each block's sorted.
+    stably, leaves each block's sorted. The members and their offsets
+    are the decomposition's own, not copies.
     """
     blocks = bct.blocks
     bov = bct.blocks_of_vertex
-    members: list[int] = []
-    member_start = [0]
+    members = bct.members
+    member_start = bct.member_start
     # a vertex's position in the last block that holds it: for a non-cut
     # vertex, its only block
     pos = [0] * g.n
-    for blk in blocks:
-        ordered = sorted(blk)
-        for i, v in enumerate(ordered):
+    start = 0
+    for end in member_start[1:]:
+        for i, v in enumerate(members[start:end]):
             pos[v] = i
-        members += ordered
-        member_start.append(len(members))
+        start = end
 
     block_of: list[int] = []
     first: list[int] = []
@@ -198,7 +217,7 @@ def flat_blocks(g: Graph, bct: BlockCutTree) -> FlatBlocks:
     ends[0::2] = map(first.__getitem__, by_block)
     ends[1::2] = map(second.__getitem__, by_block)
     return FlatBlocks(
-        members, array("l", member_start), ends, array("l", accumulate(count, initial=0))
+        members, member_start, ends, array("l", accumulate(count, initial=0))
     )
 
 

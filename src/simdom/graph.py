@@ -8,9 +8,12 @@ self-loops, duplicates) and sorts them. Builds inside the package whose
 edges are already normalised, unique, in range and sorted (the parsers
 after their own line-numbered checks, induced subgraphs, edge deletion
 and the solver's residuals) go through ``Graph._trusted``, which skips
-those checks. Both end in the same adjacency build, which inserts the
-edges in sorted order, so a graph's ``adj`` iterates the same way
-however it was built.
+those checks. Both end in the same adjacency build. It appends each
+edge's two ends to per-vertex lists in sorted edge order, so every list
+comes out ascending; the graph keeps these lists as ``nbrs`` and builds
+its ``adj`` frozensets from them. So a graph's ``adj`` iterates the same
+way however it was built, and a reader that needs a neighbourhood in
+ascending order reads ``nbrs`` instead of sorting.
 """
 
 from __future__ import annotations
@@ -27,10 +30,12 @@ class Graph:
 
     Self-loops and parallel edges are rejected at construction. Edges are
     stored normalized as (u, v) with u < v and sorted, so two graphs with
-    the same vertex count and edge set compare equal.
+    the same vertex count and edge set compare equal. ``nbrs[v]`` lists
+    v's neighbours in ascending order and must not be changed; ``adj[v]``
+    holds the same neighbours as a frozenset.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "nbrs", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -60,14 +65,17 @@ class Graph:
         return g
 
     def _build(self, n: int, edges: list[tuple[int, int]]) -> None:
-        # per-vertex sets filled in edge order, then frozen
-        adj: list[set[int]] = [set() for _ in range(n)]
+        # Each vertex's lower neighbours arrive first, then its higher
+        # ones, each group ascending, as the edges are sorted. Read-only
+        # by contract: lists, as tuples made every reader slower.
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(edges)
-        self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
+        self.nbrs: list[list[int]] = nbrs
+        self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, nbrs))
 
     @property
     def m(self) -> int:
@@ -100,7 +108,7 @@ class Graph:
         no other two-colouring that does so, so the sides do not depend on
         the order in which neighbours are visited.
         """
-        adj = self.adj
+        nbrs = self.nbrs
         side = [-1] * self.n
         out: list[tuple[list[int], list[int] | None]] = []
         for root in range(self.n):
@@ -111,7 +119,7 @@ class Graph:
             odd = False
             for u in comp:  # the list grows while it is read: a BFS queue
                 other = 1 - side[u]
-                for w in adj[u]:
+                for w in nbrs[u]:
                     if side[w] < 0:
                         side[w] = other
                         comp.append(w)
@@ -216,11 +224,12 @@ def _parse_dimacs(text: str) -> Graph:
     declared_m: int | None = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        # split() and strip() share one definition of whitespace, so the
+        # first token starts with the line's first non-blank character
         parts = line.split()
+        if not parts or parts[0][0] == "c":
+            continue
         if parts[0] == "p":
             if n is not None:
                 raise GraphParseError("repeated problem line", lineno)
@@ -243,11 +252,13 @@ def _parse_dimacs(text: str) -> Graph:
                 u, v = int(parts[1]) - 1, int(parts[2]) - 1
             except ValueError:
                 raise GraphParseError("non-integer edge endpoints", lineno) from None
-            if not (0 <= u < n and 0 <= v < n):
+            if u > v:
+                u, v = v, u
+            if u < 0 or v >= n:
                 raise GraphParseError(f"vertex index out of range 1..{n}", lineno)
             if u == v:
                 raise GraphParseError("self-loop", lineno)
-            e = (u, v) if u < v else (v, u)
+            e = (u, v)
             if e in seen:
                 raise GraphParseError("duplicate edge", lineno)
             seen.add(e)
@@ -268,28 +279,29 @@ def _parse_edgelist(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     top = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split()  # see _parse_dimacs
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise GraphParseError("expected '<u> <v>'", lineno)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphParseError("non-integer edge endpoints", lineno) from None
-        if u < 0 or v < 0:
+        if u > v:
+            u, v = v, u
+        if u < 0:
             raise GraphParseError("negative vertex index", lineno)
         if u == v:
             raise GraphParseError("self-loop", lineno)
-        e = (u, v) if u < v else (v, u)
+        e = (u, v)
         if e in seen:
             raise GraphParseError("duplicate edge", lineno)
         seen.add(e)
         edges.append(e)
-        if e[1] > top:
-            top = e[1]
+        if v > top:
+            top = v
             if top >= MAX_VERTICES:
                 raise GraphParseError(f"more than {MAX_VERTICES} vertices", lineno)
     edges.sort()

@@ -78,7 +78,7 @@ def build_sds_ip(g: Graph, bct: BlockCutTree) -> LpModel:
     for v in range(g.n):
         if bct.is_cut(v):
             continue
-        for u in sorted(g.adj[v]):
+        for u in g.nbrs[v]:
             if u < v and not bct.is_cut(u):
                 continue  # given as (u, v) already
             rows.append(

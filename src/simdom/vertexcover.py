@@ -137,7 +137,9 @@ def min_vc_branch_and_bound(
     mask, nodes = pure.vc_search(
         g.n, g.adjacency_masks(), node_budget, target, root
     )
-    cover = frozenset(v for v in range(g.n) if (mask >> v) & 1)
+    # bit v is character v of bin(mask) reversed, which ends in "b0":
+    # one pass, where shifting the mask once per vertex is quadratic
+    cover = frozenset(v for v, bit in enumerate(reversed(bin(mask))) if bit == "1")
     return VcResult(cover=cover, size=len(cover), backend=backend, nodes=nodes)
 
 
@@ -162,7 +164,7 @@ def _hopcroft_karp(
     INF = float("inf")
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
-    adj = {u: sorted(g.neighbours(u)) for u in left}
+    nbrs = g.nbrs
     dist: dict[int, float] = {}
 
     def bfs() -> bool:
@@ -175,7 +177,7 @@ def _hopcroft_karp(
         found = False
         while queue:
             u = queue.popleft()
-            for w in adj[u]:
+            for w in nbrs[u]:
                 nxt = match_r.get(w)
                 if nxt is None:
                     found = True
@@ -191,7 +193,7 @@ def _hopcroft_karp(
         Each frame holds a left vertex and its remaining neighbours; a
         frame is only left once its vertex is matched or marked dead.
         """
-        stack = [(root, iter(adj[root]))]
+        stack = [(root, iter(nbrs[root]))]
         while stack:
             u, it = stack[-1]
             for w in it:
@@ -205,7 +207,7 @@ def _hopcroft_karp(
                         w = prev
                     return
                 if dist.get(nxt, INF) == dist[u] + 1:
-                    stack.append((nxt, iter(adj[nxt])))
+                    stack.append((nxt, iter(nbrs[nxt])))
                     break
             else:
                 dist[u] = INF
@@ -248,7 +250,7 @@ def min_vc_bipartite(
     queue = deque(sorted(z_left))
     while queue:
         u = queue.popleft()
-        for w in sorted(g.neighbours(u)):
+        for w in g.nbrs[u]:
             if w in z_right or match_l.get(u) == w:
                 continue
             z_right.add(w)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+from array import array
 from pathlib import Path
 
 import networkx as nx
@@ -83,6 +85,21 @@ def test_flat_blocks_match_induced_edges(g):
         assert pairs == induced_edges(g.adj, block, kept)
         seen += [(kept[a], kept[c]) for a, c in pairs]
     assert sorted(seen) == list(g.edges)
+
+
+@settings(deadline=None, max_examples=100)
+@given(connected_graphs(max_n=16))
+def test_flat_members_are_the_sorted_blocks(g):
+    # each block's members, sorted by the DFS and laid out flat, are
+    # the block's; equality reads the frozensets alone
+    bct = blocks_and_cut_vertices(g)
+    members, start = bct.members, bct.member_start
+    assert len(start) == len(bct.blocks) + 1
+    assert [members[start[b]:start[b + 1]] for b in range(len(bct.blocks))] == [
+        sorted(blk) for blk in bct.blocks
+    ]
+    other = dataclasses.replace(bct, members=[], member_start=array("l"))
+    assert other == bct and hash(other) == hash(bct)
 
 
 def test_cut_vertex_definition_matches_component_count():

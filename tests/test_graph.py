@@ -1,7 +1,11 @@
+from functools import partial
+from unittest import mock
+
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import parse_reference
 from conftest import clique, cycle, path, small_graphs
 from simdom import graph
 from simdom import Graph, GraphParseError, parse_graph, write_graph
@@ -278,3 +282,129 @@ def test_induced_subgraph_builds_the_checked_graph(case, data):
     index = {old: new for new, old in enumerate(kept)}
     local = [(index[u], index[v]) for u, v in edges if u in index and v in index]
     assert layout(sub) == layout(Graph(len(kept), local))
+
+
+# Fuzzing the parsers against tests/parse_reference.py. The vertex cap
+# is lowered to CAP, so that texts reach it without a graph of a
+# million vertices; both sides read it at call time.
+CAP = 12
+WHITESPACE = st.sampled_from(["", " ", "  ", "\t", " \t ", "\u3000", "\x1f"])
+LINE_BREAKS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x85", "\u2028", "\x0c"])
+GOOD = st.one_of(
+    st.integers(min_value=0, max_value=6).map(str),
+    st.integers(min_value=CAP - 1, max_value=CAP + 1).map(str),
+    st.sampled_from(["+3", "1_0", "0_2", "٣", "３", "007"]),
+)
+NUMBERS = st.one_of(
+    GOOD,
+    st.integers(min_value=-2, max_value=CAP + 2).map(str),
+    st.sampled_from(["1__0", "_1", "0x1", "2.0", "-0", "-1"]),
+)
+WORDS = st.sampled_from(["#", "#x", "c", "cx", "e", "p", "edge", "q", "ée"])
+
+
+@st.composite
+def text_lines(draw, kinds, faults):
+    """Lines whose tokens are drawn from one of kinds, and in half the
+    texts from faults too, joined by drawn whitespace and ended by drawn
+    line breaks (the last one maybe not). A kind of None copies an
+    earlier line, for duplicate edges and repeated problem lines."""
+    if draw(st.booleans()):
+        kinds += faults
+    lines: list[str] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(kinds))
+        if kind is None:
+            if lines:
+                lines.append(draw(st.sampled_from(lines)))
+            continue
+        tokens = [t if isinstance(t, str) else draw(t) for t in kind]
+        gaps = [draw(WHITESPACE) for _ in range(len(tokens) + 1)]
+        gaps[1:-1] = [gap or " " for gap in gaps[1:-1]]
+        lines.append(gaps[0] + "".join(t + gap for t, gap in zip(tokens, gaps[1:])))
+    ends = [draw(LINE_BREAKS) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+# comments and a blank line, then edges
+EDGE_LIST_LINES = (("#", NUMBERS, WORDS), ("#x",), ()) + ((GOOD, GOOD),) * 4
+EDGE_LIST_FAULTS = (
+    (NUMBERS, NUMBERS), (NUMBERS, NUMBERS, NUMBERS), (WORDS, NUMBERS), (NUMBERS,), None
+)
+# 1-based ends, most of them in range when the problem line says 7
+GOOD_DIMACS = st.one_of(
+    st.integers(min_value=1, max_value=7).map(str),
+    st.sampled_from(["+3", "0_2", "٣", "３", "007"]),
+)
+DIMACS_LINES = (("c", NUMBERS, WORDS), ("cx",), ()) + (("e", GOOD_DIMACS, GOOD_DIMACS),) * 4
+DIMACS_FAULTS = (
+    ("e", NUMBERS, NUMBERS), ("p", "edge", NUMBERS, NUMBERS), ("p", WORDS, NUMBERS),
+    (WORDS, NUMBERS, NUMBERS), ("e", NUMBERS), None,
+)
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS texts, most of them opening with a problem line whose edge
+    count is that of the 'e' lines below it."""
+    body = draw(text_lines(DIMACS_LINES, DIMACS_FAULTS))
+    if draw(st.sampled_from([True, True, True, False])):
+        n = draw(st.just(7) | st.integers(min_value=0, max_value=CAP + 1))
+        m = sum(1 for line in body.splitlines() if line.split()[:1] == ["e"])
+        if not draw(st.sampled_from([True, True, True, False])):
+            m += draw(st.sampled_from([-1, 1]))
+        body = f"p edge {n} {m}" + draw(LINE_BREAKS) + body
+    return body
+
+
+def parse_outcome(parse, text):
+    try:
+        g = parse(text)
+    except GraphParseError as err:
+        return "error", str(err), err.line
+    return "graph", layout(g), g.nbrs
+
+
+@settings(deadline=None, max_examples=400)
+@given(text_lines(EDGE_LIST_LINES, EDGE_LIST_FAULTS))
+@example("0 1\n1 2\r\n2\t0\x851 3 3 1\n")  # a duplicate after odd breaks
+@example(" # c\n\n+3 1_0\n３ ٣\n")  # a duplicate after non-ASCII digits
+@example(f"0 {CAP - 1}\n{CAP} 0\n")  # the cap, reached on the second line
+@example("2 -1\n-1 2\n1 1\n")  # several faults: the first is reported
+def test_edge_list_parser_matches_the_reference(text):
+    with mock.patch.object(graph, "MAX_VERTICES", CAP):
+        want = parse_outcome(parse_reference.parse_edgelist, text)
+        assert parse_outcome(partial(parse_graph, fmt="edgelist"), text) == want
+
+
+@settings(deadline=None, max_examples=400)
+@given(dimacs_texts())
+@example("c x\np edge 3 2\r\ne 1 2\x85e\t3 2 ")
+@example(f"p edge {CAP} 1\ne {CAP} 1\n")  # the cap itself is allowed
+@example(f"p edge {CAP + 1} 0\n")
+@example("p edge 3 1\ne 0 1\ne 1 1\n")  # several faults: the first is reported
+@example("p edge 3 2\ne 1 2\ne 2 1\n")
+def test_dimacs_parser_matches_the_reference(text):
+    with mock.patch.object(graph, "MAX_VERTICES", CAP):
+        want = parse_outcome(parse_reference.parse_dimacs, text)
+        assert parse_outcome(partial(parse_graph, fmt="dimacs"), text) == want
+
+
+def assert_sorted_lists(g):
+    assert len(g.nbrs) == g.n
+    assert g.nbrs == [sorted(a) for a in g.adj]
+
+
+@given(shuffled_edge_lists(), st.data())
+def test_every_build_keeps_sorted_neighbour_lists(case, data):
+    n, edges = case
+    g = Graph(n, edges)
+    assert_sorted_lists(g)
+    for fmt in ("dimacs", "edgelist"):
+        assert_sorted_lists(parse_graph(write_graph(g, fmt), fmt))
+    subset = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    assert_sorted_lists(induced_subgraph(g, subset)[0])
+    assert_sorted_lists(delete_vertices(g, subset)[0])
+    assert_sorted_lists(delete_edges_within(g, subset))

@@ -1,7 +1,9 @@
 """The pure-Python branch-and-reduce search kernel."""
 
+import hashlib
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,3 +242,84 @@ def test_root_hook_cover_is_unfolded_to_an_optimum(g):
     assert nodes == 1
     assert all(u in cover or v in cover for u, v in g.edges)
     assert len(cover) == len(min_vc_bruteforce(g))
+
+
+def _relabelled(n, edges, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return n, [(perm[u], perm[v]) for u, v in edges]
+
+
+def fold_pin_cases():
+    """Graphs whose root reductions fold long degree-2 paths: odd and
+    even cycles, as numbered and relabelled; theta graphs; seeded
+    subdivided graphs; and a case where a common neighbour below the
+    folded vertex is pending after its first fold."""
+    cases = []
+    rng = random.Random(2023)
+    for n in (3, 4, 5, 6, 7, 8, 9, 10, 11, 16, 17, 100, 101, 500, 501, 2000, 2001):
+        edges = [(v, (v + 1) % n) for v in range(n)]
+        cases.append((n, edges))
+        if n <= 501:
+            cases.append(_relabelled(n, edges, rng))
+    for _ in range(40):
+        n, edges = 2, []
+        for _ in range(rng.randint(2, 5)):
+            length = rng.randint(0, 7)
+            if length == 0:
+                if (0, 1) not in edges:
+                    edges.append((0, 1))
+                continue
+            inner = list(range(n, n + length))
+            edges += list(zip([0] + inner, inner + [1]))
+            n += length
+        cases.append((n, edges))
+        cases.append(_relabelled(n, edges, rng))
+    for _ in range(200):
+        k = rng.randint(2, 8)
+        n, edges = k, []
+        for u, v in itertools.combinations(range(k), 2):
+            if rng.random() < 0.3:
+                continue
+            length = max(0, rng.randint(-5, 7))  # a plain edge 6 times in 13
+            inner = list(range(n, n + length))
+            edges += list(zip([u] + inner, inner + [v]))
+            n += length
+        cases.append(_relabelled(n, edges, rng))
+    # 2 takes 6; 3 folds 5 and 7 into a vertex with neighbours 0 and 4,
+    # not adjacent, but 0, their common neighbour, is now pending and
+    # below 3, so 0 folds next
+    cases.append((9, [(0, 5), (0, 7), (0, 8), (2, 6), (3, 5), (3, 7), (4, 5),
+                      (4, 8), (6, 7)]))
+    return cases
+
+
+def fold_pin_digests():
+    """sha256 digests of every case's (cover mask, nodes), and of the
+    kernels the root offers a hook that declines them."""
+    results, kernels = [], []
+    for n, edges in fold_pin_cases():
+        adj = Graph(n, edges).adjacency_masks()
+
+        def decline(alive, rows):
+            kept = [v for v in range(n) if alive >> v & 1]
+            kernels.append((alive, [rows[v] & alive for v in kept]))
+            return None
+
+        results.append(pure.vc_search(n, adj, 0, -1, decline))
+    return tuple(
+        hashlib.sha256(repr(x).encode()).hexdigest() for x in (results, kernels)
+    )
+
+
+PINNED_FOLD_DIGESTS = (
+    "248b2d88b2decca04a1ac60e0e2880a0d895893aa5cc8b9609eb406cfdc040bb",
+    "c23ade8c35d3b7bb8f7a2091855ab03867573a3189a207705f926f8cc88bc31c",
+)
+
+
+def test_path_folds_are_pinned():
+    # Taken when each fold went back through the pending loop on its
+    # own: folding a path in one pass keeps every cover, node count and
+    # kernel.
+    assert fold_pin_digests() == PINNED_FOLD_DIGESTS

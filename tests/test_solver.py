@@ -293,6 +293,15 @@ def record_cover_calls(monkeypatch):
     return calls
 
 
+def test_residuals_keep_sorted_neighbour_lists(monkeypatch):
+    calls = record_cover_calls(monkeypatch)
+    for seed in range(4):
+        solve_sds(random_connected_graph(30, 70, seed=seed))
+    assert any(h.m for h, _ in calls)
+    for h, _ in calls:
+        assert h.nbrs == [sorted(a) for a in h.adj]
+
+
 @pytest.mark.parametrize("backend", ["auto", "bnb"])
 def test_cover_targets_never_exceed_the_optimum_and_are_reached(monkeypatch, backend):
     # a target above the optimum could end the search on a larger cover;

@@ -333,3 +333,25 @@ def test_auto_does_not_reduce_a_component_above_the_size_limit(monkeypatch):
     assert res.size == (big + 1) // 2 + 5
     assert res.backend == "bnb+treewidth" and res.nodes == 1
     assert is_vertex_cover(g, res.cover)
+
+
+def test_kernel_graph_keeps_sorted_neighbour_lists():
+    kernels = []
+
+    def decline(kernel):
+        kernels.append(kernel)
+        return None
+
+    for seed in range(4):
+        min_vc_branch_and_bound(random_graph(40, 160, seed=seed), kernel_backend=decline)
+    assert kernels
+    for kernel in kernels:
+        assert kernel.nbrs == [sorted(a) for a in kernel.adj]
+
+
+def test_cover_readout_keeps_high_vertices():
+    # the cover is read off the mask's binary digits, lowest vertex first
+    g = Graph(1001, [(0, 1000), (999, 1000)])
+    res = min_vc_branch_and_bound(g)
+    assert res.cover == frozenset({1000})
+    assert min_vc_branch_and_bound(Graph(1001, [])).cover == frozenset()
