@@ -6,6 +6,15 @@ and cut vertices (adjacency by containment) is a tree, which drives both
 the leaf-component solver loop and the rounding step of the LP scheme.
 The decomposition is also the solver's connectivity check: its one DFS
 raises DisconnectedGraphError when it leaves a vertex unreached.
+
+A decomposition is held in a few flat containers: every block's sorted
+members back to back, the offsets of the blocks, each vertex's block
+(for a cut vertex, its last), and one dict from each cut vertex to its
+blocks. The per-block frozensets (``blocks``) and per-vertex tuples
+(``blocks_of_vertex``) are built from them on first read and cached;
+the solve and approximation paths never ask for them. So is each cut
+vertex's neighbourhood in each of its blocks (``cut_neighbours``),
+which the LP model and its rounding read.
 """
 
 from __future__ import annotations
@@ -14,7 +23,8 @@ import heapq
 from array import array
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -25,21 +35,106 @@ from .graph import Graph
 TreeNode = tuple[str, int]
 
 
-@dataclass(frozen=True)
 class BlockCutTree:
-    blocks: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
-    blocks_of_vertex: tuple[tuple[int, ...], ...] = field(repr=False)
-    # Block b's members in ascending order are
-    # members[member_start[b]:member_start[b + 1]], sorted once by the
-    # DFS and read-only by contract. They restate ``blocks``, so they
-    # are left out of equality. They are flat because a list per block
-    # raised the peak memory of a chain of 50,000 triangles by 6 MB.
-    members: list[int] = field(repr=False, compare=False)
-    member_start: array[int] = field(repr=False, compare=False)
+    """The blocks and cut vertices of a connected graph.
+
+    Block b's members in ascending order are
+    ``members[member_start[b]:member_start[b + 1]]``. ``block_of[v]`` is
+    v's block, or for a cut vertex the last of its blocks, and
+    ``cut_blocks`` maps each cut vertex, in ascending order, to its
+    blocks in ascending order. ``nbrs`` is the decomposed graph's own
+    neighbour lists. All are read-only by contract. Two decompositions
+    are equal when their blocks are, and hash as a tuple of ``blocks``,
+    ``cut_vertices`` and ``blocks_of_vertex``.
+    """
+
+    def __init__(
+        self,
+        members: list[int],
+        member_start: array[int],
+        block_of: array[int],
+        cut_blocks: dict[int, tuple[int, ...]],
+        nbrs: list[list[int]],
+    ):
+        self.members = members
+        self.member_start = member_start
+        self.block_of = block_of
+        self.cut_blocks = cut_blocks
+        self.nbrs = nbrs
+
+    @cached_property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        members, start = self.members, self.member_start
+        return tuple(
+            frozenset(members[start[b]:start[b + 1]]) for b in range(len(start) - 1)
+        )
+
+    @cached_property
+    def cut_vertices(self) -> frozenset[int]:
+        return frozenset(self.cut_blocks)
+
+    @cached_property
+    def blocks_of_vertex(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's blocks in ascending order."""
+        cut_blocks = self.cut_blocks
+        return tuple(
+            cut_blocks.get(v) or (b,) for v, b in enumerate(self.block_of)
+        )
+
+    @cached_property
+    def cut_neighbours(self) -> dict[tuple[int, int], list[int]]:
+        """For each cut vertex v and each of its blocks b, keyed (v, b)
+        in ascending order, v's neighbours in b in ascending order, from
+        one pass over v's neighbours."""
+        near: dict[tuple[int, int], list[int]] = {}
+        nbrs = self.nbrs
+        block_of = self.block_of
+        cut_blocks = self.cut_blocks
+        for v, blocks in cut_blocks.items():
+            for b in blocks:
+                near[(v, b)] = []
+            for w in nbrs[v]:
+                # a non-cut neighbour's only block holds the edge
+                b = self.edge_block(v, w) if w in cut_blocks else block_of[w]
+                near[(v, b)].append(w)
+        return near
 
     def is_cut(self, v: int) -> bool:
-        return v in self.cut_vertices
+        return v in self.cut_blocks
+
+    def edge_block(self, u: int, v: int) -> int:
+        """The one block holding the edge uv: a non-cut end's only
+        block, or else the one block the two cut ends share (two blocks
+        share at most one vertex). Walks the shorter block list, as a
+        cut vertex may lie in many blocks."""
+        cut_blocks = self.cut_blocks
+        bu = cut_blocks.get(u)
+        if bu is None:
+            return self.block_of[u]
+        bv = cut_blocks.get(v)
+        if bv is None:
+            return self.block_of[v]
+        if len(bu) > len(bv):
+            bu, bv = bv, bu
+        for b in bu:
+            i = bisect_left(bv, b)
+            if i < len(bv) and bv[i] == b:
+                return b
+        raise GuaranteeError(f"no block holds the edge ({u}, {v})")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BlockCutTree):
+            return NotImplemented
+        # sorted member lists in block order restate the blocks exactly
+        return (
+            self.member_start == other.member_start and self.members == other.members
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.blocks, self.cut_vertices, self.blocks_of_vertex))
+
+    def __repr__(self) -> str:
+        return f"BlockCutTree(blocks={self.blocks!r}, cut_vertices={self.cut_vertices!r})"
 
 
 def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
@@ -56,19 +151,13 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
     form a block with p, its head: the member with the least discovery
     time. Blocks with one head meet only there, so the least of their
     other members orders them as their sorted member lists would. Each
-    block's members are sorted once, here, and laid out flat in
-    ``members``.
+    block's members are sorted once, here, and laid out flat, in the
+    order found, then once more in block order.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if g.n == 1:
-        return BlockCutTree(
-            blocks=(frozenset({0}),),
-            cut_vertices=frozenset(),
-            blocks_of_vertex=((0,),),
-            members=[0],
-            member_start=array("l", [0, 1]),
-        )
+        return BlockCutTree([0], array("l", [0, 1]), array("l", [0]), {}, g.nbrs)
 
     n = g.n
     nbrs = g.nbrs
@@ -76,8 +165,9 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
     low = [0] * n
     at = [0] * n  # a vertex's position on vstack
     vstack: list[int] = []
-    found: list[list[int]] = []  # each block's sorted members
-    keys: list[tuple[int, int]] = []
+    found: list[int] = []  # each block's sorted members, in the order found
+    found_end: list[int] = []
+    keys: list[int] = []  # (head's discovery time, least other member), packed
 
     disc[0] = 0
     timer = 1
@@ -106,35 +196,36 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
                     i = at[u]
                     comp = vstack[i:]
                     del vstack[i:]
-                    keys.append((disc[p], min(comp)))
+                    keys.append(disc[p] * n + min(comp))
                     comp.append(p)
                     comp.sort()
-                    found.append(comp)
+                    found += comp
+                    found_end.append(len(found))
     if timer < n:
         raise DisconnectedGraphError("block decomposition requires a connected graph")
     if vstack:
         raise GuaranteeError("vertex stack left non-empty by the lowpoint DFS")
 
-    ordered = [found[i] for i in sorted(range(len(found)), key=keys.__getitem__)]
     members: list[int] = []
     member_start = array("l", [0])
-    # blocks are appended in index order, so each list comes out sorted
-    membership: list[list[int]] = [[] for _ in range(n)]
-    for b, blk in enumerate(ordered):
+    block_of = [-1] * n  # an array once filled: a list reads faster
+    cut_lists: dict[int, list[int]] = {}
+    for b, j in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        blk = found[found_end[j - 1] if j else 0:found_end[j]]
         for v in blk:
-            membership[v].append(b)
+            last = block_of[v]
+            if last >= 0:
+                # blocks come in index order, so each list comes out sorted
+                seen = cut_lists.get(v)
+                if seen is None:
+                    cut_lists[v] = [last, b]
+                else:
+                    seen.append(b)
+            block_of[v] = b
         members += blk
         member_start.append(len(members))
-    blocks_of_vertex = tuple(map(tuple, membership))
-    cut_vertices = frozenset(v for v in range(n) if len(membership[v]) >= 2)
-
-    return BlockCutTree(
-        blocks=tuple(map(frozenset, ordered)),
-        cut_vertices=cut_vertices,
-        blocks_of_vertex=blocks_of_vertex,
-        members=members,
-        member_start=member_start,
-    )
+    cut_blocks = {v: tuple(cut_lists[v]) for v in sorted(cut_lists)}
+    return BlockCutTree(members, member_start, array("l", block_of), cut_blocks, nbrs)
 
 
 class FlatBlocks(NamedTuple):
@@ -156,21 +247,21 @@ class FlatBlocks(NamedTuple):
 
 def flat_blocks(g: Graph, bct: BlockCutTree) -> FlatBlocks:
     """The members and relabelled edges of every block, from one pass
-    over g.edges.
+    over g's edges in sorted order.
 
     An edge with a non-cut end lies in that end's only block; otherwise
     both ends are cut vertices, and it lies in the one block they share
-    (two blocks share at most one vertex). A non-cut vertex's position
-    is kept per vertex, and a cut vertex's is found by bisecting the
-    block's members. g.edges is sorted, and relabelling by position in
-    the sorted members keeps that order, so grouping the edges by block,
+    (bct.edge_block). A non-cut vertex's position is kept per vertex,
+    and a cut vertex's is found by bisecting the block's members. The
+    edges are met in sorted order, and relabelling by position in the
+    sorted members keeps that order, so grouping the edges by block,
     stably, leaves each block's sorted. The members and their offsets
     are the decomposition's own, not copies.
     """
-    blocks = bct.blocks
-    bov = bct.blocks_of_vertex
     members = bct.members
     member_start = bct.member_start
+    block_of = bct.block_of
+    cut_blocks = bct.cut_blocks
     # a vertex's position in the last block that holds it: for a non-cut
     # vertex, its only block
     pos = [0] * g.n
@@ -180,40 +271,46 @@ def flat_blocks(g: Graph, bct: BlockCutTree) -> FlatBlocks:
             pos[v] = i
         start = end
 
-    block_of: list[int] = []
+    edge_block: list[int] = []
     first: list[int] = []
     second: list[int] = []
-    count = [0] * len(blocks)
-    for u, v in g.edges:
-        bu = bov[u]
-        bv = bov[v]
-        if len(bu) == 1:
-            b = bu[0]
-            first.append(pos[u])
-            if len(bv) == 1:
-                second.append(pos[v])
-            else:
+    # bound once: the loop below runs once per edge
+    add_block, add_first, add_second = edge_block.append, first.append, second.append
+    count = [0] * (len(member_start) - 1)
+    for u, row in enumerate(g.nbrs):
+        if u not in cut_blocks:
+            # every edge at u lies in u's only block
+            b = block_of[u]
+            pu = pos[u]
+            for v in row:
+                if v > u:
+                    add_first(pu)
+                    if v in cut_blocks:
+                        lo = member_start[b]
+                        add_second(bisect_left(members, v, lo, member_start[b + 1]) - lo)
+                    else:
+                        add_second(pos[v])
+                    add_block(b)
+                    count[b] += 2
+            continue
+        for v in row:
+            if v < u:
+                continue
+            if v not in cut_blocks:
+                b = block_of[v]
                 lo = member_start[b]
-                second.append(bisect_left(members, v, lo, member_start[b + 1]) - lo)
-        elif len(bv) == 1:
-            b = bv[0]
-            lo = member_start[b]
-            first.append(bisect_left(members, u, lo, member_start[b + 1]) - lo)
-            second.append(pos[v])
-        else:
-            # walk the shorter block list: a cut vertex may lie in many blocks
-            if len(bu) <= len(bv):
-                b = next(x for x in bu if v in blocks[x])
+                add_first(bisect_left(members, u, lo, member_start[b + 1]) - lo)
+                add_second(pos[v])
             else:
-                b = next(x for x in bv if u in blocks[x])
-            lo = member_start[b]
-            hi = member_start[b + 1]
-            first.append(bisect_left(members, u, lo, hi) - lo)
-            second.append(bisect_left(members, v, lo, hi) - lo)
-        block_of.append(b)
-        count[b] += 2
-    by_block = sorted(range(len(block_of)), key=block_of.__getitem__)
-    ends = [0] * (2 * len(block_of))
+                b = bct.edge_block(u, v)
+                lo = member_start[b]
+                hi = member_start[b + 1]
+                add_first(bisect_left(members, u, lo, hi) - lo)
+                add_second(bisect_left(members, v, lo, hi) - lo)
+            add_block(b)
+            count[b] += 2
+    by_block = sorted(range(len(edge_block)), key=edge_block.__getitem__)
+    ends = [0] * (2 * len(edge_block))
     ends[0::2] = map(first.__getitem__, by_block)
     ends[1::2] = map(second.__getitem__, by_block)
     return FlatBlocks(
@@ -234,14 +331,14 @@ def leaf_component_order(bct: BlockCutTree) -> tuple[tuple[int, int | None], ...
     leaves, and each block keeps a count of its live cuts, so the whole
     order costs O((B + sum of |block|) log B) for B blocks.
     """
-    nblocks = len(bct.blocks)
-    bov = bct.blocks_of_vertex
+    nblocks = len(bct.member_start) - 1
+    bov = bct.cut_blocks
     # each block's cut vertices, ascending as the cuts are visited in order
     cuts_of: list[list[int]] = [[] for _ in range(nblocks)]
     count: dict[int, int] = {}
-    for v in sorted(bct.cut_vertices):
-        count[v] = len(bov[v])
-        for b in bov[v]:
+    for v, blocks in bov.items():
+        count[v] = len(blocks)
+        for b in blocks:
             cuts_of[b].append(v)
     live = [len(cuts) for cuts in cuts_of]
     removed = [False] * nblocks
@@ -291,10 +388,12 @@ def root_block_tree(bct: BlockCutTree, root: TreeNode) -> RootedBlockTree:
         kind, idx = node
         if kind == "block":
             nbrs: list[TreeNode] = [
-                ("cut", v) for v in sorted(bct.blocks[idx] & bct.cut_vertices)
+                ("cut", v)
+                for v in bct.members[bct.member_start[idx]:bct.member_start[idx + 1]]
+                if v in bct.cut_blocks
             ]
         else:
-            nbrs = [("block", i) for i in bct.blocks_of_vertex[idx]]
+            nbrs = [("block", i) for i in bct.cut_blocks[idx]]
         kids = [nb for nb in nbrs if nb != parent[node]]
         children[node] = kids
         for nb in kids:

@@ -41,42 +41,35 @@ def all_zero_hat(n: int) -> list[Colour]:
     return [Colour.ZERO_HAT] * n
 
 
-def domination_requirements(g: Graph, bct: BlockCutTree) -> list[list[frozenset[int]]]:
-    """Per-vertex alternatives: v is simultaneously dominated by s iff
-    v is in s or all vertices of some alternative are in s."""
-    reqs: list[list[frozenset[int]]] = []
-    for v in range(g.n):
-        if bct.is_cut(v):
-            reqs.append(
-                [g.adj[v] & bct.blocks[b] for b in bct.blocks_of_vertex[v]]
-            )
-        else:
-            reqs.append([g.adj[v]])
-    return reqs
-
-
 def _first_undominated(
     g: Graph, bct: BlockCutTree, s: AbstractSet[int], vertices: Iterable[int]
 ) -> int | None:
     """First of ``vertices`` that s does not simultaneously dominate, or
     None. The one domination test of the module: v is dominated when it
     is in s, or all its neighbours are (v not a cut vertex), or all its
-    neighbours in one of its blocks are (v a cut vertex)."""
-    adj = g.adj
-    cuts = bct.cut_vertices
-    blocks = bct.blocks
-    blocks_of = bct.blocks_of_vertex
+    neighbours in one of its blocks are (v a cut vertex). Each of a cut
+    vertex's blocks holds one of its neighbours, so v is dominated
+    exactly when its neighbours outside s miss one of its blocks."""
+    if not isinstance(s, (set, frozenset)):
+        s = frozenset(s)
+    nbrs = g.nbrs
+    block_of = bct.block_of
+    cut_blocks = bct.cut_blocks
     for v in vertices:
         if v in s:
             continue
-        nbrs = adj[v]
-        if v in cuts:
-            for b in blocks_of[v]:
-                if nbrs & blocks[b] <= s:
-                    break
-            else:
-                return v
-        elif not nbrs <= s:
+        row = nbrs[v]
+        if s.issuperset(row):
+            continue
+        blocks = cut_blocks.get(v)
+        if blocks is None:
+            return v
+        missed = {
+            bct.edge_block(v, w) if w in cut_blocks else block_of[w]
+            for w in row
+            if w not in s
+        }
+        if len(missed) == len(blocks):
             return v
     return None
 

@@ -3,39 +3,62 @@
 Graphs are immutable after construction; every operation returns a new
 graph. DIMACS edge format and plain edge lists are supported for I/O.
 
+A graph holds one adjacency: ``nbrs``, each vertex's neighbours in an
+ascending list. The sorted ``edges`` tuple and the ``adj`` frozensets
+are derived from it on first read and cached, so a graph that nobody
+asks for them keeps one container per vertex: on graphs of thousands of
+small blocks, every long-lived container makes cyclic GC walk further.
+
 The trust boundary is ``Graph(n, edges)``: it checks every edge (range,
-self-loops, duplicates) and sorts them. Builds inside the package whose
-edges are already normalised, unique, in range and sorted (the parsers
-after their own line-numbered checks, induced subgraphs, edge deletion
-and the solver's residuals) go through ``Graph._trusted``, which skips
-those checks. Both end in the same adjacency build. It appends each
-edge's two ends to per-vertex lists in sorted edge order, so every list
-comes out ascending; the graph keeps these lists as ``nbrs`` and builds
-its ``adj`` frozensets from them. So a graph's ``adj`` iterates the same
-way however it was built, and a reader that needs a neighbourhood in
-ascending order reads ``nbrs`` instead of sorting.
+self-loops, duplicates). Builds inside the package whose neighbour
+lists are already ascending, symmetric, in range and loop-free (the
+parsers after their own line-numbered checks, induced subgraphs, edge
+deletion, the solver's residuals and the cover search's kernels) go
+through ``Graph._trusted`` or ``Graph._of_ends``, which skip those
+checks. However a graph
+was built, its ``edges`` and ``adj`` come out the same, and equal graphs
+compare and hash equal.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable
+from bisect import bisect_left
+from itertools import chain
+from typing import Iterable
 
 from .errors import GraphParseError
 
 MAX_VERTICES = 10**6  # parse_graph refuses more, before allocating any
+# The parsers pack an edge u < v into one int, u << EDGE_SHIFT | v, to
+# find duplicates with no tuple per edge. That is exact because every
+# vertex they accept is below MAX_VERTICES < 2**EDGE_SHIFT.
+EDGE_SHIFT = 20
+
+
+def _nbrs_of_ends(n: int, ends: Iterable[int]) -> list[list[int]]:
+    """Neighbour lists of sorted edges laid out flat. Each vertex's lower
+    neighbours arrive first, then its higher ones, each group ascending,
+    so every list comes out ascending."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    it = iter(ends)
+    for u, v in zip(it, it):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
 
 
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
-    Self-loops and parallel edges are rejected at construction. Edges are
-    stored normalized as (u, v) with u < v and sorted, so two graphs with
-    the same vertex count and edge set compare equal. ``nbrs[v]`` lists
-    v's neighbours in ascending order and must not be changed; ``adj[v]``
-    holds the same neighbours as a frozenset.
+    Self-loops and parallel edges are rejected at construction.
+    ``nbrs[v]`` lists v's neighbours in ascending order and must not be
+    changed. ``edges`` holds each edge once as (u, v) with u < v, sorted,
+    and ``adj[v]`` holds v's neighbours as a frozenset; both are built
+    from ``nbrs`` when first read. Two graphs with the same vertex count
+    and edge set compare equal.
     """
 
-    __slots__ = ("n", "edges", "nbrs", "adj")
+    __slots__ = ("n", "m", "nbrs", "_edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -50,52 +73,71 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
-        self._build(n, sorted(seen))
+        self._set(_nbrs_of_ends(n, chain.from_iterable(sorted(seen))))
 
     @classmethod
-    def _trusted(cls, n: int, edges: list[tuple[int, int]]) -> Graph:
-        """Graph on edges known to be normalised (u < v), unique, in
-        range 0..n-1 and sorted, built without checking any of that.
+    def _trusted(cls, nbrs: list[list[int]]) -> Graph:
+        """Graph on vertices 0..len(nbrs)-1 whose neighbour lists are
+        known to be ascending, symmetric, in range and free of
+        self-loops, built without checking any of that. The graph keeps
+        the lists.
 
         For builds inside the package only; outside callers use
         ``Graph(n, edges)``.
         """
         g = cls.__new__(cls)
-        g._build(n, edges)
+        g._set(nbrs)
         return g
 
-    def _build(self, n: int, edges: list[tuple[int, int]]) -> None:
-        # Each vertex's lower neighbours arrive first, then its higher
-        # ones, each group ascending, as the edges are sorted. Read-only
-        # by contract: lists, as tuples made every reader slower.
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(edges)
-        self.nbrs: list[list[int]] = nbrs
-        self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, nbrs))
+    @classmethod
+    def _of_ends(cls, n: int, ends: Iterable[int]) -> Graph:
+        """Graph on vertices 0..n-1 whose edges, normalised (u < v),
+        unique, in range and sorted, are laid out flat in ends as u0,
+        v0, u1, v1, ..., built without checking any of that."""
+        return cls._trusted(_nbrs_of_ends(n, ends))
+
+    def _set(self, nbrs: list[list[int]]) -> None:
+        # Read-only by contract: lists, as tuples made every reader slower.
+        self.n = len(nbrs)
+        self.m = sum(map(len, nbrs)) >> 1
+        self.nbrs = nbrs
+        self._edges: tuple[tuple[int, int], ...] | None = None
+        self._adj: tuple[frozenset[int], ...] | None = None
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        edges = self._edges
+        if edges is None:
+            it = iter(edge_ends(self))
+            edges = self._edges = tuple(zip(it, it))
+        return edges
+
+    @property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        adj = self._adj
+        if adj is None:
+            adj = self._adj = tuple(map(frozenset, self.nbrs))
+        return adj
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return len(self.nbrs[v])
 
     def neighbours(self, v: int) -> frozenset[int]:
         return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        row = self.nbrs[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def adjacency_masks(self) -> list[int]:
         """Neighbour sets as bitmasks, one int per vertex."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+        masks = []
+        for row in self.nbrs:
+            mask = 0
+            for w in row:
+                mask |= 1 << w
+            masks.append(mask)
         return masks
 
     def coloured_components(self) -> list[tuple[list[int], list[int] | None]]:
@@ -139,7 +181,9 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        # the lists are ascending, so they are equal exactly when the
+        # edge sets are
+        return self.nbrs == other.nbrs
 
     def __hash__(self) -> int:
         return hash((self.n, self.edges))
@@ -148,40 +192,35 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def induced_edges(
-    adj: tuple[frozenset[int], ...], vertices: AbstractSet[int], kept: list[int]
-) -> list[tuple[int, int]]:
-    """Sorted edges among ``vertices`` relabelled by position in ``kept``,
-    the same vertices in ascending order.
-
-    Each kept vertex's neighbourhood is intersected with ``vertices``,
-    which walks the smaller of the two, so a call costs the sum over kept
-    vertices of min(degree, len(kept)), plus sorting: a high-degree
-    vertex shared by many small vertex sets is not scanned whole for
-    each of them.
-    """
-    index = {v: i for i, v in enumerate(kept)}
-    edges = [
-        (i, index[w]) for i, v in enumerate(kept) for w in adj[v] & vertices if v < w
-    ]
-    edges.sort()
-    return edges
+def edge_ends(g: Graph) -> list[int]:
+    """g's sorted edges laid out flat: u0, v0, u1, v1, ..., each u < v."""
+    ends: list[int] = []
+    for u, row in enumerate(g.nbrs):
+        for v in row:
+            if v > u:
+                ends.append(u)
+                ends.append(v)
+    return ends
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
     """Subgraph induced on ``vertices``.
 
     Returns the new graph and the sorted list of original ids; new vertex i
-    corresponds to original id ``kept[i]``. The edges come from
-    induced_edges, checked by construction, so the graph takes the
-    trusted build.
+    corresponds to original id ``kept[i]``. Each kept vertex's neighbour
+    list is filtered and relabelled in order, which keeps it ascending,
+    so the graph takes the trusted build. A call costs the kept
+    vertices' degrees.
     """
-    keep = set(vertices)
-    kept = sorted(keep)
+    kept = sorted(set(vertices))
     for v in kept:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    return Graph._trusted(len(kept), induced_edges(g.adj, keep, kept)), kept
+    index = {v: i for i, v in enumerate(kept)}
+    nbrs = g.nbrs
+    return Graph._trusted(
+        [[index[w] for w in nbrs[v] if w in index] for v in kept]
+    ), kept
 
 
 def delete_vertices(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -200,8 +239,12 @@ def delete_edges_within(g: Graph, s: Iterable[int]) -> Graph:
     for v in inside:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    edges = [e for e in g.edges if not (e[0] in inside and e[1] in inside)]
-    return Graph._trusted(g.n, edges)
+    return Graph._trusted(
+        [
+            [w for w in row if w not in inside] if v in inside else list(row)
+            for v, row in enumerate(g.nbrs)
+        ]
+    )
 
 
 def parse_graph(text: str, fmt: str = "dimacs") -> Graph:
@@ -222,8 +265,8 @@ def parse_graph(text: str, fmt: str = "dimacs") -> Graph:
 def _parse_dimacs(text: str) -> Graph:
     n: int | None = None
     declared_m: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()  # packed edges, see EDGE_SHIFT
+    nbrs: list[list[int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         # split() and strip() share one definition of whitespace, so the
         # first token starts with the line's first non-blank character
@@ -243,6 +286,7 @@ def _parse_dimacs(text: str) -> Graph:
                 raise GraphParseError("negative counts in problem line", lineno)
             if n > MAX_VERTICES:
                 raise GraphParseError(f"more than {MAX_VERTICES} vertices", lineno)
+            nbrs = [[] for _ in range(n)]
         elif parts[0] == "e":
             if n is None:
                 raise GraphParseError("edge before problem line", lineno)
@@ -258,26 +302,26 @@ def _parse_dimacs(text: str) -> Graph:
                 raise GraphParseError(f"vertex index out of range 1..{n}", lineno)
             if u == v:
                 raise GraphParseError("self-loop", lineno)
-            e = (u, v)
-            if e in seen:
+            key = u << EDGE_SHIFT | v
+            if key in seen:
                 raise GraphParseError("duplicate edge", lineno)
-            seen.add(e)
-            edges.append(e)
+            seen.add(key)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         else:
             raise GraphParseError(f"unrecognized line kind {parts[0]!r}", lineno)
     if n is None:
         raise GraphParseError("missing 'p edge' line")
-    if declared_m is not None and declared_m != len(edges):
+    if declared_m is not None and declared_m != len(seen):
         raise GraphParseError(
-            f"problem line declares {declared_m} edges, found {len(edges)}"
+            f"problem line declares {declared_m} edges, found {len(seen)}"
         )
-    edges.sort()
-    return Graph._trusted(n, edges)
+    return _sorted_graph(nbrs)
 
 
 def _parse_edgelist(text: str) -> Graph:
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()  # packed edges, see EDGE_SHIFT
+    nbrs: list[list[int]] = []
     top = -1
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()  # see _parse_dimacs
@@ -295,17 +339,29 @@ def _parse_edgelist(text: str) -> Graph:
             raise GraphParseError("negative vertex index", lineno)
         if u == v:
             raise GraphParseError("self-loop", lineno)
-        e = (u, v)
-        if e in seen:
-            raise GraphParseError("duplicate edge", lineno)
-        seen.add(e)
-        edges.append(e)
         if v > top:
-            top = v
-            if top >= MAX_VERTICES:
+            # before the duplicate test: only an end below the cap packs
+            # exactly, and no earlier line can hold an end above it
+            if v >= MAX_VERTICES:
                 raise GraphParseError(f"more than {MAX_VERTICES} vertices", lineno)
-    edges.sort()
-    return Graph._trusted(top + 1, edges)
+            nbrs += [[] for _ in range(v - top)]
+            top = v
+        key = u << EDGE_SHIFT | v
+        if key in seen:
+            raise GraphParseError("duplicate edge", lineno)
+        seen.add(key)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return _sorted_graph(nbrs)
+
+
+def _sorted_graph(nbrs: list[list[int]]) -> Graph:
+    """The graph of checked neighbour lists in line order, each sorted
+    in place: sorting a few short lists costs less than sorting every
+    edge."""
+    for row in nbrs:
+        row.sort()
+    return Graph._trusted(nbrs)
 
 
 def write_graph(g: Graph, fmt: str = "dimacs") -> str:

@@ -67,36 +67,27 @@ def build_sds_ip(g: Graph, bct: BlockCutTree) -> LpModel:
     An edge with two non-cut ends would otherwise give the same pair row
     twice, which only adds a duplicate column to the dual.
     """
-    cut = sorted(bct.cut_vertices)
-    y_keys: list[tuple[int, int]] = []
-    for v in cut:
-        for b in bct.blocks_of_vertex[v]:
-            y_keys.append((v, b))
+    cut_blocks = bct.cut_blocks
+    near = bct.cut_neighbours
+    y_keys = list(near)
     col_of = {key: g.n + i for i, key in enumerate(y_keys)}
 
     rows: list[LpRow] = []
-    for v in range(g.n):
-        if bct.is_cut(v):
+    for v, row in enumerate(g.nbrs):
+        if v in cut_blocks:
             continue
-        for u in g.nbrs[v]:
-            if u < v and not bct.is_cut(u):
+        for u in row:
+            if u < v and u not in cut_blocks:
                 continue  # given as (u, v) already
             rows.append(
                 LpRow("adjacent-pair", {u: 1, v: 1}, 1, (v, u))
             )
-    for v in cut:
-        for b in bct.blocks_of_vertex[v]:
-            for u in sorted(g.adj[v] & bct.blocks[b]):
-                rows.append(
-                    LpRow(
-                        "block-neighbour",
-                        {u: 1, col_of[(v, b)]: -1},
-                        0,
-                        (v, b, u),
-                    )
-                )
-    for v in cut:
-        coeffs = {col_of[(v, b)]: 1 for b in bct.blocks_of_vertex[v]}
+    for (v, b), us in near.items():
+        col = col_of[(v, b)]
+        for u in us:
+            rows.append(LpRow("block-neighbour", {u: 1, col: -1}, 0, (v, b, u)))
+    for v, blocks in cut_blocks.items():
+        coeffs = {col_of[(v, b)]: 1 for b in blocks}
         coeffs[v] = 1
         rows.append(LpRow("cut-cover", coeffs, 1, (v,)))
     return LpModel(g.n, tuple(y_keys), tuple(rows))
@@ -170,20 +161,20 @@ def _assert_lp_feasible(
     stage: str,
 ) -> None:
     """Raise GuaranteeError when (x, y) breaks a row of the model."""
-    for v in range(g.n):
-        if bct.is_cut(v):
+    cut_blocks = bct.cut_blocks
+    for v, row in enumerate(g.nbrs):
+        if v in cut_blocks:
             continue
-        for u in g.adj[v]:
+        for u in row:
             if x[u] + x[v] < 1:
                 raise GuaranteeError(f"{stage}: pair row ({v},{u}) broken")
+    near = bct.cut_neighbours
     for (v, b), yv in y.items():
-        for u in g.adj[v] & bct.blocks[b]:
+        for u in near[(v, b)]:
             if x[u] < yv:
                 raise GuaranteeError(f"{stage}: block row ({v},{b},{u}) broken")
-    for v in sorted(bct.cut_vertices):
-        total = sum(
-            (y[(v, b)] for b in bct.blocks_of_vertex[v]), start=Fraction(0)
-        )
+    for v, blocks in cut_blocks.items():
+        total = sum((y[(v, b)] for b in blocks), start=Fraction(0))
         if total + x[v] < 1:
             raise GuaranteeError(f"{stage}: cover row ({v}) broken")
 
@@ -207,43 +198,40 @@ def round_lp(
     if any(xv > 1 for xv in sol.x):
         raise GuaranteeError("relaxation optimum exceeds the box x <= 1")
     x = [Fraction(1) if xv >= HALF else xv for xv in sol.x]
+    near = bct.cut_neighbours
 
-    def fresh_y(v: int, b: int) -> Fraction:
-        return min(x[u] for u in g.adj[v] & bct.blocks[b])
+    def fresh_y(key: tuple[int, int]) -> Fraction:
+        return min(x[u] for u in near[key])
 
-    y = {key: fresh_y(*key) for key in sol.y}
+    y = {key: fresh_y(key) for key in sol.y}
     if check_feasibility:
         _assert_lp_feasible(g, bct, x, y, "after first rounding")
 
-    cuts = sorted(bct.cut_vertices)
-    if cuts:
-        tree = root_block_tree(bct, ("cut", cuts[0]))
-        bottom_up = sorted(cuts, key=lambda v: (-tree.depth[("cut", v)], v))
+    cut_blocks = bct.cut_blocks
+    if cut_blocks:
+        tree = root_block_tree(bct, ("cut", next(iter(cut_blocks))))
+        bottom_up = sorted(cut_blocks, key=lambda v: (-tree.depth[("cut", v)], v))
         for v in bottom_up:
-            if x[v] == 1 or any(
-                y[(v, b)] == 1 for b in bct.blocks_of_vertex[v]
-            ):
+            if x[v] == 1 or any(y[(v, b)] == 1 for b in cut_blocks[v]):
                 continue
             x[v] = Fraction(1)
             touched = {v}
             for b in tree.child_blocks_of_cut(v):
-                candidates = sorted(g.adj[v] & bct.blocks[b])
-                u = min(candidates, key=lambda w: (x[w], w))
+                u = min(near[(v, b)], key=lambda w: (x[w], w))
                 if x[u] >= 1:
                     raise GuaranteeError("argmin picked an integral variable")
                 x[u] = Fraction(0)
                 touched.add(u)
             for key in y:
-                w, b = key
-                if touched & (g.adj[w] & bct.blocks[b]):
-                    y[key] = fresh_y(w, b)
+                if not touched.isdisjoint(near[key]):
+                    y[key] = fresh_y(key)
             if check_feasibility:
                 _assert_lp_feasible(g, bct, x, y, f"after rounding cut vertex {v}")
 
     out = frozenset(v for v in range(g.n) if x[v] == 1)
     if check_feasibility:
         xi = [Fraction(1) if v in out else Fraction(0) for v in range(g.n)]
-        yi = {key: min(xi[u] for u in g.adj[key[0]] & bct.blocks[key[1]]) for key in y}
+        yi = {key: min(xi[u] for u in near[key]) for key in y}
         _assert_lp_feasible(g, bct, xi, yi, "after third rounding")
     if not is_sd_set(g, bct, out):
         raise InvalidSdSetError("rounded set fails the domination check")

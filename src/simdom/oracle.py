@@ -8,7 +8,10 @@ lexicographically, which makes the returned optimum canonical. The 0/1
 program of lpapprox is solved by enumerating assignments, and its LP
 relaxation by enumerating basic solutions. The paper's extension of an
 SD-set to a vertex cover of at most 2|S| - 1 vertices lives here too:
-only tests call it, to check the lemma behind approx4_sds_via_vc.
+only tests call it, to check the lemma behind approx4_sds_via_vc. So do
+the per-vertex domination requirements that the brute-force SD-set
+searches test subsets against, read off the graph's and the block-cut
+tree's frozenset views.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from math import comb
 from typing import AbstractSet, Iterator
 
 from .blocks import BlockCutTree, blocks_and_cut_vertices, root_block_tree
-from .domination import Colour, Colouring, domination_requirements, is_sd_set
+from .domination import Colour, Colouring, is_sd_set
 from .errors import (
     BudgetExceededError,
     DisconnectedGraphError,
@@ -189,6 +192,20 @@ def sds_to_vertex_cover(
     if len(result) > 2 * len(set(s)) - 1:
         raise GuaranteeError("cover extension exceeded the size bound")
     return result
+
+
+def domination_requirements(g: Graph, bct: BlockCutTree) -> list[list[frozenset[int]]]:
+    """Per-vertex alternatives: v is simultaneously dominated by s iff
+    v is in s or all vertices of some alternative are in s."""
+    reqs: list[list[frozenset[int]]] = []
+    for v in range(g.n):
+        if bct.is_cut(v):
+            reqs.append(
+                [g.adj[v] & bct.blocks[b] for b in bct.blocks_of_vertex[v]]
+            )
+        else:
+            reqs.append([g.adj[v]])
+    return reqs
 
 
 def _subsets_by_size(universe: list[int]) -> Iterator[tuple[int, ...]]:

@@ -28,13 +28,12 @@ a chordal one with a large clique among them, may branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 from .blocks import BlockCutTree, blocks_and_cut_vertices, flat_blocks, leaf_component_order
 from .domination import Colour, Colouring, all_zero_hat, is_colour_respecting
 from .errors import GuaranteeError, InvalidSdSetError
-from .graph import Graph
+from .graph import Graph, edge_ends
 # unused here, but perfbench --trace looks these up on this module by name
 from .domination import is_sd_set  # noqa: F401
 from .graph import delete_edges_within, delete_vertices, induced_subgraph  # noqa: F401
@@ -92,10 +91,11 @@ def _residual_core(
     the vertex count followed by the edges' endpoints, flat: the same
     residuals share a key exactly when they compare equal as Graphs. A
     residual already in memo is not searched again; on a miss its Graph
-    takes the trusted build. The key keeps the labels because the
-    cover's tie-breaks depend on them. min_size is a lower bound on the
-    answer's size known to the caller; it can only shorten the cover
-    search, never change its result, so a memo entry serves any bound.
+    is built from the key itself, unchecked. The key keeps the labels
+    because the cover's tie-breaks depend on them. min_size is a lower
+    bound on the answer's size known to the caller; it can only shorten
+    the cover search, never change its result, so a memo entry serves
+    any bound.
     The third value is the branch-and-bound nodes spent, 0 on a memo hit.
     """
     one = Colour.ONE
@@ -120,7 +120,7 @@ def _residual_core(
     hit = memo.get(key)
     nodes = 0
     if hit is None:
-        residual = Graph._trusted(key[0], list(zip(key[1::2], key[2::2])))
+        residual = Graph._of_ends(key[0], key[1:])
         vc = min_vertex_cover(
             residual, backend, node_budget=node_budget, target=min_size - len(ones)
         )
@@ -251,7 +251,7 @@ def _solve(
     else:
         if len(order) == 1:  # g is one block, on its own labels
             members = list(range(g.n))
-            edges = list(chain.from_iterable(g.edges))
+            edges = edge_ends(g)
         else:
             root = order[-1][0]
             members = members_of[member_start[root]:member_start[root + 1]]

@@ -23,6 +23,7 @@ by property in time linear in the bags' total size.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import GuaranteeError, InvalidDecompositionError, WidthBudgetError
@@ -169,7 +170,7 @@ def min_fill_decomposition(
         adj: list = g.adjacency_masks()
         ascending, count_fill, eliminate = _bits, _mask_fill, _mask_eliminate
     else:
-        adj = [set(g.neighbours(v)) for v in range(g.n)]
+        adj = [set(row) for row in g.nbrs]
         ascending, count_fill, eliminate = sorted, _set_fill, _set_eliminate
     fill = [count_fill(adj, v) for v in range(g.n)]
     heap = [(f, v) for v, f in enumerate(fill)]
@@ -265,19 +266,20 @@ def decomposition_violation(g: Graph, td: TreeDecomposition) -> str | None:
                     split.add(v)
     if -1 in top:
         return f"property (i): vertex {top.index(-1)} is in no bag"
-    for u, v in g.edges:
-        if v in bags[top[u]] or u in bags[top[v]]:
-            continue
-        if (u in split or v in split) and any(u in b and v in b for b in bags):
-            continue
-        return f"property (ii): edge ({u}, {v}) is in no bag"
+    for u, row in enumerate(g.nbrs):
+        for v in row:
+            if v < u or v in bags[top[u]] or u in bags[top[v]]:
+                continue
+            if (u in split or v in split) and any(u in b and v in b for b in bags):
+                continue
+            return f"property (ii): edge ({u}, {v}) is in no bag"
     if split:
         return f"property (iii): bags containing vertex {min(split)} are disconnected"
     return None
 
 
 def _bag_covers(
-    verts: list[int], adj: tuple[frozenset[int], ...], up: dict[int, int]
+    verts: list[int], nbrs: list[list[int]], up: dict[int, int]
 ) -> list[int]:
     """Covers of the edges inside one bag, as states.
 
@@ -286,18 +288,23 @@ def _bag_covers(
     same choice on the vertices the parent bag shares, as a mask over
     the parent positions up[v]. Vertices are added one at a time, and
     leaving one out needs its earlier neighbours in. The states without
-    a vertex go first, so the states ascend in their low bits.
+    a vertex go first, so the states ascend in their low bits. Each
+    earlier vertex is looked up in v's ascending neighbour list by
+    bisection, so a vertex of high degree costs the bag's size, not its
+    degree.
     """
     shift = len(verts)
     states = [0]
     for v in verts:
-        nv = adj[v]
+        row = nbrs[v]
         need = 0
         bit = 1
+        i = 0
         for u in verts:  # the earlier vertices; bit ends at v's own
             if u == v:
                 break
-            if u in nv:
+            i = bisect_left(row, u, i)
+            if i < len(row) and row[i] == u:
                 need |= bit
             bit <<= 1
         add = bit | (1 << (shift + up[v]) if v in up else 0)
@@ -345,7 +352,7 @@ def vc_via_tree_decomposition(g: Graph, td: TreeDecomposition) -> VcResult:
     for b in reversed(order):
         p = parent[b]
         up = {v: i for i, v in enumerate(verts[p])} if p >= 0 else {}
-        states = _bag_covers(verts[b], g.adj, up)
+        states = _bag_covers(verts[b], g.nbrs, up)
         # a state's cost counts the cover vertices of the subtree that
         # the parent bag does not hold
         own = km = 0

@@ -48,18 +48,25 @@ class VcResult:
 
 
 def is_vertex_cover(g: Graph, s: AbstractSet[int]) -> bool:
-    return all(u in s or v in s for u, v in g.edges)
+    """True iff every vertex outside s has all its neighbours in s."""
+    if not isinstance(s, (set, frozenset)):
+        s = frozenset(s)
+    return all(v in s or s.issuperset(row) for v, row in enumerate(g.nbrs))
 
 
 def greedy_matching(g: Graph) -> tuple[tuple[int, int], ...]:
     """Maximal matching, edges taken greedily in sorted edge order."""
     matched: set[int] = set()
     picked: list[tuple[int, int]] = []
-    for u, v in g.edges:
-        if u not in matched and v not in matched:
-            picked.append((u, v))
-            matched.add(u)
-            matched.add(v)
+    for u, row in enumerate(g.nbrs):
+        if u in matched:
+            continue
+        for v in row:
+            if v > u and v not in matched:
+                picked.append((u, v))
+                matched.add(u)
+                matched.add(v)
+                break
     return tuple(picked)
 
 
@@ -88,14 +95,18 @@ def _kernel_graph(alive: int, adj: list[int]) -> tuple[Graph, list[int]]:
         rest ^= low
         kept.append(low.bit_length() - 1)
     index = {v: i for i, v in enumerate(kept)}
-    edges: list[tuple[int, int]] = []
+    # each edge once, from its lower end, in sorted order: every list
+    # takes its lower neighbours, then its higher ones, ascending
+    nbrs: list[list[int]] = [[] for _ in kept]
     for i, v in enumerate(kept):
         later = adj[v] & alive & ~((2 << v) - 1)
         while later:
             low = later & -later
             later ^= low
-            edges.append((i, index[low.bit_length() - 1]))
-    return Graph._trusted(len(kept), edges), kept
+            j = index[low.bit_length() - 1]
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    return Graph._trusted(nbrs), kept
 
 
 def min_vc_branch_and_bound(
@@ -157,31 +168,32 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     return frozenset(sides[0]), frozenset(sides[1])
 
 
-def _hopcroft_karp(
-    g: Graph, left: Sequence[int]
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Maximum matching; returns (left-to-right, right-to-left) maps."""
-    INF = float("inf")
-    match_l: dict[int, int] = {}
-    match_r: dict[int, int] = {}
+def _hopcroft_karp(g: Graph, left: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Maximum matching; returns (left-to-right, right-to-left) lists of
+    n, with -1 at an unmatched vertex."""
     nbrs = g.nbrs
-    dist: dict[int, float] = {}
+    match_l = [-1] * g.n
+    match_r = [-1] * g.n
+    # a left vertex's BFS layer; -1 before the BFS reaches it and once a
+    # DFS finds no augmenting path through it. A vertex on the DFS stack
+    # has a layer of 0 or more, so a -1 never matches the next layer.
+    dist = [-1] * g.n
 
     def bfs() -> bool:
-        dist.clear()
+        dist[:] = [-1] * g.n
         queue: deque[int] = deque()
         for u in left:
-            if u not in match_l:
+            if match_l[u] < 0:
                 dist[u] = 0
                 queue.append(u)
         found = False
         while queue:
             u = queue.popleft()
             for w in nbrs[u]:
-                nxt = match_r.get(w)
-                if nxt is None:
+                nxt = match_r[w]
+                if nxt < 0:
                     found = True
-                elif nxt not in dist:
+                elif dist[nxt] < 0:
                     dist[nxt] = dist[u] + 1
                     queue.append(nxt)
         return found
@@ -197,25 +209,25 @@ def _hopcroft_karp(
         while stack:
             u, it = stack[-1]
             for w in it:
-                nxt = match_r.get(w)
-                if nxt is None:
+                nxt = match_r[w]
+                if nxt < 0:
                     # Free right vertex: flip the path held by the stack.
                     for v, _ in reversed(stack):
-                        prev = match_l.get(v)
+                        prev = match_l[v]
                         match_l[v] = w
                         match_r[w] = v
                         w = prev
                     return
-                if dist.get(nxt, INF) == dist[u] + 1:
+                if dist[nxt] == dist[u] + 1:
                     stack.append((nxt, iter(nbrs[nxt])))
                     break
             else:
-                dist[u] = INF
+                dist[u] = -1
                 stack.pop()
 
     while bfs():
         for u in left:
-            if u not in match_l:
+            if match_l[u] < 0:
                 dfs(u)
     return match_l, match_r
 
@@ -236,8 +248,12 @@ def min_vc_bipartite(
     side_a, side_b = frozenset(sides[0]), frozenset(sides[1])
     if side_a & side_b or (side_a | side_b) != frozenset(range(g.n)):
         raise InvalidBipartitionError("sides do not partition the vertex set")
-    for u, v in g.edges:
-        if (u in side_a) == (v in side_a):
+    nbrs = g.nbrs
+    for u, row in enumerate(nbrs):
+        other = side_b if u in side_a else side_a
+        if not other.issuperset(row):
+            # the least such u: an earlier end of a bad edge would be less
+            v = next(w for w in row if w not in other)
             raise InvalidBipartitionError(f"edge ({u}, {v}) lies inside one side")
 
     left = sorted(side_a)
@@ -245,22 +261,24 @@ def min_vc_bipartite(
 
     # König: Z = free left vertices plus everything reachable by
     # alternating paths (unmatched edges rightward, matched leftward).
-    z_left = {u for u in left if u not in match_l}
+    free = [u for u in left if match_l[u] < 0]
+    z_left = set(free)
     z_right: set[int] = set()
-    queue = deque(sorted(z_left))
+    queue = deque(free)
     while queue:
         u = queue.popleft()
-        for w in g.nbrs[u]:
-            if w in z_right or match_l.get(u) == w:
+        mate = match_l[u]
+        for w in nbrs[u]:
+            if w in z_right or w == mate:
                 continue
             z_right.add(w)
-            back = match_r.get(w)
-            if back is not None and back not in z_left:
+            back = match_r[w]
+            if back >= 0 and back not in z_left:
                 z_left.add(back)
                 queue.append(back)
     cover = frozenset(side_a - z_left) | frozenset(z_right)
 
-    if len(cover) != len(match_l):
+    if len(cover) != len(left) - len(free):  # the matching's size
         raise GuaranteeError("König equality violated")
     if not is_vertex_cover(g, cover):
         raise GuaranteeError("extracted set misses an edge")

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import random
-from array import array
 from pathlib import Path
 
 import networkx as nx
@@ -18,7 +17,6 @@ from conftest import (
 )
 from simdom import DisconnectedGraphError, Graph, blocks_and_cut_vertices
 from simdom.blocks import flat_blocks, leaf_component_order, root_block_tree
-from simdom.graph import induced_edges
 from simdom.generators import random_connected_graph
 
 
@@ -69,9 +67,9 @@ def test_every_edge_in_exactly_one_block():
 @settings(deadline=None, max_examples=150)
 @given(connected_graphs(max_n=16))
 def test_flat_blocks_match_induced_edges(g):
-    # the one pass over g.edges gives each block the edges that
-    # induced_edges builds for that block alone, and each edge of g
-    # lands in exactly one block
+    # the one pass over g's edges gives each block the edges that an
+    # edge scan finds for that block alone, and each edge of g lands in
+    # exactly one block
     bct = blocks_and_cut_vertices(g)
     assume(bct.cut_vertices)
     members, member_start, ends, edge_start = flat_blocks(g, bct)
@@ -82,7 +80,10 @@ def test_flat_blocks_match_induced_edges(g):
         assert kept == sorted(block)
         flat = ends[edge_start[b]:edge_start[b + 1]]
         pairs = list(zip(flat[::2], flat[1::2]))
-        assert pairs == induced_edges(g.adj, block, kept)
+        index = {v: i for i, v in enumerate(kept)}
+        assert pairs == [
+            (index[u], index[v]) for u, v in g.edges if u in block and v in block
+        ]
         seen += [(kept[a], kept[c]) for a, c in pairs]
     assert sorted(seen) == list(g.edges)
 
@@ -90,16 +91,23 @@ def test_flat_blocks_match_induced_edges(g):
 @settings(deadline=None, max_examples=100)
 @given(connected_graphs(max_n=16))
 def test_flat_members_are_the_sorted_blocks(g):
-    # each block's members, sorted by the DFS and laid out flat, are
-    # the block's; equality reads the frozensets alone
+    # each block's members, sorted by the DFS and laid out flat, are the
+    # block's; equality and hash follow the blocks, whichever views have
+    # been built
     bct = blocks_and_cut_vertices(g)
     members, start = bct.members, bct.member_start
     assert len(start) == len(bct.blocks) + 1
     assert [members[start[b]:start[b + 1]] for b in range(len(bct.blocks))] == [
         sorted(blk) for blk in bct.blocks
     ]
-    other = dataclasses.replace(bct, members=[], member_start=array("l"))
-    assert other == bct and hash(other) == hash(bct)
+    fresh = blocks_and_cut_vertices(g)
+    assert fresh == bct and hash(fresh) == hash(bct)
+    # a decomposition of another graph with the same vertex count
+    # differs exactly when its blocks do
+    h = Graph(g.n, list(g.edges)[1:]) if g.m else g
+    if h.is_connected():
+        other = blocks_and_cut_vertices(h)
+        assert (other == bct) == (other.blocks == bct.blocks)
 
 
 def test_cut_vertex_definition_matches_component_count():
@@ -336,3 +344,76 @@ def test_block_order_is_pinned():
     assert len(records) == len(expected) == 21
     for i, (got, want) in enumerate(zip(records, expected)):
         assert got == want, f"graph {i}"
+
+
+@dataclasses.dataclass(frozen=True)
+class EagerBlockCutTree:
+    """Reference: a decomposition's views as they were built before they
+    became lazy, a frozenset per block and a tuple per vertex, in a
+    frozen dataclass whose equality and hash read all three."""
+
+    blocks: tuple
+    cut_vertices: frozenset
+    blocks_of_vertex: tuple
+
+
+def eager_reference(g, bct):
+    """The eager views of bct's blocks, in bct's block order, which
+    test_block_order_is_pinned checks on its own."""
+    blocks = [bct.members[bct.member_start[b]:bct.member_start[b + 1]]
+              for b in range(len(bct.member_start) - 1)]
+    membership = [[] for _ in range(g.n)]
+    for b, blk in enumerate(blocks):
+        for v in blk:
+            membership[v].append(b)
+    return EagerBlockCutTree(
+        tuple(map(frozenset, blocks)),
+        frozenset(v for v in range(g.n) if len(membership[v]) >= 2),
+        tuple(map(tuple, membership)),
+    )
+
+
+@st.composite
+def hubs(draw):
+    """Stars and flowers, relabelled: one cut vertex in many blocks, each
+    a bridge or a cycle of 3 to 5 vertices, some with a tail."""
+    n, edges = 1, []
+    for size in draw(st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=12)):
+        ring = [0] + list(range(n, n + size - 1))
+        n += size - 1
+        edges += [(ring[i], ring[i + 1]) for i in range(size - 1)]
+        if size > 2:
+            edges.append((ring[-1], 0))
+        if draw(st.booleans()):
+            edges.append((ring[-1], n))
+            n += 1
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(connected_graphs(max_n=16), hubs()), st.one_of(connected_graphs(max_n=16), hubs()))
+def test_flat_layout_derives_the_eager_views(g, h):
+    bct = blocks_and_cut_vertices(g)
+    want = eager_reference(g, bct)
+    nxg = nx.Graph(list(g.edges))
+    nxg.add_nodes_from(range(g.n))
+    if g.n > 1:
+        assert set(want.blocks) == set(map(frozenset, nx.biconnected_components(nxg)))
+        assert want.cut_vertices == set(nx.articulation_points(nxg))
+    assert (bct.blocks, bct.cut_vertices, bct.blocks_of_vertex) == (
+        want.blocks, want.cut_vertices, want.blocks_of_vertex
+    )
+    assert hash(blocks_and_cut_vertices(g)) == hash(bct) == hash(want)
+    assert list(bct.block_of) == [bs[-1] for bs in want.blocks_of_vertex]
+    assert bct.cut_blocks == {v: want.blocks_of_vertex[v] for v in sorted(want.cut_vertices)}
+    assert list(bct.cut_blocks) == sorted(want.cut_vertices)
+    near = [((v, b), sorted(g.adj[v] & want.blocks[b]))
+            for v in sorted(want.cut_vertices) for b in want.blocks_of_vertex[v]]
+    assert list(bct.cut_neighbours.items()) == near
+    for u, v in g.edges:
+        assert bct.edge_block(u, v) == bct.edge_block(v, u) == next(
+            b for b, blk in enumerate(want.blocks) if u in blk and v in blk
+        )
+    other = blocks_and_cut_vertices(h)
+    assert (other == bct) == (eager_reference(h, other) == want) == (other.blocks == bct.blocks)

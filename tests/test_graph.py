@@ -9,8 +9,10 @@ import parse_reference
 from conftest import clique, cycle, path, small_graphs
 from simdom import graph
 from simdom import Graph, GraphParseError, parse_graph, write_graph
+from simdom import solver
+from simdom.domination import Colour
 from simdom.graph import delete_edges_within, delete_vertices, induced_subgraph
-from simdom.vertexcover import bipartition
+from simdom.vertexcover import VcResult, _kernel_graph, bipartition
 
 
 def test_edges_are_normalized_and_sorted():
@@ -408,3 +410,133 @@ def test_every_build_keeps_sorted_neighbour_lists(case, data):
     assert_sorted_lists(induced_subgraph(g, subset)[0])
     assert_sorted_lists(delete_vertices(g, subset)[0])
     assert_sorted_lists(delete_edges_within(g, subset))
+
+
+class EagerGraph:
+    """Reference: a graph's views as they were built before ``edges`` and
+    ``adj`` became lazy, all at once from the sorted edges."""
+
+    def __init__(self, n, edges):
+        self.n = n
+        self.edges = tuple(sorted((min(e), max(e)) for e in edges))
+        self.nbrs = [[] for _ in range(n)]
+        for u, v in self.edges:
+            self.nbrs[u].append(v)
+            self.nbrs[v].append(u)
+        self.adj = tuple(map(frozenset, self.nbrs))
+
+
+def assert_eager_views(g, n, edges):
+    want = EagerGraph(n, edges)
+    assert (g.n, g.m, g.nbrs) == (want.n, len(want.edges), want.nbrs)
+    assert [list(a) for a in g.adj] == [list(a) for a in want.adj]
+    assert g.edges == want.edges
+    assert g.adj is g.adj and g.edges is g.edges
+    assert g == Graph(n, edges) and hash(g) == hash((want.n, want.edges))
+    if want.edges:
+        assert g != Graph(n, want.edges[1:])
+
+
+def kernel_input(n, edges, alive):
+    """_kernel_graph's arguments: bitmask rows and an alive mask."""
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return sum(1 << v for v in alive), masks
+
+
+def relabelled(edges, kept):
+    index = {v: i for i, v in enumerate(kept)}
+    return [(index[u], index[v]) for u, v in edges if u in index and v in index]
+
+
+@settings(deadline=None, max_examples=150)
+@given(shuffled_edge_lists(), st.data())
+def test_every_build_path_derives_the_eager_views(case, data):
+    n, edges = case
+    g = Graph(n, edges)
+    assert_eager_views(g, n, edges)
+    assert_eager_views(Graph._trusted([list(row) for row in g.nbrs]), n, edges)
+    assert_eager_views(parse_graph(write_graph(g, "dimacs")), n, edges)
+    top = max((v for e in edges for v in e), default=-1) + 1
+    text = "".join(f"{u} {v}\n" for u, v in edges)  # in drawn order
+    assert_eager_views(parse_graph(text, "edgelist"), top, edges)
+
+    subset = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    sub, kept = induced_subgraph(g, subset)
+    assert_eager_views(sub, len(kept), relabelled(edges, kept))
+    rest, _ = delete_vertices(g, subset)
+    kept = sorted(set(range(n)) - subset)
+    assert_eager_views(rest, len(kept), relabelled(edges, kept))
+    inside = [(u, v) for u, v in edges if not (u in subset and v in subset)]
+    assert_eager_views(delete_edges_within(g, subset), n, inside)
+    kernel, kept = _kernel_graph(*kernel_input(n, edges, subset))
+    assert kept == sorted(subset)
+    assert_eager_views(kernel, len(kept), relabelled(edges, kept))
+
+    # a residual drops the ONE vertices and the edges between ZERO ones
+    colours = data.draw(st.lists(st.sampled_from(list(Colour)), min_size=n, max_size=n))
+    flat = [x for e in g.edges for x in e]
+    residuals = []
+    with mock.patch.object(solver, "min_vertex_cover") as cover:
+        cover.side_effect = lambda h, *args, **kw: residuals.append(h) or VcResult(
+            frozenset(), 0, "bnb"
+        )
+        solver._residual_core(n, flat, colours, "auto", 0, {})
+    kept = [v for v in range(n) if colours[v] is not Colour.ONE]
+    zero = Colour.ZERO
+    live = [(u, v) for u, v in edges if not (colours[u] is zero and colours[v] is zero)]
+    assert_eager_views(residuals[0], len(kept), relabelled(live, kept))
+
+
+def test_parsers_build_no_view():
+    g = parse_graph("0 1\n1 2\n2 0\n", "edgelist")
+    h = parse_graph("p edge 3 2\ne 1 2\ne 2 3\n")
+    assert g.degree(2) == 2 and g.has_edge(0, 2) and not h.has_edge(0, 2)
+    assert g._edges is g._adj is h._edges is h._adj is None
+
+
+# The parsers pack an edge into u << EDGE_SHIFT | v; these texts sit at
+# the edge of what that packs exactly, with the real cap of MAX_VERTICES.
+TOP = graph.MAX_VERTICES - 1
+WIDE = (1 << graph.EDGE_SHIFT) - 1  # the largest end that still packs
+
+
+def test_every_accepted_vertex_packs_exactly():
+    assert graph.MAX_VERTICES <= 1 << graph.EDGE_SHIFT
+
+
+@pytest.mark.parametrize(
+    "text, fmt, message, line",
+    [
+        (f"0 {TOP}\n{TOP} 0\n", "edgelist", "duplicate edge", 2),
+        (f"{TOP - 1} {TOP}\n{TOP} {TOP - 1}\n", "edgelist", "duplicate edge", 2),
+        (f"0 {WIDE}\n", "edgelist", f"more than {graph.MAX_VERTICES} vertices", 1),
+        # 0 and 2**EDGE_SHIFT + 2 would pack to the key of (1, 2): the cap
+        # is tested first, so this is no duplicate
+        (f"1 2\n0 {WIDE + 3}\n", "edgelist", f"more than {graph.MAX_VERTICES} vertices", 2),
+        (f"p edge {TOP + 1} 2\ne 1 {TOP + 1}\ne {TOP + 1} 1\n", "dimacs", "duplicate edge", 3),
+        (f"p edge 3 1\ne 2 {WIDE + 4}\n", "dimacs", "vertex index out of range 1..3", 2),
+    ],
+)
+def test_packed_edges_at_the_cap_fail_as_the_reference(text, fmt, message, line):
+    reference = getattr(parse_reference, f"parse_{fmt}")
+    for parse in (reference, partial(parse_graph, fmt=fmt)):
+        with pytest.raises(GraphParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+
+
+@pytest.mark.parametrize(
+    "text, fmt",
+    [
+        (f"{TOP} 0\n5 {TOP}\n{TOP - 1} {TOP}\n", "edgelist"),
+        (f"p edge {TOP + 1} 2\ne {TOP + 1} 1\ne {TOP} {TOP + 1}\n", "dimacs"),
+    ],
+)
+def test_packed_edges_at_the_cap_parse_exactly(text, fmt):
+    g = parse_graph(text, fmt)
+    want = [(0, TOP), (5, TOP), (TOP - 1, TOP)] if fmt == "edgelist" else [(0, TOP), (TOP - 1, TOP)]
+    assert (g.n, g.edges) == (graph.MAX_VERTICES, tuple(want))
+    assert g.nbrs[TOP] == [u for u, _ in want]

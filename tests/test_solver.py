@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,8 @@ from conftest import (
     star,
     two_triangles_sharing_vertex,
 )
+import simdom
+import simdom.lpapprox
 import simdom.solver
 from simdom import (
     BudgetExceededError,
@@ -21,8 +25,11 @@ from simdom import (
     Graph,
     GuaranteeError,
     InvalidSdSetError,
+    approx2_sds,
+    approx4_sds_via_vc,
     blocks_and_cut_vertices,
     is_sd_set,
+    parse_graph,
     solve_crsds,
     solve_sds,
 )
@@ -456,3 +463,58 @@ def test_memo_never_changes_a_report(g, data, backend):
         bct = blocks_and_cut_vertices(g)
         unmemoised = simdom.solver._solve(g, bct, f, backend, 0, block_memo=False)
         assert unmemoised == report
+
+
+def cactus_text(blocks, seed):
+    """An edge list of bridges, triangles, 4-cycles and K4s, each hung at
+    a random vertex of the graph built so far."""
+    rng = random.Random(seed)
+    n, lines = 1, []
+    for _ in range(blocks):
+        size = rng.choice((2, 3, 4, 4))
+        ring = [rng.randrange(n)] + list(range(n, n + size - 1))
+        n += size - 1
+        pairs = [(ring[i], ring[(i + 1) % size]) for i in range(size)][: size - (size == 2)]
+        if size == 4 and rng.random() < 0.5:
+            pairs += [(ring[0], ring[2]), (ring[1], ring[3])]
+        lines += [f"{u} {v}\n" for u, v in pairs]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("run", ["sds", "crsds", "approx", "approx-vc"])
+def test_solve_paths_leave_the_frozenset_views_unbuilt(monkeypatch, run):
+    # every solve and approximation reader reads the neighbour lists and
+    # the flat block layout, so neither the graph's frozensets nor the
+    # decomposition's per-block and per-vertex views are ever built
+    decompositions = []
+    for mod in (simdom.solver, simdom.lpapprox):
+        original = mod.blocks_and_cut_vertices
+        monkeypatch.setattr(
+            mod, "blocks_and_cut_vertices",
+            lambda g, original=original: decompositions.append(original(g)) or decompositions[-1],
+        )
+    g = parse_graph(cactus_text(25 if run == "approx" else 300, seed=7), "edgelist")
+    assert len(blocks_and_cut_vertices(g).cut_blocks) > 10
+    if run == "sds":
+        solve_sds(g)
+    elif run == "crsds":
+        solve_crsds(g, colouring_from_values(random_colouring_values(g.n, 3)))
+    elif run == "approx":
+        approx2_sds(g)
+    else:
+        approx4_sds_via_vc(g)
+    assert g._adj is None and g._edges is None
+    assert decompositions
+    for bct in decompositions:
+        assert not {"blocks", "cut_vertices", "blocks_of_vertex"} & vars(bct).keys()
+
+
+def test_the_library_switches_no_gc_setting():
+    # cyclic GC is cut by keeping fewer containers, never by switching it
+    # off, freezing it or moving its thresholds from inside the library
+    src = Path(simdom.__file__).resolve().parent
+    sources = sorted(src.rglob("*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"\bimport\s+gc\b|\bfrom\s+gc\s+import\b|\bgc\.", text), path

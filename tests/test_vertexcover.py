@@ -139,6 +139,9 @@ def test_min_vc_bipartite_rejects_odd_cycles_and_bad_sides():
         min_vc_bipartite(g, sides=({0}, {2}))
     with pytest.raises(InvalidBipartitionError):
         min_vc_bipartite(g, sides=({0, 1}, {2}))
+    # the message names the least edge inside a side
+    with pytest.raises(InvalidBipartitionError, match=r"edge \(0, 2\) lies inside one side"):
+        min_vc_bipartite(Graph(4, [(0, 1), (0, 2), (2, 3)]), sides=({0, 2}, {1, 3}))
 
 
 def test_min_vc_bipartite_long_augmenting_path():
@@ -232,7 +235,9 @@ def test_auto_builds_no_subgraph_for_an_isolated_vertex(monkeypatch):
 
 def test_konig_equality_failure_raises(monkeypatch):
     # an empty matching leaves a one-vertex cover against a matching of 0
-    monkeypatch.setattr(simdom.vertexcover, "_hopcroft_karp", lambda g, left: ({}, {}))
+    monkeypatch.setattr(
+        simdom.vertexcover, "_hopcroft_karp", lambda g, left: ([-1] * g.n, [-1] * g.n)
+    )
     with pytest.raises(GuaranteeError, match="König equality"):
         min_vc_bipartite(path(2))
 
