@@ -3,7 +3,9 @@
 Blocks are maximal 2-connected subgraphs; a bridge counts as a block on
 its two endpoints. For a connected graph the bipartite graph on blocks
 and cut vertices (adjacency by containment) is a tree, which drives both
-the leaf-component solver loop and the rounding step of the LP scheme.
+the leaf-component solver loop and the rounding step of the LP scheme;
+the rounding walks it rooted, as each cut vertex's depth and parent
+block (``root_block_tree``).
 The decomposition is also the solver's connectivity check: its one DFS
 raises DisconnectedGraphError when it leaves a vertex unreached.
 
@@ -22,8 +24,6 @@ from __future__ import annotations
 import heapq
 from array import array
 from bisect import bisect_left
-from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
@@ -366,43 +366,28 @@ def leaf_component_order(bct: BlockCutTree) -> tuple[tuple[int, int | None], ...
     return tuple(entries)
 
 
-@dataclass(frozen=True)
-class RootedBlockTree:
-    root: TreeNode
-    parent: dict[TreeNode, TreeNode | None]
-    children: dict[TreeNode, tuple[TreeNode, ...]]
-    depth: dict[TreeNode, int]
+def root_block_tree(bct: BlockCutTree, root: TreeNode) -> dict[int, tuple[int, int]]:
+    """The block-cut tree oriented away from ``root``, as each cut
+    vertex's (depth, parent block), by BFS.
 
-    def child_blocks_of_cut(self, v: int) -> tuple[int, ...]:
-        return tuple(i for kind, i in self.children[("cut", v)] if kind == "block")
-
-
-def root_block_tree(bct: BlockCutTree, root: TreeNode) -> RootedBlockTree:
-    """Orient the block-cut tree away from ``root`` by BFS."""
-    parent: dict[TreeNode, TreeNode | None] = {root: None}
-    children: dict[TreeNode, list[TreeNode]] = {}
-    depth: dict[TreeNode, int] = {root: 0}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        kind, idx = node
-        if kind == "block":
-            nbrs: list[TreeNode] = [
-                ("cut", v)
-                for v in bct.members[bct.member_start[idx]:bct.member_start[idx + 1]]
-                if v in bct.cut_blocks
-            ]
-        else:
-            nbrs = [("block", i) for i in bct.cut_blocks[idx]]
-        kids = [nb for nb in nbrs if nb != parent[node]]
-        children[node] = kids
-        for nb in kids:
-            parent[nb] = node
-            depth[nb] = depth[node] + 1
-            queue.append(nb)
-    return RootedBlockTree(
-        root=root,
-        parent=parent,
-        children={k: tuple(v) for k, v in children.items()},
-        depth=depth,
-    )
+    A root cut vertex has depth 0 and parent -1, and all its blocks are
+    its children; under a root block, that block's cut vertices have
+    depth 0. Every other cut vertex lies one deeper than the cut vertex
+    above its parent block. A cut vertex's child blocks are its blocks
+    other than its parent.
+    """
+    members, start = bct.members, bct.member_start
+    cut_blocks = bct.cut_blocks
+    kind, idx = root
+    if kind == "cut":
+        tree = {idx: (0, -1)}
+        queue = [(b, idx, 1) for b in cut_blocks[idx]]
+    else:
+        tree = {}
+        queue = [(idx, -1, 0)]
+    for b, up, depth in queue:  # the list grows while it is read
+        for v in members[start[b]:start[b + 1]]:
+            if v != up and v in cut_blocks:
+                tree[v] = (depth, b)
+                queue += [(c, v, depth + 1) for c in cut_blocks[v] if c != b]
+    return tree

@@ -63,11 +63,13 @@ def _read_text(path: str | None) -> str:
 
 
 def _detect_format(text: str) -> str:
+    """DIMACS when the first line that neither parser skips as a comment
+    (first token starting with 'c' or '#') starts with 'p' or 'e'."""
     for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith(("c ", "c\t", "#")) or stripped == "c":
+        parts = line.split()
+        if not parts or parts[0][0] in "c#":
             continue
-        return "dimacs" if stripped.startswith(("p ", "e ")) else "edgelist"
+        return "dimacs" if parts[0] in ("p", "e") else "edgelist"
     return "edgelist"
 
 

@@ -5,10 +5,12 @@ The model has one x-variable per vertex and one y-variable per
 vertex cover; cut vertices are covered blockwise: y_{v,B} may only rise
 to 1 when every block neighbour is picked, and some block (or v itself)
 must cover v. Rounding the LP relaxation in three steps yields a
-2-approximation. Extending any SD-set by busy cut vertices yields a
-vertex cover of size at most 2|S| - 1 (oracle.sds_to_vertex_cover
-checks it), so the matching cover, itself an SD-set, is a
-4-approximation.
+2-approximation. The rounding keeps only x, as each y it needs is the
+least x over a block neighbourhood, and its optional checks read the
+rows the model itself builds. Extending any SD-set by busy cut
+vertices yields a vertex cover of size at most 2|S| - 1
+(oracle.sds_to_vertex_cover checks it), so the matching cover, itself
+an SD-set, is a 4-approximation.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 from .blocks import BlockCutTree, blocks_and_cut_vertices, root_block_tree
 from .domination import is_sd_set
@@ -114,6 +117,16 @@ def dual_program(
     )
 
 
+def _broken_row(
+    rows: tuple[LpRow, ...], z: Sequence[int | Fraction], scale: int = 1
+) -> LpRow | None:
+    """The first row that the point z / scale breaks, or None."""
+    for row in rows:
+        if sum(a * z[j] for j, a in row.coeffs.items()) < row.rhs * scale:
+            return row
+    return None
+
+
 def solve_lp_simplex(m: LpModel) -> LpSolution:
     """Optimal basic solution of the relaxation, exactly, via its dual.
 
@@ -136,9 +149,9 @@ def solve_lp_simplex(m: LpModel) -> LpSolution:
     bound_s = bound.numerator * (scale // bound.denominator)
     if any(v < 0 for v in zs) or any(p < 0 for p in pis):
         raise GuaranteeError("relaxation or dual value below zero")
-    for row in m.rows:
-        if sum(a * zs[j] for j, a in row.coeffs.items()) < row.rhs * scale:
-            raise GuaranteeError(f"relaxation breaks {row.kind} row {row.about}")
+    row = _broken_row(m.rows, zs, scale)
+    if row is not None:
+        raise GuaranteeError(f"relaxation breaks {row.kind} row {row.about}")
     for j, (col, rhs) in enumerate(dual_rows):
         if sum(a * pis[i] for i, a in col.items() if pis[i]) < rhs * scale:
             raise GuaranteeError(f"dual breaks the row of column {j}")
@@ -153,32 +166,6 @@ def solve_lp_simplex(m: LpModel) -> LpSolution:
     )
 
 
-def _assert_lp_feasible(
-    g: Graph,
-    bct: BlockCutTree,
-    x: list[Fraction],
-    y: dict[tuple[int, int], Fraction],
-    stage: str,
-) -> None:
-    """Raise GuaranteeError when (x, y) breaks a row of the model."""
-    cut_blocks = bct.cut_blocks
-    for v, row in enumerate(g.nbrs):
-        if v in cut_blocks:
-            continue
-        for u in row:
-            if x[u] + x[v] < 1:
-                raise GuaranteeError(f"{stage}: pair row ({v},{u}) broken")
-    near = bct.cut_neighbours
-    for (v, b), yv in y.items():
-        for u in near[(v, b)]:
-            if x[u] < yv:
-                raise GuaranteeError(f"{stage}: block row ({v},{b},{u}) broken")
-    for v, blocks in cut_blocks.items():
-        total = sum((y[(v, b)] for b in blocks), start=Fraction(0))
-        if total + x[v] < 1:
-            raise GuaranteeError(f"{stage}: cover row ({v}) broken")
-
-
 def round_lp(
     g: Graph,
     bct: BlockCutTree,
@@ -188,51 +175,54 @@ def round_lp(
 ) -> frozenset[int]:
     """Three rounding steps turning an LP optimum into an SD-set.
 
-    Step 1 rounds every x >= 1/2 up and refreshes each y to the minimum
-    of its block neighbours. Step 2 walks cut vertices bottom-up: one
-    not yet covered by itself or a full block is set to 1, paying for it
-    by zeroing the cheapest fractional neighbour in each child block.
+    Step 1 rounds every x >= 1/2 up. Step 2 walks cut vertices
+    bottom-up: one not yet covered by itself or a full block (a block
+    whose neighbours of it are all at 1) is set to 1, paying for it by
+    zeroing the cheapest fractional neighbour in each child block.
     Step 3 zeroes the remaining fractionals. Variables that reach 1 are
-    never decreased again.
+    never decreased again. Only x is kept: each y of the model is the
+    least x over its block neighbourhood, so a block covers v exactly
+    when y is 1. With ``check_feasibility``, the model's rows are
+    checked at (x, y) after every step.
     """
     if any(xv > 1 for xv in sol.x):
         raise GuaranteeError("relaxation optimum exceeds the box x <= 1")
     x = [Fraction(1) if xv >= HALF else xv for xv in sol.x]
     near = bct.cut_neighbours
-
-    def fresh_y(key: tuple[int, int]) -> Fraction:
-        return min(x[u] for u in near[key])
-
-    y = {key: fresh_y(key) for key in sol.y}
     if check_feasibility:
-        _assert_lp_feasible(g, bct, x, y, "after first rounding")
+        model = build_sds_ip(g, bct)
+
+        def check(x: list[Fraction], stage: str) -> None:
+            y = [min(x[u] for u in near[key]) for key in model.y_keys]
+            row = _broken_row(model.rows, x + y)
+            if row is not None:
+                raise GuaranteeError(f"{stage}: {row.kind} row {row.about} broken")
+
+        check(x, "after first rounding")
 
     cut_blocks = bct.cut_blocks
     if cut_blocks:
         tree = root_block_tree(bct, ("cut", next(iter(cut_blocks))))
-        bottom_up = sorted(cut_blocks, key=lambda v: (-tree.depth[("cut", v)], v))
-        for v in bottom_up:
-            if x[v] == 1 or any(y[(v, b)] == 1 for b in cut_blocks[v]):
+        for v in sorted(cut_blocks, key=lambda v: (-tree[v][0], v)):
+            if x[v] == 1 or any(
+                all(x[u] == 1 for u in near[(v, b)]) for b in cut_blocks[v]
+            ):
                 continue
             x[v] = Fraction(1)
-            touched = {v}
-            for b in tree.child_blocks_of_cut(v):
+            parent = tree[v][1]
+            for b in cut_blocks[v]:
+                if b == parent:
+                    continue
                 u = min(near[(v, b)], key=lambda w: (x[w], w))
                 if x[u] >= 1:
                     raise GuaranteeError("argmin picked an integral variable")
                 x[u] = Fraction(0)
-                touched.add(u)
-            for key in y:
-                if not touched.isdisjoint(near[key]):
-                    y[key] = fresh_y(key)
             if check_feasibility:
-                _assert_lp_feasible(g, bct, x, y, f"after rounding cut vertex {v}")
+                check(x, f"after rounding cut vertex {v}")
 
     out = frozenset(v for v in range(g.n) if x[v] == 1)
     if check_feasibility:
-        xi = [Fraction(1) if v in out else Fraction(0) for v in range(g.n)]
-        yi = {key: min(xi[u] for u in near[key]) for key in y}
-        _assert_lp_feasible(g, bct, xi, yi, "after third rounding")
+        check([Fraction(v in out) for v in range(g.n)], "after third rounding")
     if not is_sd_set(g, bct, out):
         raise InvalidSdSetError("rounded set fails the domination check")
     return out

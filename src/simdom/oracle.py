@@ -7,8 +7,10 @@ dominating sets are found by subset search ordered by size then
 lexicographically, which makes the returned optimum canonical. The 0/1
 program of lpapprox is solved by enumerating assignments, and its LP
 relaxation by enumerating basic solutions. The paper's extension of an
-SD-set to a vertex cover of at most 2|S| - 1 vertices lives here too:
-only tests call it, to check the lemma behind approx4_sds_via_vc. So do
+SD-set to a vertex cover of at most 2|S| - 1 vertices lives here too,
+over the block-cut tree rooted by blocks.root_block_tree (each cut
+vertex's parent block; its other blocks are its children): only tests
+call it, to check the lemma behind approx4_sds_via_vc. So do
 the per-vertex domination requirements that the brute-force SD-set
 searches test subsets against, read off the graph's and the block-cut
 tree's frozenset views.
@@ -169,27 +171,25 @@ def sds_to_vertex_cover(
     """Extend an SD-set to a vertex cover, adding at most |s| - 1 vertices.
 
     The block tree is rooted at a block meeting s; a cut vertex joins
-    the cover whenever one of its child blocks contains an s-vertex.
+    the cover whenever one of its child blocks (its blocks other than
+    its parent) contains an s-vertex.
     """
     if g.n < 2:
         raise ValueError("cover extension is defined for graphs with n >= 2")
     if not is_sd_set(g, bct, s):
         raise InvalidSdSetError("input set is not a simultaneous dominating set")
-    root_block = next(
-        i for i, blk in enumerate(bct.blocks) if blk & frozenset(s)
-    )
+    chosen = frozenset(s)
+    blocks = bct.blocks
+    root_block = next(i for i, blk in enumerate(blocks) if blk & chosen)
     tree = root_block_tree(bct, ("block", root_block))
-    cover = set(s)
-    for v in sorted(bct.cut_vertices):
-        below = set()
-        for b in tree.child_blocks_of_cut(v):
-            below |= bct.blocks[b]
-        if below & set(s):
-            cover.add(v)
-    result = frozenset(cover)
+    result = chosen.union(
+        v
+        for v, (_, parent) in tree.items()
+        if any(blocks[b] & chosen for b in bct.cut_blocks[v] if b != parent)
+    )
     if not is_vertex_cover(g, result):
         raise GuaranteeError("cover extension missed an edge")
-    if len(result) > 2 * len(set(s)) - 1:
+    if len(result) > 2 * len(chosen) - 1:
         raise GuaranteeError("cover extension exceeded the size bound")
     return result
 

@@ -209,34 +209,53 @@ def test_leaf_order_matches_quadratic_reference():
         assert leaf_component_order(bct) == quadratic_peel_order(bct), name
 
 
+def check_rooted_tree(bct, root):
+    """Every cut vertex is reached, its parent block holds it, its depth
+    is one more than that of the cut vertex above its parent block, and
+    its other blocks, its children, are the parent of every other cut
+    vertex in them."""
+    tree = root_block_tree(bct, root)
+    assert set(tree) == set(bct.cut_vertices)
+    for v, (depth, parent) in tree.items():
+        if parent == -1:
+            assert root == ("cut", v) and depth == 0
+            continue
+        assert v in bct.blocks[parent]
+        # the cut vertex above the parent block: the one that has it as a child
+        above = [
+            w for w, (_, p) in tree.items()
+            if w != v and parent in bct.blocks_of_vertex[w] and p != parent
+        ]
+        if above:
+            (w,) = above
+            assert depth == tree[w][0] + 1
+        else:
+            assert root == ("block", parent) and depth == 0
+    for v, (_, parent) in tree.items():
+        for c in bct.blocks_of_vertex[v]:
+            if c != parent:
+                assert all(tree[w][1] == c for w in bct.blocks[c] & tree.keys() - {v})
+    return tree
+
+
 def test_rooted_tree_parents_and_depths():
     g = path(5)  # blocks are the 4 edges, cuts are 1, 2, 3
     bct = blocks_and_cut_vertices(g)
-    root = ("block", 0)
-    tree = root_block_tree(bct, root)
-    assert tree.root == root
-    assert tree.parent[root] is None
-    assert tree.depth[root] == 0
-    for node, parent in tree.parent.items():
-        if parent is None:
-            continue
-        assert tree.depth[node] == tree.depth[parent] + 1
-        assert node in tree.children[parent]
-    # each cut vertex keeps one parent block, the rest are children
-    for v in sorted(bct.cut_vertices):
-        child = tree.child_blocks_of_cut(v)
-        kind, parent = tree.parent[("cut", v)]
-        assert kind == "block"
-        assert set(child) | {parent} == set(bct.blocks_of_vertex[v])
+    assert check_rooted_tree(bct, ("block", 0)) == {1: (0, 0), 2: (1, 1), 3: (2, 2)}
+    assert check_rooted_tree(bct, ("cut", 2)) == {2: (0, -1), 1: (1, 1), 3: (1, 2)}
 
 
 def test_rooted_tree_covers_all_blocks_and_cuts():
     g = random_connected_graph(11, 13, seed=21)
     bct = blocks_and_cut_vertices(g)
-    tree = root_block_tree(bct, ("block", 0))
-    nodes = set(tree.parent)
-    assert {("block", i) for i in range(len(bct.blocks))} <= nodes
-    assert {("cut", v) for v in bct.cut_vertices} <= nodes
+    for root in [("block", 0), ("cut", min(bct.cut_vertices))]:
+        tree = check_rooted_tree(bct, root)
+        # each block is the root block or some cut vertex's child
+        reached = {root[1]} if root[0] == "block" else set()
+        reached |= {
+            b for v, (_, p) in tree.items() for b in bct.blocks_of_vertex[v] if b != p
+        }
+        assert reached == set(range(len(bct.blocks)))
 
 
 def test_clique_has_no_cut_vertices():

@@ -1,12 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import simdom
 import simdom.cli
@@ -90,6 +94,11 @@ def test_solve_dimacs_autodetect(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", path)
     assert code == 0
     assert out.splitlines()[1] == "vertices 1"
+    # a first token that only starts with 'c' is a DIMACS comment too
+    path = write(tmp_path, "h.col", "comment line\np edge 2 1\ne 1 2\n")
+    code, out, _ = run(capsys, "solve", path)
+    assert code == 0
+    assert out.splitlines()[:2] == ["size 1", "vertices 0"]
 
 
 def test_approx_lp_stays_within_sandwich(gap3, capsys):
@@ -445,3 +454,52 @@ def test_solve_json_is_pinned_on_a_many_block_graph(tmp_path, capsys, coloured, 
         f"{b['size_one']},{b['size_zero']},{b['size_zero_hat']}" for b in payload["blocks"]
     ] == block_sizes.split()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+VERTEX = st.integers(0, 7).map(str)
+INPUT_LINE = st.one_of(
+    st.builds("p edge {} {}".format, st.integers(0, 8), st.integers(0, 6)),
+    st.builds("e {} {}".format, st.integers(1, 8), st.integers(1, 8)),
+    st.builds("{} {}".format, VERTEX, VERTEX),
+    st.sampled_from(["", "  ", "c", "c x", "comment line", "\tcx", "#", "# 0 1", "#0 1"]),
+    st.sampled_from(["p", "p edge 3", "e 1", "e", "0", "0 1 2", "x y", "-1 2", "1 1"]),
+)
+
+
+def cli_run(text, *argv):
+    """main on text read from stdin: its exit code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "-"])
+    return code, out.getvalue()
+
+
+@st.composite
+def cli_texts(draw):
+    """Up to 8 lines. Half the time a 'p edge' line with the right counts
+    goes in too, so that the DIMACS parser often accepts the text."""
+    lines = draw(st.lists(INPUT_LINE, max_size=8))
+    if draw(st.booleans()):
+        ends = [
+            int(w) for line in lines if line.startswith("e ") for w in line.split()[1:]
+        ]
+        count = sum(line.startswith("e ") for line in lines)
+        header = f"p edge {max(ends, default=1)} {count}"
+        lines.insert(draw(st.integers(0, len(lines))), header)
+    return "\n".join(lines)
+
+
+@settings(deadline=None, max_examples=150)
+@given(cli_texts())
+@example("comment line\np edge 2 1\ne 1 2\n")
+def test_cli_fuzz_exits_with_a_documented_code(text):
+    for command in ("solve", "blocks"):
+        runs = {
+            fmt: cli_run(text, command, "--format", fmt)
+            for fmt in ("auto", "dimacs", "edgelist")
+        }
+        assert all(code in {0, 1, 2, 3, 4} for code, _ in runs.values()), runs
+        parsed = [runs[fmt] for fmt in ("dimacs", "edgelist") if runs[fmt][0] == 0]
+        if len(parsed) == 1:
+            assert runs["auto"] == parsed[0]

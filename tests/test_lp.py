@@ -116,10 +116,13 @@ def test_broken_lp_point_raises_a_typed_error():
     # the rounding's feasibility checks must survive python -O
     g = path(3)
     bct = blocks_and_cut_vertices(g)
-    x = [Fraction(0), Fraction(1, 2), Fraction(0)]
-    y = {(1, 0): Fraction(0), (1, 1): Fraction(0)}
-    with pytest.raises(GuaranteeError, match=r"pair row \(0,1\) broken"):
-        lpapprox._assert_lp_feasible(g, bct, x, y, "broken")
+    x = (Fraction(0), Fraction(1, 4), Fraction(0))
+    sol = LpSolution(OPTIMAL, sum(x), x, {(1, 0): Fraction(0), (1, 1): Fraction(0)})
+    assert round_lp(g, bct, sol) == frozenset({1})  # unchecked, it rounds on
+    with pytest.raises(
+        GuaranteeError, match=r"after first rounding: adjacent-pair row \(0, 1\) broken"
+    ):
+        round_lp(g, bct, sol, check_feasibility=True)
 
 
 def test_lp_objectives_on_known_graphs():
@@ -143,6 +146,87 @@ def test_rounding_with_per_step_checks():
         s = round_lp(g, bct, sol, check_feasibility=True)
         assert is_sd_set(g, bct, s)
         assert len(s) <= 2 * sol.objective
+
+
+def lp_point(g, x):
+    """The decomposition of g and a hand-made LpSolution at x, each y at
+    the least x over its block neighbourhood; the point must be feasible."""
+    bct = blocks_and_cut_vertices(g)
+    m = build_sds_ip(g, bct)
+    z = list(x) + [min(x[u] for u in bct.cut_neighbours[key]) for key in m.y_keys]
+    assert all(
+        sum(a * z[j] for j, a in row.coeffs.items()) >= row.rhs for row in m.rows
+    )
+    return bct, LpSolution(OPTIMAL, sum(x), tuple(x), dict(zip(m.y_keys, z[g.n:])))
+
+
+def bridged_triangles(centres):
+    """Centres 0..centres-1 on a path, each joined by bridges to three cut
+    vertices that carry triangles, with x = 0 at a centre, 1/3 at a cut
+    vertex and 2/3 at a triangle end: rounding step 2 has to pick centres."""
+    edges = [(i, i + 1) for i in range(centres - 1)]
+    x = [Fraction(0)] * centres
+    for c in range(centres, 10 * centres, 3):
+        edges += [((c - centres) // 9, c), (c, c + 1), (c, c + 2), (c + 1, c + 2)]
+        x += [Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)]
+    return Graph(10 * centres, edges), x
+
+
+ONE_CENTRE = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (4, 5), (2, 6), (2, 7), (6, 7),
+              (3, 8), (3, 9), (8, 9)]
+ONE_CENTRE_X = [Fraction(0)] + [Fraction(1, 3)] * 3 + [Fraction(2, 3)] * 6
+SWAP_0_1 = {0: 1, 1: 0}
+# centre 0's third bridge becomes the triangle 0-3-10, whose end 10 is at 1
+# while 3 stays fractional: that block does not cover 0
+MIXED_BLOCK = [e for e in ONE_CENTRE if e != (0, 3)] + [(0, 3), (0, 10), (3, 10)]
+# cut vertices 0, 1 and 2 share a triangle; 0 hangs a bridge to 3 and 1 a
+# bridge to 4, and 2, 3 and 4 carry triangles. Rounding 1 must zero 4 in its
+# child bridge, not 0 in the triangle above it, or 0's cover row breaks.
+PARENT_BLOCK = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5), (2, 6), (5, 6),
+                (3, 7), (3, 8), (7, 8), (4, 9), (4, 10), (9, 10)]
+
+
+@pytest.mark.parametrize(
+    "g, x, expected",
+    [
+        (Graph(10, ONE_CENTRE), ONE_CENTRE_X, [0, 4, 5, 6, 7, 8, 9]),
+        # the centre is 1, no longer the cut vertex the walk is rooted at
+        (
+            Graph(10, [(SWAP_0_1.get(u, u), SWAP_0_1.get(v, v)) for u, v in ONE_CENTRE]),
+            [ONE_CENTRE_X[SWAP_0_1.get(v, v)] for v in range(10)],
+            [1, 4, 5, 6, 7, 8, 9],
+        ),
+        # bottom-up, centre 1 is rounded first and covers centre 0 through
+        # their bridge; top-down would pick 0 instead
+        (*bridged_triangles(2), [1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16, 18, 19]),
+        (Graph(11, MIXED_BLOCK), ONE_CENTRE_X + [Fraction(1)], [0, 4, 5, 6, 7, 8, 9, 10]),
+        (
+            Graph(11, PARENT_BLOCK),
+            [Fraction(1, 3)] * 5 + [Fraction(2, 3)] * 6,
+            [0, 1, 5, 6, 7, 8, 9, 10],
+        ),
+    ],
+    ids=["root-centre", "inner-centre", "two-centres", "mixed-block", "parent-block"],
+)
+def test_rounding_step_two_is_pinned(g, x, expected):
+    bct, sol = lp_point(g, x)
+    assert sorted(round_lp(g, bct, sol, check_feasibility=True)) == expected
+    assert sorted(round_lp(g, bct, sol)) == expected
+
+
+def test_step_two_check_catches_a_rounding_that_breaks_a_row(monkeypatch):
+    # with every cut vertex a root at depth 0, 0 is rounded first and zeroes
+    # 1 in their triangle, which is 1's parent block, and 1's cover row
+    # drops to 2/3
+    g = Graph(11, PARENT_BLOCK)
+    bct, sol = lp_point(g, [Fraction(1, 3)] * 5 + [Fraction(2, 3)] * 6)
+    monkeypatch.setattr(
+        lpapprox, "root_block_tree", lambda bct, root: {v: (0, -1) for v in bct.cut_blocks}
+    )
+    with pytest.raises(
+        GuaranteeError, match=r"after rounding cut vertex 0: cut-cover row \(1,\) broken"
+    ):
+        round_lp(g, bct, sol, check_feasibility=True)
 
 
 def test_sandwich_relation_on_random_graphs():
@@ -306,6 +390,8 @@ def test_relaxation_outside_the_box_raises():
         # duals carry the relaxation's z, values the dual's own solution
         ("duals", lambda z: z[:-1] + (Fraction(-1),), "below zero"),
         ("duals", lambda z: (Fraction(0),) * len(z), "relaxation breaks"),
+        # halved, z is checked scaled by the lcm of its denominators
+        ("duals", lambda z: tuple(v / 2 for v in z), "relaxation breaks"),
         ("duals", lambda z: (Fraction(1),) * len(z), "objectives differ"),
         ("values", lambda pi: pi[:-1] + (Fraction(-1),), "below zero"),
         ("values", lambda pi: (Fraction(1),) * len(pi), "dual breaks"),
@@ -314,6 +400,7 @@ def test_relaxation_outside_the_box_raises():
     ids=[
         "negative-z",
         "row-broken",
+        "row-broken-when-scaled",
         "primal-too-large",
         "negative-pi",
         "column-broken",
@@ -355,18 +442,14 @@ def test_cover_extension_missing_an_edge_raises(monkeypatch):
 
 
 def test_cover_extension_over_the_size_bound_raises(monkeypatch):
-    # a tree that lists every block of a cut vertex as its child makes the
-    # star's centre join the cover of {1}, giving 2 > 2 * 1 - 1
-    class EveryBlockIsAChild:
-        def __init__(self, bct, root):
-            self.bct = bct
-
-        def child_blocks_of_cut(self, v):
-            return self.bct.blocks_of_vertex[v]
+    # a tree with every cut vertex a root lists all its blocks as children,
+    # so the star's centre joins the cover of {1}, giving 2 > 2 * 1 - 1
+    def every_cut_is_a_root(bct, root):
+        return {v: (0, -1) for v in bct.cut_blocks}
 
     g = star(3)
     monkeypatch.setattr(oracle, "is_sd_set", lambda *args: True)
-    monkeypatch.setattr(oracle, "root_block_tree", EveryBlockIsAChild)
+    monkeypatch.setattr(oracle, "root_block_tree", every_cut_is_a_root)
     with pytest.raises(GuaranteeError):
         sds_to_vertex_cover(g, blocks_and_cut_vertices(g), {1})
 
