@@ -9,14 +9,14 @@ block (``root_block_tree``).
 The decomposition is also the solver's connectivity check: its one DFS
 raises DisconnectedGraphError when it leaves a vertex unreached.
 
-A decomposition is held in a few flat containers: every block's sorted
+A decomposition is held in one flat layout: every block's sorted
 members back to back, the offsets of the blocks, each vertex's block
 (for a cut vertex, its last), and one dict from each cut vertex to its
-blocks. The per-block frozensets (``blocks``) and per-vertex tuples
-(``blocks_of_vertex``) are built from them on first read and cached;
-the solve and approximation paths never ask for them. So is each cut
-vertex's neighbourhood in each of its blocks (``cut_neighbours``),
-which the LP model and its rounding read.
+blocks. The per-block frozensets (``blocks``) and the set of cut
+vertices, which ``simdom blocks`` prints, are built from it on first
+read and cached; the solve and approximation paths never ask for them.
+So is each cut vertex's neighbourhood in each of its blocks
+(``cut_neighbours``), which the LP model and its rounding read.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class BlockCutTree:
     ``cut_blocks`` maps each cut vertex, in ascending order, to its
     blocks in ascending order. ``nbrs`` is the decomposed graph's own
     neighbour lists. All are read-only by contract. Two decompositions
-    are equal when their blocks are, and hash as a tuple of ``blocks``,
-    ``cut_vertices`` and ``blocks_of_vertex``.
+    are equal when their blocks are, and hash by the same member lists
+    and offsets that equality compares.
     """
 
     def __init__(
@@ -74,14 +74,6 @@ class BlockCutTree:
         return frozenset(self.cut_blocks)
 
     @cached_property
-    def blocks_of_vertex(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's blocks in ascending order."""
-        cut_blocks = self.cut_blocks
-        return tuple(
-            cut_blocks.get(v) or (b,) for v, b in enumerate(self.block_of)
-        )
-
-    @cached_property
     def cut_neighbours(self) -> dict[tuple[int, int], list[int]]:
         """For each cut vertex v and each of its blocks b, keyed (v, b)
         in ascending order, v's neighbours in b in ascending order, from
@@ -98,9 +90,6 @@ class BlockCutTree:
                 b = self.edge_block(v, w) if w in cut_blocks else block_of[w]
                 near[(v, b)].append(w)
         return near
-
-    def is_cut(self, v: int) -> bool:
-        return v in self.cut_blocks
 
     def edge_block(self, u: int, v: int) -> int:
         """The one block holding the edge uv: a non-cut end's only
@@ -131,7 +120,7 @@ class BlockCutTree:
         )
 
     def __hash__(self) -> int:
-        return hash((self.blocks, self.cut_vertices, self.blocks_of_vertex))
+        return hash((tuple(self.member_start), tuple(self.members)))
 
     def __repr__(self) -> str:
         return f"BlockCutTree(blocks={self.blocks!r}, cut_vertices={self.cut_vertices!r})"
@@ -229,25 +218,23 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
 
 
 class FlatBlocks(NamedTuple):
-    """Every block's sorted members and relabelled edges, laid out flat.
+    """Every block's relabelled edges, laid out flat.
 
-    Block b's members are ``members[member_start[b]:member_start[b + 1]]``,
-    ascending. Its edges are ``ends[edge_start[b]:edge_start[b + 1]]``,
-    read in pairs u0, v0, u1, v1, ..., each end replaced by its position
-    among the block's members, the pairs sorted. Four flat sequences, not
-    a list per block, hold the whole layout. The two offset tables are
-    arrays of machine ints, as a list would keep an int object per block.
+    Block b's edges are ``ends[edge_start[b]:edge_start[b + 1]]``, read
+    in pairs u0, v0, u1, v1, ..., each end replaced by its position among
+    the block's sorted members (``BlockCutTree.members``), the pairs
+    sorted. Two flat sequences, not a list per block, hold the whole
+    layout. The offset table is an array of machine ints, as a list
+    would keep an int object per block.
     """
 
-    members: list[int]
-    member_start: array[int]
     ends: list[int]
     edge_start: array[int]
 
 
 def flat_blocks(g: Graph, bct: BlockCutTree) -> FlatBlocks:
-    """The members and relabelled edges of every block, from one pass
-    over g's edges in sorted order.
+    """The relabelled edges of every block, from one pass over g's
+    edges in sorted order.
 
     An edge with a non-cut end lies in that end's only block; otherwise
     both ends are cut vertices, and it lies in the one block they share
@@ -255,8 +242,7 @@ def flat_blocks(g: Graph, bct: BlockCutTree) -> FlatBlocks:
     and a cut vertex's is found by bisecting the block's members. The
     edges are met in sorted order, and relabelling by position in the
     sorted members keeps that order, so grouping the edges by block,
-    stably, leaves each block's sorted. The members and their offsets
-    are the decomposition's own, not copies.
+    stably, leaves each block's sorted.
     """
     members = bct.members
     member_start = bct.member_start
@@ -313,9 +299,7 @@ def flat_blocks(g: Graph, bct: BlockCutTree) -> FlatBlocks:
     ends = [0] * (2 * len(edge_block))
     ends[0::2] = map(first.__getitem__, by_block)
     ends[1::2] = map(second.__getitem__, by_block)
-    return FlatBlocks(
-        members, member_start, ends, array("l", accumulate(count, initial=0))
-    )
+    return FlatBlocks(ends, array("l", accumulate(count, initial=0)))
 
 
 def leaf_component_order(bct: BlockCutTree) -> tuple[tuple[int, int | None], ...]:

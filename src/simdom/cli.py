@@ -83,6 +83,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 def _load_colours(path: str, n: int) -> list:
     colours = all_zero_hat(n)
+    first_line: dict[int, int] = {}
     text = _read_text(path)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -97,6 +98,11 @@ def _load_colours(path: str, n: int) -> list:
             raise GraphParseError(f"bad vertex {parts[0]!r}", line=lineno) from None
         if not 0 <= v < n:
             raise GraphParseError(f"vertex {v} out of range", line=lineno)
+        if v in first_line:
+            raise GraphParseError(
+                f"vertex {v} already coloured on line {first_line[v]}", line=lineno
+            )
+        first_line[v] = lineno
         if parts[1] not in COLOUR_TOKENS:
             raise GraphParseError(
                 f"bad colour {parts[1]!r}, expected one of 1, 0, 0hat", line=lineno

@@ -4,10 +4,11 @@ Graphs are immutable after construction; every operation returns a new
 graph. DIMACS edge format and plain edge lists are supported for I/O.
 
 A graph holds one adjacency: ``nbrs``, each vertex's neighbours in an
-ascending list. The sorted ``edges`` tuple and the ``adj`` frozensets
-are derived from it on first read and cached, so a graph that nobody
-asks for them keeps one container per vertex: on graphs of thousands of
-small blocks, every long-lived container makes cyclic GC walk further.
+ascending list. The sorted ``edges`` tuple, which mirrors
+``Graph(n, edges)`` for the writers and the oracles, is derived from it
+on first read and cached, so a graph that nobody asks for it keeps one
+container per vertex: on graphs of thousands of small blocks, every
+long-lived container makes cyclic GC walk further.
 
 The trust boundary is ``Graph(n, edges)``: it checks every edge (range,
 self-loops, duplicates). Builds inside the package whose neighbour
@@ -16,13 +17,12 @@ parsers after their own line-numbered checks, induced subgraphs, edge
 deletion, the solver's residuals and the cover search's kernels) go
 through ``Graph._trusted`` or ``Graph._of_ends``, which skip those
 checks. However a graph
-was built, its ``edges`` and ``adj`` come out the same, and equal graphs
-compare and hash equal.
+was built, its ``nbrs`` and ``edges`` come out the same, and equal
+graphs compare and hash equal.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain
 from typing import Iterable
 
@@ -53,12 +53,11 @@ class Graph:
     Self-loops and parallel edges are rejected at construction.
     ``nbrs[v]`` lists v's neighbours in ascending order and must not be
     changed. ``edges`` holds each edge once as (u, v) with u < v, sorted,
-    and ``adj[v]`` holds v's neighbours as a frozenset; both are built
-    from ``nbrs`` when first read. Two graphs with the same vertex count
-    and edge set compare equal.
+    and is built from ``nbrs`` when first read. Two graphs with the same
+    vertex count and edge set compare equal.
     """
 
-    __slots__ = ("n", "m", "nbrs", "_edges", "_adj")
+    __slots__ = ("n", "m", "nbrs", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -102,7 +101,6 @@ class Graph:
         self.m = sum(map(len, nbrs)) >> 1
         self.nbrs = nbrs
         self._edges: tuple[tuple[int, int], ...] | None = None
-        self._adj: tuple[frozenset[int], ...] | None = None
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -111,24 +109,6 @@ class Graph:
             it = iter(edge_ends(self))
             edges = self._edges = tuple(zip(it, it))
         return edges
-
-    @property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        adj = self._adj
-        if adj is None:
-            adj = self._adj = tuple(map(frozenset, self.nbrs))
-        return adj
-
-    def degree(self, v: int) -> int:
-        return len(self.nbrs[v])
-
-    def neighbours(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.nbrs[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
 
     def adjacency_masks(self) -> list[int]:
         """Neighbour sets as bitmasks, one int per vertex."""
@@ -170,10 +150,6 @@ class Graph:
             comp.sort()
             out.append((comp, None if odd else [side[v] for v in comp]))
         return out
-
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by smallest vertex."""
-        return [comp for comp, _ in self.coloured_components()]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.coloured_components()) == 1

@@ -5,12 +5,12 @@ The model has one x-variable per vertex and one y-variable per
 vertex cover; cut vertices are covered blockwise: y_{v,B} may only rise
 to 1 when every block neighbour is picked, and some block (or v itself)
 must cover v. Rounding the LP relaxation in three steps yields a
-2-approximation. The rounding keeps only x, as each y it needs is the
-least x over a block neighbourhood, and its optional checks read the
-rows the model itself builds. Extending any SD-set by busy cut
-vertices yields a vertex cover of size at most 2|S| - 1
-(oracle.sds_to_vertex_cover checks it), so the matching cover, itself
-an SD-set, is a 4-approximation.
+2-approximation. The LP solution and its rounding keep only x, as
+each y they need is the least x over a block neighbourhood, and the
+rounding's optional checks read the rows the model itself builds.
+Extending any SD-set by busy cut vertices yields a vertex cover of size
+at most 2|S| - 1 (oracle.sds_to_vertex_cover checks it), so the
+matching cover, itself an SD-set, is a 4-approximation.
 """
 
 from __future__ import annotations
@@ -53,10 +53,12 @@ class LpModel:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str
+    """An optimum of the relaxation, as its objective and x-values. No
+    y is kept: raising each y to the least x over its block neighbourhood
+    keeps the point feasible and optimal."""
+
     objective: Fraction
     x: tuple[Fraction, ...]
-    y: dict[tuple[int, int], Fraction]
 
 
 def build_sds_ip(g: Graph, bct: BlockCutTree) -> LpModel:
@@ -158,12 +160,7 @@ def solve_lp_simplex(m: LpModel) -> LpSolution:
     b_pi = sum(row.rhs * p for row, p in zip(m.rows, pis))
     if sum(zs[: m.n]) != bound_s or b_pi != bound_s:
         raise GuaranteeError("relaxation and dual objectives differ")
-    return LpSolution(
-        status=result.status,
-        objective=bound,
-        x=tuple(z[: m.n]),
-        y={key: z[m.n + i] for i, key in enumerate(m.y_keys)},
-    )
+    return LpSolution(objective=bound, x=tuple(z[: m.n]))
 
 
 def round_lp(

@@ -10,10 +10,10 @@ relaxation by enumerating basic solutions. The paper's extension of an
 SD-set to a vertex cover of at most 2|S| - 1 vertices lives here too,
 over the block-cut tree rooted by blocks.root_block_tree (each cut
 vertex's parent block; its other blocks are its children): only tests
-call it, to check the lemma behind approx4_sds_via_vc. So do
-the per-vertex domination requirements that the brute-force SD-set
-searches test subsets against, read off the graph's and the block-cut
-tree's frozenset views.
+call it, to check the lemma behind approx4_sds_via_vc. The
+brute-force SD-set search tests each subset against per-vertex
+domination requirements, read off the graph's neighbour lists and the
+block-cut tree's flat layout.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import comb
 from typing import AbstractSet, Iterator
 
 from .blocks import BlockCutTree, blocks_and_cut_vertices, root_block_tree
-from .domination import Colour, Colouring, is_sd_set
+from .domination import Colour, Colouring, all_zero_hat, is_sd_set
 from .errors import (
     BudgetExceededError,
     DisconnectedGraphError,
@@ -194,20 +194,6 @@ def sds_to_vertex_cover(
     return result
 
 
-def domination_requirements(g: Graph, bct: BlockCutTree) -> list[list[frozenset[int]]]:
-    """Per-vertex alternatives: v is simultaneously dominated by s iff
-    v is in s or all vertices of some alternative are in s."""
-    reqs: list[list[frozenset[int]]] = []
-    for v in range(g.n):
-        if bct.is_cut(v):
-            reqs.append(
-                [g.adj[v] & bct.blocks[b] for b in bct.blocks_of_vertex[v]]
-            )
-        else:
-            reqs.append([g.adj[v]])
-    return reqs
-
-
 def _subsets_by_size(universe: list[int]) -> Iterator[tuple[int, ...]]:
     for k in range(len(universe) + 1):
         yield from itertools.combinations(universe, k)
@@ -232,11 +218,26 @@ def min_vc_bruteforce(g: Graph, vertex_budget: int = VC_VERTEX_BUDGET) -> frozen
 def min_sds_bruteforce(
     g: Graph, vertex_budget: int = SDS_VERTEX_BUDGET
 ) -> frozenset[int]:
-    """Lexicographically-smallest minimum simultaneous dominating set.
+    """Lexicographically-smallest minimum simultaneous dominating set:
+    the all-ZERO_HAT colouring's. When the graph is small enough the
+    winner is re-checked against direct spanning-tree enumeration.
+    """
+    result = min_crsds_bruteforce(g, all_zero_hat(g.n), vertex_budget)
+    if g.n >= 2 and g.m <= EDGE_ENUMERATION_BUDGET:
+        if not is_sd_set_by_enumeration(g, result):
+            raise GuaranteeError("block conditions and spanning trees disagree")
+    return result
 
-    Feasibility of a subset is judged by the per-vertex block conditions;
-    when the graph is small enough the winner is re-checked against
-    direct spanning-tree enumeration.
+
+def min_crsds_bruteforce(
+    g: Graph, colouring: Colouring, vertex_budget: int = SDS_VERTEX_BUDGET
+) -> frozenset[int]:
+    """Smallest colour-respecting SD-set by subset search over free
+    vertices, ordered by size then lexicographically.
+
+    A vertex is simultaneously dominated by s when it is in s, or when
+    some block holding it has all of its neighbours in that block in s.
+    A non-cut vertex's one block holds all its neighbours.
     """
     if g.n > vertex_budget:
         raise BudgetExceededError(
@@ -245,45 +246,18 @@ def min_sds_bruteforce(
     if not g.is_connected():
         raise DisconnectedGraphError("SD-sets are defined on connected graphs")
     bct = blocks_and_cut_vertices(g)
-    reqs = domination_requirements(g, bct)
-    req_masks = [
-        [sum(1 << u for u in alt) for alt in alts] for alts in reqs
+    members, start = bct.members, bct.member_start
+    block_masks = [
+        sum(1 << v for v in members[start[b]:start[b + 1]])
+        for b in range(len(start) - 1)
     ]
-    for combo in _subsets_by_size(list(range(g.n))):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        ok = True
-        for v in range(g.n):
-            if (mask >> v) & 1:
-                continue
-            if not any(rm & ~mask == 0 for rm in req_masks[v]):
-                ok = False
-                break
-        if ok:
-            result = frozenset(combo)
-            if g.n >= 2 and g.m <= EDGE_ENUMERATION_BUDGET:
-                if not is_sd_set_by_enumeration(g, result):
-                    raise GuaranteeError(
-                        "block conditions and spanning trees disagree"
-                    )
-            return result
-    raise GuaranteeError("the full vertex set is always simultaneously dominating")
-
-
-def min_crsds_bruteforce(
-    g: Graph, colouring: Colouring, vertex_budget: int = SDS_VERTEX_BUDGET
-) -> frozenset[int]:
-    """Smallest colour-respecting SD-set by subset search over free vertices."""
-    if g.n > vertex_budget:
-        raise BudgetExceededError(
-            f"{g.n} vertices exceeds the SD-set oracle budget of {vertex_budget}"
-        )
-    if not g.is_connected():
-        raise DisconnectedGraphError("SD-sets are defined on connected graphs")
-    bct = blocks_and_cut_vertices(g)
-    reqs = domination_requirements(g, bct)
-    req_masks = [[sum(1 << u for u in alt) for alt in alts] for alts in reqs]
+    nbr_masks = g.adjacency_masks()
+    req_masks = [
+        [nbr_masks[v] & block_masks[b] for b in bct.cut_blocks[v]]
+        if v in bct.cut_blocks
+        else [nbr_masks[v]]
+        for v in range(g.n)
+    ]
     ones_mask = 0
     for v in range(g.n):
         if colouring[v] is Colour.ONE:

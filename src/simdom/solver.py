@@ -160,8 +160,9 @@ def _solve(
     """Peel the leaf blocks of ``bct`` in order, then solve the root block,
     as g itself when it is all of g and every vertex is ZERO_HAT.
 
-    Every block's sorted members and relabelled edges come from one pass
-    over g's edges (flat_blocks), made only when g has two blocks or more.
+    Every block's sorted members come from bct, and its relabelled edges
+    from one pass over g's edges (flat_blocks), made only when g has two
+    blocks or more.
 
     A leaf block's outcome (its three sizes, its case and the members it
     keeps) depends only on its local view: the pivot's position, the
@@ -194,8 +195,9 @@ def _solve(
     used = 0
 
     one, zero, zero_hat = Colour.ONE, Colour.ZERO, Colour.ZERO_HAT
+    members_of, member_start = bct.members, bct.member_start
     if len(order) > 1:
-        members_of, member_start, ends, edge_start = flat_blocks(g, bct)
+        ends, edge_start = flat_blocks(g, bct)
     for block_idx, conn in order[:-1]:
         members = members_of[member_start[block_idx]:member_start[block_idx + 1]]
         edges = ends[edge_start[block_idx]:edge_start[block_idx + 1]]
@@ -270,7 +272,9 @@ def _solve(
         solution=result,
         size=len(result),
         block_log=tuple(log),
-        backends=tuple(sorted(tags)),
+        # the dispatcher tags a residual with every backend it ran,
+        # joined by "+": the report names each backend once
+        backends=tuple(sorted({name for tag in tags for name in tag.split("+")})),
         verified=True,
     )
 

@@ -21,7 +21,7 @@ def rescanning_min_fill_decomposition(g: Graph) -> TreeDecomposition:
     elimination time; each bag hangs below the bag of its earliest
     eliminated member, which keeps every vertex's bags connected.
     """
-    adj: list[set[int]] = [set(g.neighbours(v)) for v in range(g.n)]
+    adj: list[set[int]] = [set(row) for row in g.nbrs]
     alive = set(range(g.n))
     elim_pos: dict[int, int] = {}
     bags: list[frozenset[int]] = []

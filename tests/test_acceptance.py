@@ -179,7 +179,7 @@ def _max_matching_size(g):
     match = {}
 
     def augment(u, seen):
-        for w in g.neighbours(u):
+        for w in g.nbrs[u]:
             if w in seen:
                 continue
             seen.add(w)
@@ -216,7 +216,7 @@ def _has_chordless_odd_cycle_of_length_at_least_5(g):
             break
         for combo in itertools.combinations(range(g.n), k):
             inside = set(combo)
-            degs = [sum(1 for w in g.neighbours(v) if w in inside) for v in combo]
+            degs = [sum(1 for w in g.nbrs[v] if w in inside) for v in combo]
             if any(d != 2 for d in degs):
                 continue
             # 2-regular induced subgraph: one cycle iff connected
@@ -225,7 +225,7 @@ def _has_chordless_odd_cycle_of_length_at_least_5(g):
             frontier = [start]
             while frontier:
                 u = frontier.pop()
-                for w in g.neighbours(u):
+                for w in g.nbrs[u]:
                     if w in inside and w not in seen:
                         seen.add(w)
                         frontier.append(w)
@@ -246,7 +246,7 @@ def test_criterion_10_no_odd_holes_after_exempting_an_independent_set():
             rng.shuffle(order)
             independent = set()
             for v in order:
-                if not (g.neighbours(v) & independent):
+                if independent.isdisjoint(g.nbrs[v]):
                     independent.add(v)
             h = delete_edges_within(g, independent)
             assert not _has_chordless_odd_cycle_of_length_at_least_5(h)

@@ -72,7 +72,8 @@ def test_flat_blocks_match_induced_edges(g):
     # exactly one block
     bct = blocks_and_cut_vertices(g)
     assume(bct.cut_vertices)
-    members, member_start, ends, edge_start = flat_blocks(g, bct)
+    members, member_start = bct.members, bct.member_start
+    ends, edge_start = flat_blocks(g, bct)
     assert len(member_start) == len(edge_start) == len(bct.blocks) + 1
     seen = []
     for b, block in enumerate(bct.blocks):
@@ -118,8 +119,7 @@ def test_cut_vertex_definition_matches_component_count():
         from simdom.graph import induced_subgraph
 
         sub, _ = induced_subgraph(g, rest)
-        split = len(sub.components()) > 1
-        assert bct.is_cut(v) == split
+        assert (v in bct.cut_blocks) == (not sub.is_connected())
 
 
 @settings(deadline=None, max_examples=60)
@@ -164,7 +164,7 @@ def quadratic_peel_order(bct):
     """Reference rule: the smallest remaining block with exactly one live
     cut vertex, peeled at that cut, rescanning every block at each step."""
     remaining = set(range(len(bct.blocks)))
-    count = {v: len(bct.blocks_of_vertex[v]) for v in bct.cut_vertices}
+    count = {v: len(blocks) for v, blocks in bct.cut_blocks.items()}
 
     def live_cuts(i):
         return [v for v in sorted(bct.blocks[i]) if count.get(v, 0) >= 2]
@@ -224,7 +224,7 @@ def check_rooted_tree(bct, root):
         # the cut vertex above the parent block: the one that has it as a child
         above = [
             w for w, (_, p) in tree.items()
-            if w != v and parent in bct.blocks_of_vertex[w] and p != parent
+            if w != v and parent in bct.cut_blocks[w] and p != parent
         ]
         if above:
             (w,) = above
@@ -232,7 +232,7 @@ def check_rooted_tree(bct, root):
         else:
             assert root == ("block", parent) and depth == 0
     for v, (_, parent) in tree.items():
-        for c in bct.blocks_of_vertex[v]:
+        for c in bct.cut_blocks[v]:
             if c != parent:
                 assert all(tree[w][1] == c for w in bct.blocks[c] & tree.keys() - {v})
     return tree
@@ -253,7 +253,7 @@ def test_rooted_tree_covers_all_blocks_and_cuts():
         # each block is the root block or some cut vertex's child
         reached = {root[1]} if root[0] == "block" else set()
         reached |= {
-            b for v, (_, p) in tree.items() for b in bct.blocks_of_vertex[v] if b != p
+            b for v, (_, p) in tree.items() for b in bct.cut_blocks[v] if b != p
         }
         assert reached == set(range(len(bct.blocks)))
 
@@ -349,7 +349,9 @@ def block_order_record(g):
     bct = blocks_and_cut_vertices(g)
     return {
         "blocks": [sorted(b) for b in bct.blocks],
-        "blocks_of_vertex": [list(b) for b in bct.blocks_of_vertex],
+        "blocks_of_vertex": [
+            list(bct.cut_blocks.get(v, (b,))) for v, b in enumerate(bct.block_of)
+        ],
         "leaf_component_order": [list(e) for e in leaf_component_order(bct)],
     }
 
@@ -369,7 +371,7 @@ def test_block_order_is_pinned():
 class EagerBlockCutTree:
     """Reference: a decomposition's views as they were built before they
     became lazy, a frozenset per block and a tuple per vertex, in a
-    frozen dataclass whose equality and hash read all three."""
+    frozen dataclass whose equality reads all three."""
 
     blocks: tuple
     cut_vertices: frozenset
@@ -420,14 +422,12 @@ def test_flat_layout_derives_the_eager_views(g, h):
     if g.n > 1:
         assert set(want.blocks) == set(map(frozenset, nx.biconnected_components(nxg)))
         assert want.cut_vertices == set(nx.articulation_points(nxg))
-    assert (bct.blocks, bct.cut_vertices, bct.blocks_of_vertex) == (
-        want.blocks, want.cut_vertices, want.blocks_of_vertex
-    )
-    assert hash(blocks_and_cut_vertices(g)) == hash(bct) == hash(want)
+    assert (bct.blocks, bct.cut_vertices) == (want.blocks, want.cut_vertices)
+    assert hash(blocks_and_cut_vertices(g)) == hash(bct)
     assert list(bct.block_of) == [bs[-1] for bs in want.blocks_of_vertex]
     assert bct.cut_blocks == {v: want.blocks_of_vertex[v] for v in sorted(want.cut_vertices)}
     assert list(bct.cut_blocks) == sorted(want.cut_vertices)
-    near = [((v, b), sorted(g.adj[v] & want.blocks[b]))
+    near = [((v, b), [w for w in g.nbrs[v] if w in want.blocks[b]])
             for v in sorted(want.cut_vertices) for b in want.blocks_of_vertex[v]]
     assert list(bct.cut_neighbours.items()) == near
     for u, v in g.edges:
@@ -436,3 +436,5 @@ def test_flat_layout_derives_the_eager_views(g, h):
         )
     other = blocks_and_cut_vertices(h)
     assert (other == bct) == (eager_reference(h, other) == want) == (other.blocks == bct.blocks)
+    if other == bct:
+        assert hash(other) == hash(bct)

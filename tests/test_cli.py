@@ -308,6 +308,21 @@ def test_exit_code_on_bad_colour_file(p3, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "colour" in err
+    # a vertex given twice is refused at its second line
+    colours = write(tmp_path, "c.txt", "1 0\n# a comment\n1 1\n")
+    code, out, err = run(capsys, "solve", p3, "--colours", colours)
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: vertex 1 already coloured on line 1\n"
+
+
+def test_backend_names_each_backend_once(tmp_path, capsys):
+    # the residual has a bipartite component and an odd one, so the
+    # dispatcher's own tag is the joined "bipartite+bnb"
+    graph = write(tmp_path, "g.txt", "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n1 6\n2 6\n4 7\n")
+    colours = write(tmp_path, "c.txt", "0 1\n3 1\n")
+    code, out, _ = run(capsys, "solve", graph, "--colours", colours, "--json")
+    assert code == 0
+    assert json.loads(out)["backend"] == "bipartite+bnb"
 
 
 def test_solve_backend_flag(p3, capsys):

@@ -169,7 +169,7 @@ def test_domination_checks_match_the_per_vertex_definition(g, data):
         s = set(range(g.n)) - s  # large sets too, so that some are valid
     blocks = list(nx.biconnected_components(nx.Graph(g.edges)))
     dominated = [
-        v in s or any(g.adj[v] & b <= s for b in blocks if v in b)
+        v in s or any(set(g.nbrs[v]) & b <= s for b in blocks if v in b)
         for v in range(g.n)
     ]
     bct = blocks_and_cut_vertices(g)

@@ -163,7 +163,7 @@ def test_double_cover_matching_is_the_lp_bound(n, density, seed):
     matched = n - free_l.bit_count()
     assert matched == n - free_r.bit_count()
     for u, w in enumerate(mate_l):
-        assert w < 0 or (mate_r[w] == u and g.has_edge(u, w))
+        assert w < 0 or (mate_r[w] == u and w in g.nbrs[u])
     if g.m == 0:
         assert matched == 0
         return
@@ -227,7 +227,7 @@ def test_root_hook_declined_leaves_the_search_unchanged(g):
         assert len(offered) == 1
     for kernel in offered:
         assert kernel.m > 0
-        assert min(kernel.degree(v) for v in range(kernel.n)) >= 3
+        assert min(map(len, kernel.nbrs)) >= 3
 
 
 @settings(deadline=None, max_examples=150)

@@ -32,7 +32,7 @@ from simdom.vertexcover import is_vertex_cover
 from simdom import lpapprox, oracle
 from simdom.errors import BudgetExceededError
 from simdom.generators import gap_graph, random_2connected_graph, random_connected_graph
-from simdom.simplex import OPTIMAL, UNBOUNDED, SimplexResult, simplex_min
+from simdom.simplex import UNBOUNDED, SimplexResult, simplex_min
 
 
 def test_model_shape_for_a_path():
@@ -78,10 +78,12 @@ def test_row_count_identities():
             1 for u, v in g.edges if u not in cuts or v not in cuts
         )
         assert counts.get("block-neighbour", 0) == sum(
-            len(g.neighbours(v) & bct.blocks[b]) for v in cuts for b in bct.blocks_of_vertex[v]
+            sum(1 for w in g.nbrs[v] if w in bct.blocks[b])
+            for v, blocks in bct.cut_blocks.items()
+            for b in blocks
         )
         assert counts.get("cut-cover", 0) == len(cuts)
-        assert len(m.y_keys) == sum(len(bct.blocks_of_vertex[v]) for v in cuts)
+        assert len(m.y_keys) == sum(map(len, bct.cut_blocks.values()))
 
 
 def test_pair_duplicates_leave_the_lp_optimum():
@@ -96,11 +98,11 @@ def test_pair_duplicates_leave_the_lp_optimum():
         twins = tuple(
             LpRow("adjacent-pair", row.coeffs, 1, row.about[::-1])
             for row in m.rows
-            if row.kind == "adjacent-pair" and not bct.is_cut(row.about[1])
+            if row.kind == "adjacent-pair" and row.about[1] not in bct.cut_blocks
         )
         full = replace(m, rows=twins + m.rows)
         assert len(twins) + sum(r.kind == "adjacent-pair" for r in m.rows) == sum(
-            g.degree(v) for v in range(n) if not bct.is_cut(v)
+            len(g.nbrs[v]) for v in range(n) if v not in bct.cut_blocks
         )
         assert solve_lp_simplex(full).objective == solve_lp_simplex(m).objective
 
@@ -117,7 +119,7 @@ def test_broken_lp_point_raises_a_typed_error():
     g = path(3)
     bct = blocks_and_cut_vertices(g)
     x = (Fraction(0), Fraction(1, 4), Fraction(0))
-    sol = LpSolution(OPTIMAL, sum(x), x, {(1, 0): Fraction(0), (1, 1): Fraction(0)})
+    sol = LpSolution(sum(x), x)
     assert round_lp(g, bct, sol) == frozenset({1})  # unchecked, it rounds on
     with pytest.raises(
         GuaranteeError, match=r"after first rounding: adjacent-pair row \(0, 1\) broken"
@@ -149,15 +151,15 @@ def test_rounding_with_per_step_checks():
 
 
 def lp_point(g, x):
-    """The decomposition of g and a hand-made LpSolution at x, each y at
-    the least x over its block neighbourhood; the point must be feasible."""
+    """The decomposition of g and a hand-made LpSolution at x, which must
+    be feasible with each y at the least x over its block neighbourhood."""
     bct = blocks_and_cut_vertices(g)
     m = build_sds_ip(g, bct)
     z = list(x) + [min(x[u] for u in bct.cut_neighbours[key]) for key in m.y_keys]
     assert all(
         sum(a * z[j] for j, a in row.coeffs.items()) >= row.rhs for row in m.rows
     )
-    return bct, LpSolution(OPTIMAL, sum(x), tuple(x), dict(zip(m.y_keys, z[g.n:])))
+    return bct, LpSolution(sum(x), tuple(x))
 
 
 def bridged_triangles(centres):
@@ -374,12 +376,7 @@ def test_relaxation_outside_the_box_raises():
     # is reached with a hand-made solution: x0 = 2 on the path 0-1-2
     g = path(3)
     bct = blocks_and_cut_vertices(g)
-    sol = LpSolution(
-        OPTIMAL,
-        Fraction(3),
-        (Fraction(2), Fraction(1), Fraction(0)),
-        {(1, 0): Fraction(0), (1, 1): Fraction(0)},
-    )
+    sol = LpSolution(Fraction(3), (Fraction(2), Fraction(1), Fraction(0)))
     with pytest.raises(GuaranteeError, match="box"):
         round_lp(g, bct, sol)
 

@@ -306,7 +306,7 @@ def test_residuals_keep_sorted_neighbour_lists(monkeypatch):
         solve_sds(random_connected_graph(30, 70, seed=seed))
     assert any(h.m for h, _ in calls)
     for h, _ in calls:
-        assert h.nbrs == [sorted(a) for a in h.adj]
+        assert h.nbrs == [sorted(set(row)) for row in h.nbrs]
 
 
 @pytest.mark.parametrize("backend", ["auto", "bnb"])
@@ -484,8 +484,8 @@ def cactus_text(blocks, seed):
 @pytest.mark.parametrize("run", ["sds", "crsds", "approx", "approx-vc"])
 def test_solve_paths_leave_the_frozenset_views_unbuilt(monkeypatch, run):
     # every solve and approximation reader reads the neighbour lists and
-    # the flat block layout, so neither the graph's frozensets nor the
-    # decomposition's per-block and per-vertex views are ever built
+    # the flat block layout, so neither the graph's edge tuple nor the
+    # decomposition's per-block frozensets and cut-vertex set are ever built
     decompositions = []
     for mod in (simdom.solver, simdom.lpapprox):
         original = mod.blocks_and_cut_vertices
@@ -503,10 +503,10 @@ def test_solve_paths_leave_the_frozenset_views_unbuilt(monkeypatch, run):
         approx2_sds(g)
     else:
         approx4_sds_via_vc(g)
-    assert g._adj is None and g._edges is None
+    assert g._edges is None
     assert decompositions
     for bct in decompositions:
-        assert not {"blocks", "cut_vertices", "blocks_of_vertex"} & vars(bct).keys()
+        assert not {"blocks", "cut_vertices"} & vars(bct).keys()
 
 
 def test_the_library_switches_no_gc_setting():

@@ -258,7 +258,7 @@ def test_min_fill_matches_reference_on_low_width_blocks_and_residuals(monkeypatc
 
 
 def graph_state(g):
-    return g.n, g.edges, g.adj
+    return g.n, g.edges, [list(row) for row in g.nbrs]
 
 
 @pytest.mark.parametrize("n", [60, 100, 200, 300])
@@ -394,7 +394,7 @@ def elimination_bags(g, order):
     """Bags of eliminating g's vertices in order: each vertex with its
     neighbours at elimination time, hung below the bag of the earliest
     eliminated of those (or, with none, the next bag)."""
-    adj = [set(g.neighbours(v)) for v in range(g.n)]
+    adj = [set(row) for row in g.nbrs]
     at = {v: i for i, v in enumerate(order)}
     bags, edges = [], []
     for i, v in enumerate(order):
