@@ -36,10 +36,11 @@ Search shape, in order, at every node:
      drop its x=0 vertices, and go back to step 1 if there were any,
   5. on the all-1/2 remainder the matching is perfect, so mate_l is a
      permutation whose cycles are cycles of the graph (a 2-cycle is an
-     edge); prune on cover size plus the sum of ceil(L/2) over its
-     cycles of length L,
-  6. branch on the highest-degree vertex (smallest index on ties):
-     first include it, then include its whole neighbourhood.
+     edge); one walk along those cycles sums ceil(L/2) over its cycles
+     of length L and finds the highest-degree vertex (smallest index on
+     ties); prune on cover size plus that sum,
+  6. branch on the vertex the walk found: first include it, then
+     include its whole neighbourhood.
 
 A node's adjacency list is its parent's until the node first folds,
 when it takes its own copy, so the caller's list is never changed. Each
@@ -330,7 +331,12 @@ def vc_search(
                 return
 
         # The matching is perfect, so mate_l permutes the alive vertices.
+        # One walk along its cycles sums the bound and finds the vertex
+        # to branch on; it does not go in index order, so a tie in
+        # degree goes to the smaller index explicitly.
         bound = size
+        pick = -1
+        pick_deg = 1
         pending = alive
         while pending:
             start = v = (pending & -pending).bit_length() - 1
@@ -338,6 +344,10 @@ def vc_search(
             while v >= 0 and pending >> v & 1:
                 pending ^= 1 << v
                 length += 1
+                deg = (adj[v] & alive).bit_count()
+                if deg > pick_deg or deg == pick_deg and v < pick:
+                    pick_deg = deg
+                    pick = v
                 v = mate_l[v]
             if v != start:
                 raise GuaranteeError("double-cover matching is not perfect")
@@ -345,17 +355,6 @@ def vc_search(
         if bound >= best_size:
             return
 
-        pick = -1
-        pick_deg = 1
-        pending = alive
-        while pending:
-            low = pending & -pending
-            pending ^= low
-            v = low.bit_length() - 1
-            deg = (adj[v] & alive).bit_count()
-            if deg > pick_deg:
-                pick_deg = deg
-                pick = v
         v_bit = 1 << pick
         nbrs = adj[pick] & alive
         walk(

@@ -26,7 +26,6 @@ from array import array
 from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple
 
 from .errors import DisconnectedGraphError, GuaranteeError
 from .graph import Graph
@@ -217,8 +216,9 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
     return BlockCutTree(members, member_start, array("l", block_of), cut_blocks, nbrs)
 
 
-class FlatBlocks(NamedTuple):
-    """Every block's relabelled edges, laid out flat.
+def flat_blocks(g: Graph, bct: BlockCutTree) -> tuple[list[int], array[int]]:
+    """Every block's relabelled edges, laid out flat, from one pass over
+    g's edges in sorted order: (ends, edge_start).
 
     Block b's edges are ``ends[edge_start[b]:edge_start[b + 1]]``, read
     in pairs u0, v0, u1, v1, ..., each end replaced by its position among
@@ -226,15 +226,6 @@ class FlatBlocks(NamedTuple):
     sorted. Two flat sequences, not a list per block, hold the whole
     layout. The offset table is an array of machine ints, as a list
     would keep an int object per block.
-    """
-
-    ends: list[int]
-    edge_start: array[int]
-
-
-def flat_blocks(g: Graph, bct: BlockCutTree) -> FlatBlocks:
-    """The relabelled edges of every block, from one pass over g's
-    edges in sorted order.
 
     An edge with a non-cut end lies in that end's only block; otherwise
     both ends are cut vertices, and it lies in the one block they share
@@ -299,7 +290,7 @@ def flat_blocks(g: Graph, bct: BlockCutTree) -> FlatBlocks:
     ends = [0] * (2 * len(edge_block))
     ends[0::2] = map(first.__getitem__, by_block)
     ends[1::2] = map(second.__getitem__, by_block)
-    return FlatBlocks(ends, array("l", accumulate(count, initial=0)))
+    return ends, array("l", accumulate(count, initial=0))
 
 
 def leaf_component_order(bct: BlockCutTree) -> tuple[tuple[int, int | None], ...]:

@@ -35,6 +35,7 @@ from .generators import (
 from .graph import Graph, parse_graph, write_graph
 from .lpapprox import approx2_sds, approx4_sds_via_vc
 from .oracle import (
+    EDGE_ENUMERATION_BUDGET,
     is_sd_set_by_enumeration,
     min_sds_bruteforce,
     min_vc_bruteforce,
@@ -231,7 +232,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # one vertex it refuses the empty set that the block test, solve and
     # oracle accept; below two vertices the block test answers alone
     if args.enumerate and g.n >= 2:
-        if is_sd_set_by_enumeration(g, chosen, edge_budget=args.budget or 16) != valid:
+        enumerated = is_sd_set_by_enumeration(
+            g, chosen, edge_budget=args.budget or EDGE_ENUMERATION_BUDGET
+        )
+        if enumerated != valid:
             raise GuaranteeError("block conditions and spanning trees disagree")
     if args.json:
         _emit_json({"schema": 1, "valid": valid, "witness": witness})

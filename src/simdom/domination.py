@@ -76,7 +76,7 @@ def _first_undominated(
 
 def is_sd_set(g: Graph, bct: BlockCutTree, s: AbstractSet[int]) -> bool:
     """True iff every vertex is simultaneously dominated by s."""
-    return _first_undominated(g, bct, s, range(g.n)) is None
+    return sd_witness(g, bct, s) is None
 
 
 def sd_witness(g: Graph, bct: BlockCutTree, s: AbstractSet[int]) -> int | None:

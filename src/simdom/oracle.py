@@ -19,7 +19,6 @@ block-cut tree's flat layout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import AbstractSet, Iterator
@@ -39,11 +38,8 @@ from .vertexcover import is_vertex_cover
 EDGE_ENUMERATION_BUDGET = 16
 VC_VERTEX_BUDGET = 20
 SDS_VERTEX_BUDGET = 16
-
-
-@dataclass(frozen=True)
-class SpanningTree:
-    edges: frozenset[tuple[int, int]]
+IP_VERTEX_BUDGET = 16
+LP_SYSTEM_BUDGET = 200_000
 
 
 class _DSU:
@@ -71,8 +67,8 @@ class _DSU:
 
 def enumerate_spanning_trees(
     g: Graph, edge_budget: int = EDGE_ENUMERATION_BUDGET
-) -> Iterator[SpanningTree]:
-    """Yield every spanning tree exactly once.
+) -> Iterator[frozenset[tuple[int, int]]]:
+    """Yield the edge set of every spanning tree exactly once.
 
     Backtracking over edge inclusion/exclusion; a branch is pruned when
     the edges still available cannot connect all vertices.
@@ -85,7 +81,7 @@ def enumerate_spanning_trees(
         )
     n, edges = g.n, g.edges
     if n == 1:
-        yield SpanningTree(frozenset())
+        yield frozenset()
         return
 
     def spannable(dsu: _DSU, start: int) -> bool:
@@ -96,9 +92,11 @@ def enumerate_spanning_trees(
                 parts -= 1
         return parts == 1
 
-    def walk(i: int, dsu: _DSU, chosen: list[tuple[int, int]]) -> Iterator[SpanningTree]:
+    def walk(
+        i: int, dsu: _DSU, chosen: list[tuple[int, int]]
+    ) -> Iterator[frozenset[tuple[int, int]]]:
         if len(chosen) == n - 1:
-            yield SpanningTree(frozenset(chosen))
+            yield frozenset(chosen)
             return
         if i == len(edges) or len(chosen) + (len(edges) - i) < n - 1:
             return
@@ -156,7 +154,7 @@ def is_sd_set_by_enumeration(
     """Literal check: s dominates every spanning tree."""
     for tree in enumerate_spanning_trees(g, edge_budget):
         nbr: list[set[int]] = [set() for _ in range(g.n)]
-        for u, v in tree.edges:
+        for u, v in tree:
             nbr[u].add(v)
             nbr[v].add(u)
         for v in range(g.n):
@@ -199,11 +197,11 @@ def _subsets_by_size(universe: list[int]) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(universe, k)
 
 
-def min_vc_bruteforce(g: Graph, vertex_budget: int = VC_VERTEX_BUDGET) -> frozenset[int]:
+def min_vc_bruteforce(g: Graph) -> frozenset[int]:
     """Lexicographically-smallest minimum vertex cover by subset search."""
-    if g.n > vertex_budget:
+    if g.n > VC_VERTEX_BUDGET:
         raise BudgetExceededError(
-            f"{g.n} vertices exceeds the vertex-cover oracle budget of {vertex_budget}"
+            f"{g.n} vertices exceeds the vertex-cover oracle budget of {VC_VERTEX_BUDGET}"
         )
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
     for combo in _subsets_by_size(list(range(g.n))):
@@ -215,23 +213,19 @@ def min_vc_bruteforce(g: Graph, vertex_budget: int = VC_VERTEX_BUDGET) -> frozen
     raise GuaranteeError("the full vertex set always covers")
 
 
-def min_sds_bruteforce(
-    g: Graph, vertex_budget: int = SDS_VERTEX_BUDGET
-) -> frozenset[int]:
+def min_sds_bruteforce(g: Graph) -> frozenset[int]:
     """Lexicographically-smallest minimum simultaneous dominating set:
     the all-ZERO_HAT colouring's. When the graph is small enough the
     winner is re-checked against direct spanning-tree enumeration.
     """
-    result = min_crsds_bruteforce(g, all_zero_hat(g.n), vertex_budget)
+    result = min_crsds_bruteforce(g, all_zero_hat(g.n))
     if g.n >= 2 and g.m <= EDGE_ENUMERATION_BUDGET:
         if not is_sd_set_by_enumeration(g, result):
             raise GuaranteeError("block conditions and spanning trees disagree")
     return result
 
 
-def min_crsds_bruteforce(
-    g: Graph, colouring: Colouring, vertex_budget: int = SDS_VERTEX_BUDGET
-) -> frozenset[int]:
+def min_crsds_bruteforce(g: Graph, colouring: Colouring) -> frozenset[int]:
     """Smallest colour-respecting SD-set by subset search over free
     vertices, ordered by size then lexicographically.
 
@@ -239,9 +233,9 @@ def min_crsds_bruteforce(
     some block holding it has all of its neighbours in that block in s.
     A non-cut vertex's one block holds all its neighbours.
     """
-    if g.n > vertex_budget:
+    if g.n > SDS_VERTEX_BUDGET:
         raise BudgetExceededError(
-            f"{g.n} vertices exceeds the SD-set oracle budget of {vertex_budget}"
+            f"{g.n} vertices exceeds the SD-set oracle budget of {SDS_VERTEX_BUDGET}"
         )
     if not g.is_connected():
         raise DisconnectedGraphError("SD-sets are defined on connected graphs")
@@ -280,16 +274,16 @@ def min_crsds_bruteforce(
     raise GuaranteeError("the full vertex set always respects any colouring")
 
 
-def ip_optimum_bruteforce(m: LpModel, *, vertex_budget: int = 16) -> int:
+def ip_optimum_bruteforce(m: LpModel) -> int:
     """Minimum objective over binary assignments satisfying every row.
 
     y-variables carry no objective weight, so for each x the best
     candidate sets y_{v,B} = 1 exactly when every block-neighbour row of
     that column allows it; all rows are then evaluated literally.
     """
-    if m.n > vertex_budget:
+    if m.n > IP_VERTEX_BUDGET:
         raise BudgetExceededError(
-            f"{m.n} vertices exceeds the IP enumeration budget of {vertex_budget}"
+            f"{m.n} vertices exceeds the IP enumeration budget of {IP_VERTEX_BUDGET}"
         )
     supporters: dict[int, list[int]] = {m.n + i: [] for i in range(len(m.y_keys))}
     for row in m.rows:
@@ -317,9 +311,7 @@ def ip_optimum_bruteforce(m: LpModel, *, vertex_budget: int = 16) -> int:
     return best
 
 
-def lp_vertex_enumeration_optimum(
-    m: LpModel, *, system_budget: int = 200_000
-) -> Fraction:
+def lp_vertex_enumeration_optimum(m: LpModel) -> Fraction:
     """LP optimum by enumerating basic solutions of the small polytope.
 
     A basic solution lies on n_vars constraint planes: k model rows held
@@ -340,7 +332,7 @@ def lp_vertex_enumeration_optimum(
             seen.add((vec, row.rhs))
             planes.append((vec, Fraction(row.rhs)))
     systems = comb(len(planes) + nv, nv)
-    if systems > system_budget:
+    if systems > LP_SYSTEM_BUDGET:
         raise BudgetExceededError(f"{systems} candidate systems exceed the budget")
 
     best: Fraction | None = None

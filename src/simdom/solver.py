@@ -125,7 +125,7 @@ def _residual_core(
             residual, backend, node_budget=node_budget, target=min_size - len(ones)
         )
         hit = memo[key] = (vc.cover, vc.backend)
-        nodes = vc.nodes or 0
+        nodes = vc.nodes
     cover, tag = hit
     return frozenset([kept[w] for w in cover] + ones), tag, nodes
 
@@ -282,12 +282,9 @@ def _solve(
 def solve_sds(
     g: Graph, *, backend: str = "auto", node_budget: int = 0
 ) -> SolveReport:
-    """Minimum SD-set: the all-ZERO_HAT colouring.
+    """Minimum SD-set: the all-ZERO_HAT colouring's solve_crsds.
 
     _solve's check that the set respects the colouring is, for this
     colouring, the check that it is an SD-set.
     """
-    if node_budget < 0:
-        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
-    bct = blocks_and_cut_vertices(g)
-    return _solve(g, bct, all_zero_hat(g.n), backend, node_budget)
+    return solve_crsds(g, all_zero_hat(g.n), backend=backend, node_budget=node_budget)

@@ -36,15 +36,15 @@ class VcResult:
 
     backend is one of "bnb", "bipartite", "treewidth", or a +-joined
     combination when the auto dispatcher mixed backends across
-    components. nodes counts branch-and-bound search nodes when that
-    search ran, its root reductions included, even when another backend
-    then covered the kernel they left.
+    components. nodes counts branch-and-bound search nodes, its root
+    reductions included, even when another backend then covered the
+    kernel they left; it is 0 when no search ran. The cover's size is
+    len(cover).
     """
 
     cover: frozenset[int]
-    size: int
     backend: str
-    nodes: int | None = None
+    nodes: int = 0
 
 
 def is_vertex_cover(g: Graph, s: AbstractSet[int]) -> bool:
@@ -151,7 +151,7 @@ def min_vc_branch_and_bound(
     # bit v is character v of bin(mask) reversed, which ends in "b0":
     # one pass, where shifting the mask once per vertex is quadratic
     cover = frozenset(v for v, bit in enumerate(reversed(bin(mask))) if bit == "1")
-    return VcResult(cover=cover, size=len(cover), backend=backend, nodes=nodes)
+    return VcResult(cover=cover, backend=backend, nodes=nodes)
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -282,7 +282,7 @@ def min_vc_bipartite(
         raise GuaranteeError("König equality violated")
     if not is_vertex_cover(g, cover):
         raise GuaranteeError("extracted set misses an edge")
-    return VcResult(cover=cover, size=len(cover), backend="bipartite")
+    return VcResult(cover=cover, backend="bipartite")
 
 
 def min_vc_treewidth(g: Graph, max_width: int) -> VcResult | None:
@@ -320,7 +320,6 @@ def min_vc_auto(
     cover: set[int] = set()
     backends: list[str] = []
     nodes_total = 0
-    saw_nodes = False
     comps = g.coloured_components()
     if sum(1 for comp, _ in comps if len(comp) > 1) != 1:
         target = -1
@@ -347,17 +346,11 @@ def min_vc_auto(
                 target=target,
                 kernel_backend=narrow if reduce_first else None,
             )
-            saw_nodes = True
-            nodes_total += part.nodes or 0
+            nodes_total += part.nodes
         backends.append(part.backend)
         cover.update(kept[v] for v in part.cover)
     backend = "+".join(sorted(set(backends))) if backends else "bipartite"
-    return VcResult(
-        cover=frozenset(cover),
-        size=len(cover),
-        backend=backend,
-        nodes=nodes_total if saw_nodes else None,
-    )
+    return VcResult(frozenset(cover), backend, nodes_total)
 
 
 def min_vertex_cover(

@@ -61,7 +61,7 @@ def test_criterion_01_gap_family_exactness():
         for k in range(3, 9):
             g = gap_graph(k)
             assert solve_sds(g).size == k
-            assert min_vc_branch_and_bound(g).size == 2 * k - 1
+            assert len(min_vc_branch_and_bound(g).cover) == 2 * k - 1
 
 
 def test_criterion_02_block_test_equals_tree_enumeration():
@@ -199,15 +199,15 @@ def test_criterion_09_cover_backends_agree():
             m = rng.randint(0, n * (n - 1) // 2)
             g = random_graph(n, m, seed=rng.randint(0, 10**9))
             expected = len(min_vc_bruteforce(g))
-            assert min_vc_branch_and_bound(g).size == expected
-            assert min_vertex_cover(g, "treewidth").size == expected
+            assert len(min_vc_branch_and_bound(g).cover) == expected
+            assert len(min_vertex_cover(g, "treewidth").cover) == expected
             if bipartition(g) is not None:
-                assert min_vc_bipartite(g).size == expected
+                assert len(min_vc_bipartite(g).cover) == expected
         for _ in range(100):
             a = rng.randint(1, 20)
             b = rng.randint(1, 20)
             g = random_bipartite_graph(a, b, rng.uniform(0.1, 0.9), seed=rng.randint(0, 10**9))
-            assert min_vc_bipartite(g).size == _max_matching_size(g)
+            assert len(min_vc_bipartite(g).cover) == _max_matching_size(g)
 
 
 def _has_chordless_odd_cycle_of_length_at_least_5(g):

@@ -472,7 +472,7 @@ def test_every_build_path_derives_the_eager_views(case, data):
     residuals = []
     with mock.patch.object(solver, "min_vertex_cover") as cover:
         cover.side_effect = lambda h, *args, **kw: residuals.append(h) or VcResult(
-            frozenset(), 0, "bnb"
+            frozenset(), "bnb"
         )
         solver._residual_core(n, flat, colours, "auto", 0, {})
     kept = [v for v in range(n) if colours[v] is not Colour.ONE]

@@ -41,14 +41,14 @@ def test_enumeration_yields_valid_trees():
     assert len(trees) == 16
     seen = set()
     for t in trees:
-        assert t.edges not in seen
-        seen.add(t.edges)
-        assert len(t.edges) == g.n - 1
-        assert all(e in set(g.edges) for e in t.edges)
+        assert t not in seen
+        seen.add(t)
+        assert len(t) == g.n - 1
+        assert all(e in set(g.edges) for e in t)
         reach = {0}
         frontier = [0]
         adj = {v: set() for v in range(g.n)}
-        for u, v in t.edges:
+        for u, v in t:
             adj[u].add(v)
             adj[v].add(u)
         while frontier:
@@ -76,7 +76,7 @@ def test_enumeration_guards():
 
 def test_single_vertex_has_the_empty_tree():
     trees = list(enumerate_spanning_trees(Graph(1, [])))
-    assert trees[0].edges == frozenset()
+    assert trees[0] == frozenset()
 
 
 def test_min_vc_bruteforce_known():

@@ -320,7 +320,7 @@ def test_cover_targets_never_exceed_the_optimum_and_are_reached(monkeypatch, bac
         g = random_connected_graph(n, rng.randint(n - 1, 2 * n - 2), seed=rng.randint(0, 10**6))
         f = colouring_from_values(random_colouring_values(n, rng.randint(0, 10**6)))
         solve_crsds(g, f, backend=backend)
-    optima = [min_vc_branch_and_bound(h).size for h, _ in calls]
+    optima = [len(min_vc_branch_and_bound(h).cover) for h, _ in calls]
     assert all(target <= opt for (_, target), opt in zip(calls, optima))
     assert any(target == opt for (_, target), opt in zip(calls, optima))
 

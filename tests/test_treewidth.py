@@ -106,20 +106,20 @@ def test_out_of_range_bag_member_is_named(member):
 
 def test_dp_cover_examples():
     res = vc_via_tree_decomposition(path(5), min_fill_decomposition(path(5)))
-    assert res.size == 2
+    assert len(res.cover) == 2
     assert is_vertex_cover(path(5), res.cover)
 
     tri = cycle(3)
     trivial = TreeDecomposition((frozenset({0, 1, 2}),), ())
     res = vc_via_tree_decomposition(tri, trivial)
-    assert res.size == 2
+    assert len(res.cover) == 2
 
     isolated = Graph(4, [])
     singleton_path = TreeDecomposition(
         tuple(frozenset({v}) for v in range(4)), ((0, 1), (1, 2), (2, 3))
     )
     res = vc_via_tree_decomposition(isolated, singleton_path)
-    assert res.size == 0
+    assert len(res.cover) == 0
 
 
 def test_dp_matches_branch_and_bound_on_varied_density():
@@ -130,9 +130,9 @@ def test_dp_matches_branch_and_bound_on_varied_density():
         g = random_graph(n, m, seed=rng.randint(0, 10**6))
         a = vc_via_tree_decomposition(g, min_fill_decomposition(g))
         b = min_vc_branch_and_bound(g)
-        assert a.size == b.size
+        assert len(a.cover) == len(b.cover)
         assert is_vertex_cover(g, a.cover)
-        assert len(a.cover) == a.size
+        assert a.cover <= set(range(g.n))
 
 
 def test_dp_rejects_invalid_or_wide_input():
@@ -444,8 +444,8 @@ def test_dp_is_exact_on_any_valid_decomposition(case):
     g, td = case
     assert decomposition_violation(g, td) is None
     res = vc_via_tree_decomposition(g, td)
-    assert res.size == len(min_vc_bruteforce(g))
-    assert len(res.cover) == res.size
+    assert len(res.cover) == len(min_vc_bruteforce(g))
+    assert res.cover <= set(range(g.n))
     assert is_vertex_cover(g, res.cover)
 
 
@@ -453,7 +453,7 @@ def test_dp_on_the_empty_graph():
     g = Graph(0, [])
     for td in (TreeDecomposition((), ()), TreeDecomposition((frozenset(),), ())):
         res = vc_via_tree_decomposition(g, td)
-        assert res.size == 0 and res.cover == frozenset()
+        assert len(res.cover) == 0 and res.cover == frozenset()
 
 
 # Covers of random_graph(n, m, seed) under its min-fill decomposition.

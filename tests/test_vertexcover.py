@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import clique, cycle, path, petersen, star
+import simdom.treewidth
 import simdom.vertexcover
 from simdom._kernels import pure
 from simdom import (
@@ -70,16 +71,16 @@ def test_bnb_matches_bruteforce():
         g = random_graph(n, m, seed=rng.randint(0, 10**6))
         res = min_vc_branch_and_bound(g)
         assert is_vertex_cover(g, res.cover)
-        assert res.size == len(min_vc_bruteforce(g))
+        assert len(res.cover) == len(min_vc_bruteforce(g))
         assert res.backend == "bnb"
-        assert res.nodes is not None and res.nodes >= 1
+        assert res.nodes >= 1
         matched = len(greedy_matching(g))
-        assert matched <= res.size <= 2 * matched
+        assert matched <= len(res.cover) <= 2 * matched
 
 
 def test_bnb_petersen():
     res = min_vc_branch_and_bound(petersen())
-    assert res.size == len(min_vc_bruteforce(petersen())) == 6
+    assert len(res.cover) == len(min_vc_bruteforce(petersen())) == 6
 
 
 def test_bnb_node_budget():
@@ -124,9 +125,9 @@ def test_min_vc_bipartite_matches_bruteforce():
         g = random_bipartite_graph(rng.randint(1, 6), rng.randint(1, 6), 0.5, seed=rng.randint(0, 10**6))
         res = min_vc_bipartite(g)
         assert is_vertex_cover(g, res.cover)
-        assert res.size == len(min_vc_bruteforce(g))
+        assert len(res.cover) == len(min_vc_bruteforce(g))
         matched = len(greedy_matching(g))
-        assert matched <= res.size <= 2 * matched
+        assert matched <= len(res.cover) <= 2 * matched
 
 
 def test_min_vc_bipartite_rejects_odd_cycles_and_bad_sides():
@@ -156,7 +157,7 @@ def test_min_vc_bipartite_long_augmenting_path():
         label[v] = len(label)
     g = Graph(length, [(label[i], label[i + 1]) for i in range(length - 1)])
     res = min_vc_bipartite(g)
-    assert res.size == length // 2
+    assert len(res.cover) == length // 2
     assert is_vertex_cover(g, res.cover)
 
 
@@ -168,7 +169,7 @@ def test_treewidth_backend_matches_bruteforce():
         g = random_graph(n, m, seed=rng.randint(0, 10**6))
         res = min_vertex_cover(g, "treewidth")
         assert is_vertex_cover(g, res.cover)
-        assert res.size == len(min_vc_bruteforce(g))
+        assert len(res.cover) == len(min_vc_bruteforce(g))
         assert res.backend == "treewidth"
 
 
@@ -178,14 +179,14 @@ def test_auto_dispatch_mixes_backends():
     edges += [(4 + i, 4 + (i + 1) % 5) for i in range(5)]
     g = Graph(9, edges)
     res = min_vertex_cover(g)
-    assert res.size == len(min_vc_bruteforce(g))
+    assert len(res.cover) == len(min_vc_bruteforce(g))
     assert "bipartite" in res.backend
     assert is_vertex_cover(g, res.cover)
 
 
 def test_auto_on_isolated_vertices():
     res = min_vertex_cover(Graph(4, []))
-    assert res.size == 0
+    assert len(res.cover) == 0
     assert res.cover == frozenset()
 
 
@@ -193,7 +194,7 @@ def test_explicit_backends_agree():
     g = random_connected_graph(9, 13, seed=17)
     expected = len(min_vc_bruteforce(g))
     for backend in ("auto", "bnb", "treewidth"):
-        assert min_vertex_cover(g, backend=backend).size == expected
+        assert len(min_vertex_cover(g, backend=backend).cover) == expected
     with pytest.raises(ValueError):
         min_vertex_cover(g, backend="magic")
 
@@ -220,7 +221,7 @@ def record_subgraph_calls(monkeypatch):
 def test_auto_on_one_component_builds_no_subgraph(monkeypatch):
     calls = record_subgraph_calls(monkeypatch)
     g = petersen()
-    assert min_vc_auto(g).size == min_vc_branch_and_bound(g).size == 6
+    assert len(min_vc_auto(g).cover) == len(min_vc_branch_and_bound(g).cover) == 6
     assert calls == []
 
 
@@ -229,7 +230,7 @@ def test_auto_builds_no_subgraph_for_an_isolated_vertex(monkeypatch):
     tri = [(0, 1), (1, 2), (0, 2)]
     g = Graph(9, tri + [(u + 4, v + 4) for u, v in tri])  # 3, 7 and 8 isolated
     res = min_vc_auto(g)
-    assert (res.size, res.backend) == (4, "bnb")
+    assert (len(res.cover), res.backend) == (4, "bnb")
     assert calls == [[0, 1, 2], [4, 5, 6]]
 
 
@@ -262,7 +263,7 @@ def test_auto_passes_the_target_only_to_a_lone_component(monkeypatch):
         with_isolated = Graph(16, list(a.edges))
         for g in (a, two, with_isolated):
             plain = min_vc_auto(g)
-            targeted = min_vc_auto(g, target=plain.size)
+            targeted = min_vc_auto(g, target=len(plain.cover))
             assert targeted.cover == plain.cover
             assert targeted.nodes <= plain.nodes
             saved += plain.nodes - targeted.nodes
@@ -276,7 +277,7 @@ def test_auto_passes_the_target_only_to_a_lone_component(monkeypatch):
 def test_bnb_target_keeps_the_cover_and_saves_nodes():
     g = petersen()
     plain = min_vertex_cover(g, "bnb")
-    targeted = min_vertex_cover(g, "bnb", target=plain.size)
+    targeted = min_vertex_cover(g, "bnb", target=len(plain.cover))
     assert targeted.cover == plain.cover
     assert targeted.nodes < plain.nodes
 
@@ -295,7 +296,7 @@ def test_auto_reduces_first_and_matches_bruteforce(monkeypatch):
             monkeypatch.setattr(simdom.vertexcover, "AUTO_WIDTH_CAP", cap)
             res = min_vc_auto(g)
             assert is_vertex_cover(g, res.cover)
-            assert res.size == expected
+            assert len(res.cover) == expected
             tags.update(res.backend.split("+"))
     assert tags == {"bipartite", "bnb", "treewidth"}
 
@@ -317,7 +318,7 @@ def test_auto_covers_the_kernel_by_the_dp_without_branching():
     res = min_vc_auto(g, node_budget=1000)
     assert (res.backend, res.nodes) == ("treewidth", 1)
     assert is_vertex_cover(g, res.cover)
-    assert res.size == min_vertex_cover(g, "treewidth").size == 545
+    assert len(res.cover) == len(min_vertex_cover(g, "treewidth").cover) == 545
 
 
 def test_auto_does_not_reduce_a_component_above_the_size_limit(monkeypatch):
@@ -335,9 +336,35 @@ def test_auto_does_not_reduce_a_component_above_the_size_limit(monkeypatch):
     g = Graph(big + 9, list(cycle(big).edges) + [(big + u, big + v) for u, v in cycle(9).edges])
     res = min_vc_auto(g)
     assert searches == [9]
-    assert res.size == (big + 1) // 2 + 5
+    assert len(res.cover) == (big + 1) // 2 + 5
     assert res.backend == "bnb+treewidth" and res.nodes == 1
     assert is_vertex_cover(g, res.cover)
+
+
+def test_auto_branches_on_a_wide_component_above_the_size_limit(monkeypatch):
+    # above the limit min-fill tries the whole component; when it gives
+    # up, branch and bound runs on it with no kernel hook
+    decompositions = []
+    searches = []
+    decompose = simdom.treewidth.min_fill_decomposition
+    search = pure.vc_search
+
+    def recording_decompose(g, **kw):
+        decompositions.append((g.n, kw))
+        return decompose(g, **kw)
+
+    def recording_search(n, adj, node_budget, target, root):
+        searches.append((n, root))
+        return search(n, adj, node_budget, target, root)
+
+    monkeypatch.setattr(simdom.vertexcover, "KERNEL_VERTEX_LIMIT", 8)
+    monkeypatch.setattr(simdom.treewidth, "min_fill_decomposition", recording_decompose)
+    monkeypatch.setattr(pure, "vc_search", recording_search)
+    res = min_vc_auto(clique(14))
+    assert decompositions == [(14, {"max_width": 12})]
+    assert searches == [(14, None)]
+    assert res.backend == "bnb"
+    assert len(res.cover) == 13
 
 
 def test_kernel_graph_keeps_sorted_neighbour_lists():
