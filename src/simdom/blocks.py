@@ -10,11 +10,16 @@ The decomposition is also the solver's connectivity check: its one DFS
 raises DisconnectedGraphError when it leaves a vertex unreached.
 
 A decomposition is held in one flat layout: every block's sorted
-members back to back, the offsets of the blocks, each vertex's block
-(for a cut vertex, its last), and one dict from each cut vertex to its
-blocks. The per-block frozensets (``blocks``) and the set of cut
-vertices, which ``simdom blocks`` prints, are built from it on first
-read and cached; the solve and approximation paths never ask for them.
+members back to back, the offsets of the blocks, each vertex's first
+block, and one dict from each cut vertex to its blocks. An edge lies in
+the later of its two ends' first blocks (``BlockCutTree.edge_block``):
+blocks are numbered in the order of their heads' discovery, and the
+later-discovered end of an edge first appears in the block of its tree
+edge to its DFS parent, which the edge shares a cycle with and which
+holds the earlier end too. The per-block frozensets (``blocks``) and
+the set of cut vertices, which ``simdom blocks`` prints, are built from
+it on first read and cached; the solve and approximation paths never
+ask for them.
 So is each cut vertex's neighbourhood in each of its blocks
 (``cut_neighbours``), which the LP model and its rounding read.
 """
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate
 
@@ -39,12 +43,15 @@ class BlockCutTree:
 
     Block b's members in ascending order are
     ``members[member_start[b]:member_start[b + 1]]``. ``block_of[v]`` is
-    v's block, or for a cut vertex the last of its blocks, and
-    ``cut_blocks`` maps each cut vertex, in ascending order, to its
-    blocks in ascending order. ``nbrs`` is the decomposed graph's own
-    neighbour lists. All are read-only by contract. Two decompositions
-    are equal when their blocks are, and hash by the same member lists
-    and offsets that equality compares.
+    v's first block: for every vertex but 0 the block holding its tree
+    edge to its DFS parent, the one block where it is not the head; for
+    vertex 0, block 0. The edge uv lies in block
+    ``max(block_of[u], block_of[v])`` (edge_block). ``cut_blocks`` maps
+    each cut vertex, in ascending order, to its blocks in ascending
+    order. ``nbrs`` is the decomposed graph's own neighbour lists. All
+    are read-only by contract. Two decompositions are equal when their
+    blocks are, and hash by the same member lists and offsets that
+    equality compares.
     """
 
     def __init__(
@@ -79,36 +86,22 @@ class BlockCutTree:
         one pass over v's neighbours."""
         near: dict[tuple[int, int], list[int]] = {}
         nbrs = self.nbrs
-        block_of = self.block_of
-        cut_blocks = self.cut_blocks
-        for v, blocks in cut_blocks.items():
+        edge_block = self.edge_block
+        for v, blocks in self.cut_blocks.items():
             for b in blocks:
                 near[(v, b)] = []
             for w in nbrs[v]:
-                # a non-cut neighbour's only block holds the edge
-                b = self.edge_block(v, w) if w in cut_blocks else block_of[w]
-                near[(v, b)].append(w)
+                near[(v, edge_block(v, w))].append(w)
         return near
 
     def edge_block(self, u: int, v: int) -> int:
-        """The one block holding the edge uv: a non-cut end's only
-        block, or else the one block the two cut ends share (two blocks
-        share at most one vertex). Walks the shorter block list, as a
-        cut vertex may lie in many blocks."""
-        cut_blocks = self.cut_blocks
-        bu = cut_blocks.get(u)
-        if bu is None:
-            return self.block_of[u]
-        bv = cut_blocks.get(v)
-        if bv is None:
-            return self.block_of[v]
-        if len(bu) > len(bv):
-            bu, bv = bv, bu
-        for b in bu:
-            i = bisect_left(bv, b)
-            if i < len(bv) and bv[i] == b:
-                return b
-        raise GuaranteeError(f"no block holds the edge ({u}, {v})")
+        """The one block holding the edge uv: the later of u's and v's
+        first blocks. Of the two ends, the later-discovered one first
+        appears in the block of its tree edge to its DFS parent; the
+        edge shares a cycle with that tree edge, and the earlier end,
+        in that block too, first appears no later."""
+        block_of = self.block_of
+        return max(block_of[u], block_of[v])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockCutTree):
@@ -141,6 +134,13 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
     other members orders them as their sorted member lists would. Each
     block's members are sorted once, here, and laid out flat, in the
     order found, then once more in block order.
+
+    Every vertex but the root 0 is a non-head member of exactly one
+    block, the one that holds its tree edge to its DFS parent; that
+    block's head was discovered before the vertex, so the block sorts
+    before every block the vertex heads and is its first block
+    (``block_of``). The root's first block is block 0, and it heads
+    every other block it lies in.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -201,15 +201,16 @@ def blocks_and_cut_vertices(g: Graph) -> BlockCutTree:
     for b, j in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
         blk = found[found_end[j - 1] if j else 0:found_end[j]]
         for v in blk:
-            last = block_of[v]
-            if last >= 0:
+            first = block_of[v]
+            if first < 0:
+                block_of[v] = b
+            else:
                 # blocks come in index order, so each list comes out sorted
                 seen = cut_lists.get(v)
                 if seen is None:
-                    cut_lists[v] = [last, b]
+                    cut_lists[v] = [first, b]
                 else:
                     seen.append(b)
-            block_of[v] = b
         members += blk
         member_start.append(len(members))
     cut_blocks = {v: tuple(cut_lists[v]) for v in sorted(cut_lists)}
@@ -227,25 +228,28 @@ def flat_blocks(g: Graph, bct: BlockCutTree) -> tuple[list[int], array[int]]:
     layout. The offset table is an array of machine ints, as a list
     would keep an int object per block.
 
-    An edge with a non-cut end lies in that end's only block; otherwise
-    both ends are cut vertices, and it lies in the one block they share
-    (bct.edge_block). A non-cut vertex's position is kept per vertex,
-    and a cut vertex's is found by bisecting the block's members. The
-    edges are met in sorted order, and relabelling by position in the
-    sorted members keeps that order, so grouping the edges by block,
-    stably, leaves each block's sorted.
+    An edge lies in the later of its ends' first blocks
+    (bct.edge_block). Each vertex's position in its first block is kept
+    per vertex, and each block's head's position per block: an end
+    whose first block is earlier than the edge's is that block's head,
+    the one member that first appeared in another block. The edges are
+    met in sorted order, and relabelling by position in the sorted
+    members keeps that order, so grouping the edges by block, stably,
+    leaves each block's sorted.
     """
     members = bct.members
     member_start = bct.member_start
     block_of = bct.block_of
-    cut_blocks = bct.cut_blocks
-    # a vertex's position in the last block that holds it: for a non-cut
-    # vertex, its only block
+    nblocks = len(member_start) - 1
     pos = [0] * g.n
+    head_pos = [0] * nblocks
     start = 0
-    for end in member_start[1:]:
+    for b, end in enumerate(member_start[1:]):
         for i, v in enumerate(members[start:end]):
-            pos[v] = i
+            if block_of[v] == b:
+                pos[v] = i
+            else:
+                head_pos[b] = i
         start = end
 
     edge_block: list[int] = []
@@ -253,39 +257,17 @@ def flat_blocks(g: Graph, bct: BlockCutTree) -> tuple[list[int], array[int]]:
     second: list[int] = []
     # bound once: the loop below runs once per edge
     add_block, add_first, add_second = edge_block.append, first.append, second.append
-    count = [0] * (len(member_start) - 1)
+    count = [0] * nblocks
     for u, row in enumerate(g.nbrs):
-        if u not in cut_blocks:
-            # every edge at u lies in u's only block
-            b = block_of[u]
-            pu = pos[u]
-            for v in row:
-                if v > u:
-                    add_first(pu)
-                    if v in cut_blocks:
-                        lo = member_start[b]
-                        add_second(bisect_left(members, v, lo, member_start[b + 1]) - lo)
-                    else:
-                        add_second(pos[v])
-                    add_block(b)
-                    count[b] += 2
-            continue
+        bu = block_of[u]
         for v in row:
-            if v < u:
-                continue
-            if v not in cut_blocks:
-                b = block_of[v]
-                lo = member_start[b]
-                add_first(bisect_left(members, u, lo, member_start[b + 1]) - lo)
-                add_second(pos[v])
-            else:
-                b = bct.edge_block(u, v)
-                lo = member_start[b]
-                hi = member_start[b + 1]
-                add_first(bisect_left(members, u, lo, hi) - lo)
-                add_second(bisect_left(members, v, lo, hi) - lo)
-            add_block(b)
-            count[b] += 2
+            if v > u:
+                bv = block_of[v]
+                b = bu if bu > bv else bv  # bct.edge_block(u, v), inline
+                add_first(pos[u] if bu == b else head_pos[b])
+                add_second(pos[v] if bv == b else head_pos[b])
+                add_block(b)
+                count[b] += 2
     by_block = sorted(range(len(edge_block)), key=edge_block.__getitem__)
     ends = [0] * (2 * len(edge_block))
     ends[0::2] = map(first.__getitem__, by_block)

@@ -53,8 +53,8 @@ def _first_undominated(
     if not isinstance(s, (set, frozenset)):
         s = frozenset(s)
     nbrs = g.nbrs
-    block_of = bct.block_of
     cut_blocks = bct.cut_blocks
+    edge_block = bct.edge_block
     for v in vertices:
         if v in s:
             continue
@@ -64,11 +64,7 @@ def _first_undominated(
         blocks = cut_blocks.get(v)
         if blocks is None:
             return v
-        missed = {
-            bct.edge_block(v, w) if w in cut_blocks else block_of[w]
-            for w in row
-            if w not in s
-        }
+        missed = {edge_block(v, w) for w in row if w not in s}
         if len(missed) == len(blocks):
             return v
     return None

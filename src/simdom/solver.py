@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .blocks import BlockCutTree, blocks_and_cut_vertices, flat_blocks, leaf_component_order
 from .domination import Colour, Colouring, all_zero_hat, is_colour_respecting
 from .errors import GuaranteeError, InvalidSdSetError
-from .graph import Graph, edge_ends
+from .graph import Graph
 # unused here, but perfbench --trace looks these up on this module by name
 from .domination import is_sd_set  # noqa: F401
 from .graph import delete_edges_within, delete_vertices, induced_subgraph  # noqa: F401
@@ -58,7 +58,6 @@ class SolveReport:
     size: int
     block_log: tuple[BlockSolve, ...]
     backends: tuple[str, ...]
-    verified: bool
 
 
 # (vertex count, u0, v0, u1, v1, ...) of a residual, its sorted relabelled
@@ -161,8 +160,8 @@ def _solve(
     as g itself when it is all of g and every vertex is ZERO_HAT.
 
     Every block's sorted members come from bct, and its relabelled edges
-    from one pass over g's edges (flat_blocks), made only when g has two
-    blocks or more.
+    from one pass over g's edges (flat_blocks), made unless g is one
+    block with every vertex ZERO_HAT.
 
     A leaf block's outcome (its three sizes, its case and the members it
     keeps) depends only on its local view: the pivot's position, the
@@ -196,7 +195,10 @@ def _solve(
 
     one, zero, zero_hat = Colour.ONE, Colour.ZERO, Colour.ZERO_HAT
     members_of, member_start = bct.members, bct.member_start
-    if len(order) > 1:
+    # one block with every vertex to dominate: its SD-sets are its
+    # vertex covers, so g is its own residual
+    whole = len(order) == 1 and fcur.count(zero_hat) == g.n
+    if not whole:
         ends, edge_start = flat_blocks(g, bct)
     for block_idx, conn in order[:-1]:
         members = members_of[member_start[block_idx]:member_start[block_idx + 1]]
@@ -242,22 +244,16 @@ def _solve(
         solution.update(members[w] for w in chosen)
         log.append(BlockSolve(block_idx, conn, s1, s0, s0h, case, recolour))
 
-    if len(order) == 1 and fcur.count(zero_hat) == g.n:
-        # one block with every vertex to dominate: its SD-sets are its
-        # vertex covers, so g is its own residual
+    if whole:
         vc = min_vertex_cover(
             g, backend, node_budget=budget_left(node_budget, used), target=0
         )
         tags.add(vc.backend)
         solution.update(vc.cover)
     else:
-        if len(order) == 1:  # g is one block, on its own labels
-            members = list(range(g.n))
-            edges = edge_ends(g)
-        else:
-            root = order[-1][0]
-            members = members_of[member_start[root]:member_start[root + 1]]
-            edges = ends[edge_start[root]:edge_start[root + 1]]
+        root = order[-1][0]
+        members = members_of[member_start[root]:member_start[root + 1]]
+        edges = ends[edge_start[root]:edge_start[root + 1]]
         s, tag, _ = _residual_core(
             len(members), edges, [fcur[v] for v in members], backend,
             budget_left(node_budget, used), memo,
@@ -275,7 +271,6 @@ def _solve(
         # the dispatcher tags a residual with every backend it ran,
         # joined by "+": the report names each backend once
         backends=tuple(sorted({name for tag in tags for name in tag.split("+")})),
-        verified=True,
     )
 
 

@@ -329,6 +329,38 @@ def test_blocks_match_networkx(family):
             frozenset(c) for c in nx.biconnected_components(other)
         }
         assert bct.cut_vertices == frozenset(nx.articulation_points(other))
+        assert_edge_blocks_match(g, bct, other)
+    # the largest cactus has over 1,000 blocks
+    assert family is not cactus_edges or len(bct.blocks) > 1000
+
+
+def assert_edge_blocks_match(g, bct, other):
+    """Each edge's block, each vertex's first block, each cut vertex's
+    neighbours per block and the flat layout follow networkx's
+    partition of the edges of ``other``, g as a networkx graph."""
+    index = {blk: b for b, blk in enumerate(bct.blocks)}
+    owner = {}
+    for comp in nx.biconnected_component_edges(other):
+        b = index[frozenset(x for e in comp for x in e)]
+        for u, v in comp:
+            assert bct.edge_block(u, v) == bct.edge_block(v, u) == b
+            owner[min(u, v), max(u, v)] = b
+    assert sorted(owner) == list(g.edges)
+    for v in range(g.n):
+        assert bct.block_of[v] == min(owner[min(v, w), max(v, w)] for w in g.nbrs[v])
+    assert list(bct.cut_neighbours.items()) == [
+        ((v, b), [w for w in g.nbrs[v] if owner[min(v, w), max(v, w)] == b])
+        for v in bct.cut_blocks for b in bct.cut_blocks[v]
+    ]
+    ends, edge_start = flat_blocks(g, bct)
+    members, member_start = bct.members, bct.member_start
+    by_block = [[] for _ in bct.blocks]
+    for u, v in g.edges:
+        by_block[owner[u, v]].append((u, v))
+    for b, pairs in enumerate(by_block):
+        at = {v: i for i, v in enumerate(members[member_start[b]:member_start[b + 1]])}
+        flat = ends[edge_start[b]:edge_start[b + 1]]
+        assert list(zip(flat[::2], flat[1::2])) == [(at[u], at[v]) for u, v in pairs]
 
 
 PINNED_ORDER = Path(__file__).resolve().parent / "block_order_reference.json"
@@ -395,9 +427,11 @@ def eager_reference(g, bct):
 
 
 @st.composite
-def hubs(draw):
+def hubs(draw, hub_at_root=False):
     """Stars and flowers, relabelled: one cut vertex in many blocks, each
-    a bridge or a cycle of 3 to 5 vertices, some with a tail."""
+    a bridge or a cycle of 3 to 5 vertices, some with a tail. With
+    hub_at_root the hub keeps label 0, where the DFS starts, so it heads
+    every block it lies in."""
     n, edges = 1, []
     for size in draw(st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=12)):
         ring = [0] + list(range(n, n + size - 1))
@@ -408,12 +442,18 @@ def hubs(draw):
         if draw(st.booleans()):
             edges.append((ring[-1], n))
             n += 1
-    perm = draw(st.permutations(range(n)))
+    if hub_at_root:
+        perm = [0] + draw(st.permutations(range(1, n)))
+    else:
+        perm = draw(st.permutations(range(n)))
     return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
+LAYOUT_GRAPHS = st.one_of(connected_graphs(max_n=16), hubs(), hubs(hub_at_root=True))
+
+
 @settings(deadline=None, max_examples=150)
-@given(st.one_of(connected_graphs(max_n=16), hubs()), st.one_of(connected_graphs(max_n=16), hubs()))
+@given(LAYOUT_GRAPHS, LAYOUT_GRAPHS)
 def test_flat_layout_derives_the_eager_views(g, h):
     bct = blocks_and_cut_vertices(g)
     want = eager_reference(g, bct)
@@ -424,7 +464,7 @@ def test_flat_layout_derives_the_eager_views(g, h):
         assert want.cut_vertices == set(nx.articulation_points(nxg))
     assert (bct.blocks, bct.cut_vertices) == (want.blocks, want.cut_vertices)
     assert hash(blocks_and_cut_vertices(g)) == hash(bct)
-    assert list(bct.block_of) == [bs[-1] for bs in want.blocks_of_vertex]
+    assert list(bct.block_of) == [bs[0] for bs in want.blocks_of_vertex]
     assert bct.cut_blocks == {v: want.blocks_of_vertex[v] for v in sorted(want.cut_vertices)}
     assert list(bct.cut_blocks) == sorted(want.cut_vertices)
     near = [((v, b), [w for w in g.nbrs[v] if w in want.blocks[b]])

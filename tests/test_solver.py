@@ -95,7 +95,6 @@ def test_solve_sds_tiny_examples():
     report = solve_sds(path(3))
     assert report.solution == frozenset({1})
     assert report.size == 1
-    assert report.verified
 
     report = solve_sds(star(6))
     assert report.solution == frozenset({0})
@@ -133,7 +132,6 @@ def test_solve_sds_matches_oracle_on_random_graphs():
         m = rng.randint(n - 1, n * (n - 1) // 2)
         g = random_connected_graph(n, m, seed=rng.randint(0, 10**6))
         report = solve_sds(g)
-        assert report.verified
         assert report.size == len(min_sds_bruteforce(g))
 
 
