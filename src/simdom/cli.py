@@ -2,9 +2,9 @@
 
 Commands: solve, approx, verify, gen, oracle, blocks. Results go
 to stdout; diagnostics go to stderr. Exit codes: 0 success, 1 failed
-verification, 2 parse or parameter error, 3 disconnected input,
-4 budget exceeded, 141 stdout closed before the output was written (the
-status a shell reports for a process that SIGPIPE ended).
+verification, the code ``EXIT_CODES`` gives each failure, and 141 when
+stdout closed before the output was written (the status a shell reports
+for a process that SIGPIPE ended).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .blocks import blocks_and_cut_vertices
 from .domination import COLOUR_TOKENS, TOKEN_OF_COLOUR, all_zero_hat, sd_witness
@@ -32,7 +32,7 @@ from .generators import (
     random_chordal_graph,
     random_connected_graph,
 )
-from .graph import Graph, parse_graph, write_graph
+from .graph import FORMATS, Graph, parse_graph, write_graph
 from .lpapprox import approx2_sds, approx4_sds_via_vc
 from .oracle import (
     EDGE_ENUMERATION_BUDGET,
@@ -41,16 +41,28 @@ from .oracle import (
     min_vc_bruteforce,
     spanning_tree_count,
 )
-from .solver import solve_crsds, solve_sds
+from .solver import solve_crsds
+from .vertexcover import BACKENDS
 
-EXIT_OK = 0
-EXIT_INVALID = 1
-EXIT_PARSE = 2
-EXIT_DISCONNECTED = 3
-EXIT_BUDGET = 4
+# The exit code of each failure main reports; the first type that matches wins.
+EXIT_CODES = (
+    (GraphParseError, 2),
+    (DisconnectedGraphError, 3),
+    ((BudgetExceededError, WidthBudgetError), 4),
+    (ValueError, 2),  # a parameter out of range
+    (SimdomError, 1),  # a result that failed its check
+)
 EXIT_PIPE = 141
 
-BACKENDS = ("auto", "bnb", "bipartite", "treewidth")
+# gen's families: each one's generator, its parameters' types, and
+# whether it takes --seed
+GENERATORS = {
+    "gap": (gap_graph, (int,), False),
+    "random": (random_connected_graph, (int, int), True),
+    "random-2connected": (random_2connected_graph, (int, int), True),
+    "chordal": (random_chordal_graph, (int, float), True),
+    "bipartite": (random_bipartite_graph, (int, int, float), True),
+}
 
 
 def _read_text(path: str | None) -> str:
@@ -63,75 +75,53 @@ def _read_text(path: str | None) -> str:
         raise GraphParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _detect_format(text: str) -> str:
-    """DIMACS when the first line that neither parser skips as a comment
-    (first token starting with 'c' or '#') starts with 'p' or 'e'."""
-    for line in text.splitlines():
-        parts = line.split()
-        if not parts or parts[0][0] in "c#":
-            continue
-        return "dimacs" if parts[0] in ("p", "e") else "edgelist"
-    return "edgelist"
+def _load_graph(args: argparse.Namespace, second: str | None = None) -> Graph:
+    """The graph of args. second names the command's other input, which
+    may not read stdin when the graph does: it would read it empty."""
+    if second and getattr(args, second) == "-" and args.graph in (None, "-"):
+        raise ValueError(f"the graph is read from stdin: give the {second} as a file")
+    return parse_graph(_read_text(args.graph), args.format)
 
 
-def _load_graph(args: argparse.Namespace) -> Graph:
-    text = _read_text(args.graph)
-    fmt = args.format
-    if fmt == "auto":
-        fmt = _detect_format(text)
-    return parse_graph(text, fmt)
-
-
-def _load_colours(path: str, n: int) -> list:
-    colours = all_zero_hat(n)
-    first_line: dict[int, int] = {}
-    text = _read_text(path)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
+def _read_vertices(
+    path: str, n: int, *, coloured: bool
+) -> Iterator[tuple[int, int, str]]:
+    """Each vertex of a vertex set file (vertex ids) or, when coloured, of
+    a colour file ('vertex colour' lines): its line, the vertex, and its
+    line's last token. '#' starts a comment, and vertices are 0..n-1."""
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if coloured and parts and len(parts) != 2:
             raise GraphParseError("expected 'vertex colour'", line=lineno)
-        try:
-            v = int(parts[0])
-        except ValueError:
-            raise GraphParseError(f"bad vertex {parts[0]!r}", line=lineno) from None
-        if not 0 <= v < n:
-            raise GraphParseError(f"vertex {v} out of range", line=lineno)
-        if v in first_line:
-            raise GraphParseError(
-                f"vertex {v} already coloured on line {first_line[v]}", line=lineno
-            )
-        first_line[v] = lineno
-        if parts[1] not in COLOUR_TOKENS:
-            raise GraphParseError(
-                f"bad colour {parts[1]!r}, expected one of 1, 0, 0hat", line=lineno
-            )
-        colours[v] = COLOUR_TOKENS[parts[1]]
-    return colours
-
-
-def _load_vertex_set(path: str, n: int) -> frozenset[int]:
-    out = set()
-    text = _read_text(path)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        for token in line.split():
+        for token in parts[:1] if coloured else parts:
             try:
                 v = int(token)
             except ValueError:
                 raise GraphParseError(f"bad vertex {token!r}", line=lineno) from None
             if not 0 <= v < n:
                 raise GraphParseError(f"vertex {v} out of range", line=lineno)
-            out.add(v)
-    return frozenset(out)
+            yield lineno, v, parts[-1]
+
+
+def _load_colours(path: str, n: int) -> list:
+    colours = all_zero_hat(n)
+    first_line: dict[int, int] = {}
+    for lineno, v, token in _read_vertices(path, n, coloured=True):
+        if v in first_line:
+            raise GraphParseError(
+                f"vertex {v} already coloured on line {first_line[v]}", line=lineno
+            )
+        first_line[v] = lineno
+        if token not in COLOUR_TOKENS:
+            raise GraphParseError(
+                f"bad colour {token!r}, expected one of 1, 0, 0hat", line=lineno
+            )
+        colours[v] = COLOUR_TOKENS[token]
+    return colours
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload))
+    print(json.dumps({"schema": 1, **payload}))
 
 
 def _check_budget(args: argparse.Namespace) -> None:
@@ -141,39 +131,33 @@ def _check_budget(args: argparse.Namespace) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     _check_budget(args)
-    g = _load_graph(args)
-    if args.colours is not None:
-        colours = _load_colours(args.colours, g.n)
-        report = solve_crsds(
-            g, colours, backend=args.backend, node_budget=args.budget
-        )
+    g = _load_graph(args, "colours")
+    if args.colours is None:
+        colours = all_zero_hat(g.n)
     else:
-        report = solve_sds(g, backend=args.backend, node_budget=args.budget)
+        colours = _load_colours(args.colours, g.n)
+    report = solve_crsds(g, colours, backend=args.backend, node_budget=args.budget)
     # the solver checks every set it returns and raises
     # InvalidSdSetError on a failure, so a report is always verified
     backend = "+".join(report.backends)
+    blocks = [
+        {
+            "block": entry.block,
+            "connection": entry.connection_vertex,
+            "size_one": entry.size_one,
+            "size_zero": entry.size_zero,
+            "size_zero_hat": entry.size_zero_hat,
+            "case": entry.case,
+            "recoloured_to": TOKEN_OF_COLOUR.get(entry.recoloured_to),
+        }
+        for entry in report.block_log
+    ]
     if args.json:
         _emit_json(
             {
-                "schema": 1,
                 "size": report.size,
                 "vertices": sorted(report.solution),
-                "blocks": [
-                    {
-                        "block": entry.block,
-                        "connection": entry.connection_vertex,
-                        "size_one": entry.size_one,
-                        "size_zero": entry.size_zero,
-                        "size_zero_hat": entry.size_zero_hat,
-                        "case": entry.case,
-                        "recoloured_to": (
-                            None
-                            if entry.recoloured_to is None
-                            else TOKEN_OF_COLOUR[entry.recoloured_to]
-                        ),
-                    }
-                    for entry in report.block_log
-                ],
+                "blocks": blocks,
                 "backend": backend,
                 "verified": True,
             }
@@ -183,19 +167,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print("vertices " + " ".join(str(v) for v in sorted(report.solution)))
         print(f"backend {backend}")
         print("verified true")
-        for entry in report.block_log:
-            recoloured = (
-                "-"
-                if entry.recoloured_to is None
-                else TOKEN_OF_COLOUR[entry.recoloured_to]
-            )
+        for b in blocks:
             print(
-                f"block {entry.block} connection {entry.connection_vertex} "
-                f"sizes 1={entry.size_one} 0={entry.size_zero} "
-                f"0hat={entry.size_zero_hat} case {entry.case} "
-                f"recoloured {recoloured}"
+                f"block {b['block']} connection {b['connection']} "
+                f"sizes 1={b['size_one']} 0={b['size_zero']} "
+                f"0hat={b['size_zero_hat']} case {b['case']} "
+                f"recoloured {b['recoloured_to'] or '-'}"
             )
-    return EXIT_OK
+    return 0
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
@@ -207,7 +186,6 @@ def cmd_approx(args: argparse.Namespace) -> int:
         chosen = approx4_sds_via_vc(g)
     if args.json:
         payload = {
-            "schema": 1,
             "size": len(chosen),
             "vertices": sorted(chosen),
             "method": args.variant,
@@ -221,13 +199,13 @@ def cmd_approx(args: argparse.Namespace) -> int:
         if bound is not None:
             print(f"bound {bound}")
         print(f"method {args.variant}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_budget(args)
-    g = _load_graph(args)
-    chosen = _load_vertex_set(args.set, g.n)
+    g = _load_graph(args, "set")
+    chosen = frozenset(v for _, v, _ in _read_vertices(args.set, g.n, coloured=False))
     witness = sd_witness(g, blocks_and_cut_vertices(g), chosen)
     valid = witness is None
     # the spanning-tree reading needs an edge to dominate through, so on
@@ -240,45 +218,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if enumerated != valid:
             raise GuaranteeError("block conditions and spanning trees disagree")
     if args.json:
-        _emit_json({"schema": 1, "valid": valid, "witness": witness})
+        _emit_json({"valid": valid, "witness": witness})
     else:
         if valid:
             print("valid")
         else:
             print(f"invalid witness {witness}")
-    return EXIT_OK if valid else EXIT_INVALID
+    return 0 if valid else 1
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    family = args.family
-    params = args.params
-
-    def want(k: int) -> None:
-        if len(params) != k:
-            raise ValueError(
-                f"family {family!r} takes {k} parameter(s), got {len(params)}"
-            )
-
-    if family == "gap":
-        want(1)
-        g = gap_graph(int(params[0]))
-    elif family == "random":
-        want(2)
-        g = random_connected_graph(int(params[0]), int(params[1]), args.seed)
-    elif family == "random-2connected":
-        want(2)
-        g = random_2connected_graph(int(params[0]), int(params[1]), args.seed)
-    elif family == "chordal":
-        want(2)
-        g = random_chordal_graph(int(params[0]), float(params[1]), args.seed)
-    else:
-        want(3)
-        g = random_bipartite_graph(
-            int(params[0]), int(params[1]), float(params[2]), args.seed
+    make, types, seeded = GENERATORS[args.family]
+    if len(args.params) != len(types):
+        raise ValueError(
+            f"family {args.family!r} takes {len(types)} parameter(s), "
+            f"got {len(args.params)}"
         )
+    params = [kind(p) for kind, p in zip(types, args.params)]
+    g = make(*params, args.seed) if seeded else make(*params)
     fmt = "edgelist" if args.format == "auto" else args.format
     sys.stdout.write(write_graph(g, fmt))
-    return EXIT_OK
+    return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -287,15 +247,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     vc = min_vc_bruteforce(g)
     trees = spanning_tree_count(g) if args.enumerate else None
     if args.json:
-        _emit_json(
-            {"schema": 1, "sds": len(sds), "vc": len(vc), "trees": trees}
-        )
+        _emit_json({"sds": len(sds), "vc": len(vc), "trees": trees})
     else:
         line = f"sds={len(sds)} vc={len(vc)}"
         if trees is not None:
             line += f" trees={trees}"
         print(line)
-    return EXIT_OK
+    return 0
 
 
 def cmd_blocks(args: argparse.Namespace) -> int:
@@ -304,7 +262,6 @@ def cmd_blocks(args: argparse.Namespace) -> int:
     if args.json:
         _emit_json(
             {
-                "schema": 1,
                 "blocks": [sorted(b) for b in bct.blocks],
                 "cut_vertices": sorted(bct.cut_vertices),
             }
@@ -317,7 +274,7 @@ def cmd_blocks(args: argparse.Namespace) -> int:
             "cut vertices: "
             + (" ".join(str(v) for v in sorted(bct.cut_vertices)) or "-")
         )
-    return EXIT_OK
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--format",
-        choices=("auto", "dimacs", "edgelist"),
+        choices=("auto", *FORMATS),
         default="auto",
         help="input format (default: auto-detect)",
     )
@@ -365,15 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="write a generated graph to stdout")
-    p.add_argument(
-        "family",
-        choices=("gap", "random", "random-2connected", "chordal", "bipartite"),
-    )
+    p.add_argument("family", choices=GENERATORS)
     p.add_argument("params", nargs="*", help="family parameters")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--format", choices=("auto", "dimacs", "edgelist"), default="auto"
-    )
+    p.add_argument("--format", choices=("auto", *FORMATS), default="auto")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force minima")
@@ -402,21 +354,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # flush to devnull, as the reader wants no more output
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except GraphParseError as exc:
+    except (SimdomError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DisconnectedGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except (BudgetExceededError, WidthBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SimdomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """Simple undirected graphs with dense 0-based vertices.
 
 Graphs are immutable after construction; every operation returns a new
-graph. DIMACS edge format and plain edge lists are supported for I/O.
+graph. The I/O formats, ``FORMATS``, are DIMACS edge format and plain
+edge lists; ``parse_graph(text, "auto")`` reads DIMACS when the first
+line that neither parser skips as a comment starts with 'p' or 'e', and
+an edge list otherwise.
 
 A graph holds one adjacency: ``nbrs``, each vertex's neighbours in an
 ascending list. The sorted ``edges`` tuple, which mirrors
@@ -33,6 +36,7 @@ MAX_VERTICES = 10**6  # parse_graph refuses more, before allocating any
 # find duplicates with no tuple per edge. That is exact because every
 # vertex they accept is below MAX_VERTICES < 2**EDGE_SHIFT.
 EDGE_SHIFT = 20
+FORMATS = ("dimacs", "edgelist")  # what parse_graph reads and write_graph writes
 
 
 def _nbrs_of_ends(n: int, ends: Iterable[int]) -> list[list[int]]:
@@ -228,14 +232,28 @@ def parse_graph(text: str, fmt: str = "dimacs") -> Graph:
 
     DIMACS: 'c' comment lines, one 'p edge <n> <m>' line, 'e <u> <v>' lines
     with 1-based vertices. Edge list: one '<u> <v>' pair per line, 0-based;
-    blank lines and lines starting with '#' are skipped. A graph of more
-    than MAX_VERTICES vertices is refused with GraphParseError.
+    blank lines and lines starting with '#' are skipped. fmt "auto" reads
+    DIMACS when the first line that neither parser skips starts with 'p'
+    or 'e', and an edge list otherwise. A graph of more than MAX_VERTICES
+    vertices is refused with GraphParseError.
     """
     if fmt == "dimacs":
         return _parse_dimacs(text)
     if fmt == "edgelist":
         return _parse_edgelist(text)
+    if fmt == "auto":
+        return _parse_dimacs(text) if _is_dimacs(text) else _parse_edgelist(text)
     raise ValueError(f"unknown graph format {fmt!r}")
+
+
+def _is_dimacs(text: str) -> bool:
+    # the parsers' own first-token tests: _parse_dimacs skips a token
+    # starting with 'c', _parse_edgelist one starting with '#'
+    for line in text.splitlines():
+        parts = line.split()
+        if parts and parts[0][0] not in "c#":
+            return parts[0] in ("p", "e")
+    return False
 
 
 def _parse_dimacs(text: str) -> Graph:

@@ -61,8 +61,8 @@ class SolveReport:
 
 
 # (vertex count, u0, v0, u1, v1, ...) of a residual, its sorted relabelled
-# edges laid out flat -> (cover, backend tag)
-CoverMemo = dict[tuple[int, ...], tuple[frozenset[int], str]]
+# edges laid out flat -> (cover, the names of the backends that found it)
+CoverMemo = dict[tuple[int, ...], tuple[frozenset[int], tuple[str, ...]]]
 # (vertex count, pivot position, the members' colours with the pivot's
 # read as ZERO_HAT, u0, v0, u1, v1, ...) of a leaf block -> (size_one,
 # size_zero, size_zero_hat, case, the members it keeps, by position)
@@ -77,7 +77,7 @@ def _residual_core(
     node_budget: int,
     memo: CoverMemo,
     min_size: int = 0,
-) -> tuple[frozenset[int], str, int]:
+) -> tuple[frozenset[int], tuple[str, ...], int]:
     """Minimum fc-respecting set of a block via vertex cover.
 
     The block has vertices 0..n-1 and the sorted edges ``edges``, laid
@@ -123,10 +123,10 @@ def _residual_core(
         vc = min_vertex_cover(
             residual, backend, node_budget=node_budget, target=min_size - len(ones)
         )
-        hit = memo[key] = (vc.cover, vc.backend)
+        hit = memo[key] = (vc.cover, vc.backends)
         nodes = vc.nodes
-    cover, tag = hit
-    return frozenset([kept[w] for w in cover] + ones), tag, nodes
+    cover, names = hit
+    return frozenset([kept[w] for w in cover] + ones), names, nodes
 
 
 def solve_crsds(
@@ -188,7 +188,7 @@ def _solve(
     fcur = list(f)
     solution: set[int] = set()
     log: list[BlockSolve] = []
-    tags: set[str] = set()
+    covered_by: set[tuple[str, ...]] = set()  # each cover's backends
     memo: CoverMemo = {}
     peeled: BlockMemo = {}
     used = 0
@@ -213,12 +213,12 @@ def _solve(
             for colour in (zero_hat, zero, one):
                 local_f[pivot] = colour
                 bound = len(sols[zero_hat]) if colour is one else 0
-                sols[colour], tag, nodes = _residual_core(
+                sols[colour], names, nodes = _residual_core(
                     len(members), edges, local_f, backend,
                     budget_left(node_budget, used), memo, bound,
                 )
                 used += nodes
-                tags.add(tag)
+                covered_by.add(names)
             s1 = len(sols[one])
             s0 = len(sols[zero])
             s0h = len(sols[zero_hat])
@@ -248,17 +248,17 @@ def _solve(
         vc = min_vertex_cover(
             g, backend, node_budget=budget_left(node_budget, used), target=0
         )
-        tags.add(vc.backend)
+        covered_by.add(vc.backends)
         solution.update(vc.cover)
     else:
         root = order[-1][0]
         members = members_of[member_start[root]:member_start[root + 1]]
         edges = ends[edge_start[root]:edge_start[root + 1]]
-        s, tag, _ = _residual_core(
+        s, names, _ = _residual_core(
             len(members), edges, [fcur[v] for v in members], backend,
             budget_left(node_budget, used), memo,
         )
-        tags.add(tag)
+        covered_by.add(names)
         solution.update(members[w] for w in s)
 
     result = frozenset(solution)
@@ -268,9 +268,7 @@ def _solve(
         solution=result,
         size=len(result),
         block_log=tuple(log),
-        # the dispatcher tags a residual with every backend it ran,
-        # joined by "+": the report names each backend once
-        backends=tuple(sorted({name for tag in tags for name in tag.split("+")})),
+        backends=tuple(sorted(set().union(*covered_by))),
     )
 
 

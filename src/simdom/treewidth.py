@@ -341,7 +341,7 @@ def vc_via_tree_decomposition(g: Graph, td: TreeDecomposition) -> VcResult:
         )
     k = len(td.bags)
     if k == 0:  # validated, so g has no vertices
-        return VcResult(frozenset(), "treewidth")
+        return VcResult(frozenset(), ("treewidth",))
 
     parent, order = _rooted(td)
     verts = [sorted(bag) for bag in td.bags]
@@ -389,4 +389,4 @@ def vc_via_tree_decomposition(g: Graph, td: TreeDecomposition) -> VcResult:
     cover = {v for b in order for i, v in enumerate(verts[b]) if chosen[b] >> i & 1}
     if len(cover) != size:
         raise GuaranteeError("reconstruction does not match the DP optimum")
-    return VcResult(frozenset(cover), "treewidth")
+    return VcResult(frozenset(cover), ("treewidth",))

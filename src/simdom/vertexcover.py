@@ -34,16 +34,16 @@ KERNEL_VERTEX_LIMIT = 4096
 class VcResult:
     """A vertex cover with provenance.
 
-    backend is one of "bnb", "bipartite", "treewidth", or a +-joined
-    combination when the auto dispatcher mixed backends across
-    components. nodes counts branch-and-bound search nodes, its root
-    reductions included, even when another backend then covered the
-    kernel they left; it is 0 when no search ran. The cover's size is
-    len(cover).
+    backends holds the sorted names of the backends that covered some
+    part of the graph: one of "bnb", "bipartite" and "treewidth", or
+    several when the auto dispatcher mixed backends across components.
+    nodes counts branch-and-bound search nodes, its root reductions
+    included, even when another backend then covered the kernel they
+    left; it is 0 when no search ran. The cover's size is len(cover).
     """
 
     cover: frozenset[int]
-    backend: str
+    backends: tuple[str, ...]
     nodes: int = 0
 
 
@@ -126,20 +126,20 @@ def min_vc_branch_and_bound(
     kernel_backend, when given, is offered the kernel the root's
     reductions leave when edges remain, as a graph relabelled in
     ascending order. A result it returns is taken as the kernel's
-    minimum cover, and its backend tags the answer; on None the search
-    branches from the root's state.
+    minimum cover, and the answer takes its backends; on None the
+    search branches from the root's state.
     """
-    backend = "bnb"
+    backends = ("bnb",)
     root = None
     if kernel_backend is not None:
 
         def root(alive: int, adj: list[int]) -> int | None:
-            nonlocal backend
+            nonlocal backends
             kernel, kept = _kernel_graph(alive, adj)
             part = kernel_backend(kernel)
             if part is None:
                 return None
-            backend = part.backend
+            backends = part.backends
             mask = 0
             for v in part.cover:
                 mask |= 1 << kept[v]
@@ -151,7 +151,7 @@ def min_vc_branch_and_bound(
     # bit v is character v of bin(mask) reversed, which ends in "b0":
     # one pass, where shifting the mask once per vertex is quadratic
     cover = frozenset(v for v, bit in enumerate(reversed(bin(mask))) if bit == "1")
-    return VcResult(cover=cover, backend=backend, nodes=nodes)
+    return VcResult(cover=cover, backends=backends, nodes=nodes)
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -282,7 +282,7 @@ def min_vc_bipartite(
         raise GuaranteeError("König equality violated")
     if not is_vertex_cover(g, cover):
         raise GuaranteeError("extracted set misses an edge")
-    return VcResult(cover=cover, backend="bipartite")
+    return VcResult(cover=cover, backends=("bipartite",))
 
 
 def min_vc_treewidth(g: Graph, max_width: int) -> VcResult | None:
@@ -318,7 +318,7 @@ def min_vc_auto(
     """
     narrow = partial(min_vc_treewidth, max_width=AUTO_WIDTH_CAP)
     cover: set[int] = set()
-    backends: list[str] = []
+    backends: set[str] = set()
     nodes_total = 0
     comps = g.coloured_components()
     if sum(1 for comp, _ in comps if len(comp) > 1) != 1:
@@ -347,10 +347,14 @@ def min_vc_auto(
                 kernel_backend=narrow if reduce_first else None,
             )
             nodes_total += part.nodes
-        backends.append(part.backend)
+        backends.update(part.backends)
         cover.update(kept[v] for v in part.cover)
-    backend = "+".join(sorted(set(backends))) if backends else "bipartite"
-    return VcResult(frozenset(cover), backend, nodes_total)
+    return VcResult(
+        frozenset(cover), tuple(sorted(backends)) or ("bipartite",), nodes_total
+    )
+
+
+BACKENDS = ("auto", "bnb", "bipartite", "treewidth")  # min_vertex_cover's names
 
 
 def min_vertex_cover(

@@ -73,3 +73,29 @@ def connected_graphs(draw, max_n=12):
         edges += [(ids[u], ids[v]) for u, v in petal]
         n += k
     return Graph(n, edges)
+
+
+VERTEX = st.integers(0, 7).map(str)
+MIXED_LINE = st.one_of(
+    st.builds("p edge {} {}".format, st.integers(0, 8), st.integers(0, 6)),
+    st.builds("e {} {}".format, st.integers(1, 8), st.integers(1, 8)),
+    st.builds("{} {}".format, VERTEX, VERTEX),
+    st.sampled_from(["", "  ", "c", "c x", "comment line", "\tcx", "#", "# 0 1", "#0 1"]),
+    st.sampled_from(["p", "p edge 3", "e 1", "e", "0", "0 1 2", "x y", "-1 2", "1 1"]),
+)
+
+
+@st.composite
+def mixed_graph_texts(draw):
+    """Up to 8 lines mixing DIMACS, edge-list, comment and junk lines.
+    Half the time a 'p edge' line with the right counts goes in too, so
+    that the DIMACS parser often accepts the text."""
+    lines = draw(st.lists(MIXED_LINE, max_size=8))
+    if draw(st.booleans()):
+        ends = [
+            int(w) for line in lines if line.startswith("e ") for w in line.split()[1:]
+        ]
+        count = sum(line.startswith("e ") for line in lines)
+        header = f"p edge {max(ends, default=1)} {count}"
+        lines.insert(draw(st.integers(0, len(lines))), header)
+    return "\n".join(lines)

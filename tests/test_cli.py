@@ -10,12 +10,21 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 import simdom
 import simdom.cli
 import simdom.treewidth
-from simdom.cli import main
+from conftest import mixed_graph_texts
+from simdom import (
+    BudgetExceededError,
+    DisconnectedGraphError,
+    GraphParseError,
+    GuaranteeError,
+    InvalidSdSetError,
+    WidthBudgetError,
+)
+from simdom.cli import GENERATORS, main
 
 
 def run(capsys, *argv):
@@ -218,6 +227,19 @@ def test_gen_bad_parameters(capsys):
     assert "error" in err
 
 
+# the parameters of each gen family, as the README lists them
+GEN_PARAMETERS = {"gap": 1, "random": 2, "random-2connected": 2, "chordal": 2, "bipartite": 3}
+
+
+@pytest.mark.parametrize("family", GEN_PARAMETERS)
+def test_gen_refuses_one_parameter_too_few(capsys, family):
+    assert GENERATORS.keys() == GEN_PARAMETERS.keys()
+    k = GEN_PARAMETERS[family]
+    assert run(capsys, "gen", family, *["4"] * (k - 1)) == (
+        2, "", f"error: family {family!r} takes {k} parameter(s), got {k - 1}\n"
+    )
+
+
 def test_oracle_lines(triangle, gap3, capsys):
     code, out, _ = run(capsys, "oracle", triangle, "--enumerate")
     assert code == 0
@@ -234,6 +256,48 @@ def test_blocks_listing(p3, capsys):
     payload = json.loads(out)
     assert payload["blocks"] == [[0, 1], [1, 2]]
     assert payload["cut_vertices"] == [1]
+
+
+@pytest.mark.parametrize(
+    "kind, code",
+    [
+        (GraphParseError, 2),
+        (DisconnectedGraphError, 3),
+        (BudgetExceededError, 4),
+        (WidthBudgetError, 4),
+        (ValueError, 2),
+        (GuaranteeError, 1),
+        (InvalidSdSetError, 1),
+    ],
+)
+def test_each_failure_exits_with_its_documented_code(monkeypatch, capsys, kind, code):
+    def fail(args):
+        raise kind("what went wrong")
+
+    monkeypatch.setattr(simdom.cli, "cmd_blocks", fail)
+    assert run(capsys, "blocks") == (code, "", "error: what went wrong\n")
+
+
+@pytest.mark.parametrize(
+    "argv, second",
+    [
+        (["solve", "-", "--colours", "-"], "colours"),
+        (["solve", "--colours", "-"], "colours"),
+        (["verify", "-", "-"], "set"),
+    ],
+)
+def test_only_one_input_reads_stdin(monkeypatch, capsys, argv, second):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0 1\n1 2\n"))
+    assert run(capsys, *argv) == (
+        2, "", f"error: the graph is read from stdin: give the {second} as a file\n"
+    )
+
+
+def test_colours_read_stdin_when_the_graph_is_a_file(triangle, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0 1\n"))
+    code, out, _ = run(capsys, "solve", triangle, "--colours", "-")
+    assert code == 0
+    assert out.splitlines()[:2] == ["size 2", "vertices 0 1"]
 
 
 def test_exit_code_on_parse_error(tmp_path, capsys):
@@ -471,16 +535,6 @@ def test_solve_json_is_pinned_on_a_many_block_graph(tmp_path, capsys, coloured, 
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-VERTEX = st.integers(0, 7).map(str)
-INPUT_LINE = st.one_of(
-    st.builds("p edge {} {}".format, st.integers(0, 8), st.integers(0, 6)),
-    st.builds("e {} {}".format, st.integers(1, 8), st.integers(1, 8)),
-    st.builds("{} {}".format, VERTEX, VERTEX),
-    st.sampled_from(["", "  ", "c", "c x", "comment line", "\tcx", "#", "# 0 1", "#0 1"]),
-    st.sampled_from(["p", "p edge 3", "e 1", "e", "0", "0 1 2", "x y", "-1 2", "1 1"]),
-)
-
-
 def cli_run(text, *argv):
     """main on text read from stdin: its exit code and stdout."""
     out, err = io.StringIO(), io.StringIO()
@@ -490,23 +544,8 @@ def cli_run(text, *argv):
     return code, out.getvalue()
 
 
-@st.composite
-def cli_texts(draw):
-    """Up to 8 lines. Half the time a 'p edge' line with the right counts
-    goes in too, so that the DIMACS parser often accepts the text."""
-    lines = draw(st.lists(INPUT_LINE, max_size=8))
-    if draw(st.booleans()):
-        ends = [
-            int(w) for line in lines if line.startswith("e ") for w in line.split()[1:]
-        ]
-        count = sum(line.startswith("e ") for line in lines)
-        header = f"p edge {max(ends, default=1)} {count}"
-        lines.insert(draw(st.integers(0, len(lines))), header)
-    return "\n".join(lines)
-
-
 @settings(deadline=None, max_examples=150)
-@given(cli_texts())
+@given(mixed_graph_texts())
 @example("comment line\np edge 2 1\ne 1 2\n")
 def test_cli_fuzz_exits_with_a_documented_code(text):
     for command in ("solve", "blocks"):

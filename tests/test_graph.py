@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import parse_reference
-from conftest import clique, cycle, path, small_graphs
+from conftest import clique, cycle, mixed_graph_texts, path, small_graphs
 from simdom import graph
 from simdom import Graph, GraphParseError, parse_graph, write_graph
 from simdom import solver
 from simdom.domination import Colour
-from simdom.graph import delete_edges_within, delete_vertices, induced_subgraph
+from simdom.graph import FORMATS, delete_edges_within, delete_vertices, induced_subgraph
 from simdom.vertexcover import VcResult, _kernel_graph, bipartition
 
 
@@ -189,14 +189,17 @@ def graphs(draw, max_n=8):
 
 @given(graphs())
 def test_write_parse_round_trip_dimacs(g):
-    assert parse_graph(write_graph(g, "dimacs"), "dimacs") == g
+    text = write_graph(g, "dimacs")
+    assert parse_graph(text, "dimacs") == parse_graph(text, "auto") == g
 
 
 @given(graphs())
 def test_write_parse_round_trip_edgelist(g):
     # the edge list format cannot express trailing isolated vertices
     top = max((v for e in g.edges for v in e), default=-1)
-    h = parse_graph(write_graph(g, "edgelist"), "edgelist")
+    text = write_graph(g, "edgelist")
+    h = parse_graph(text, "edgelist")
+    assert parse_graph(text, "auto") == h
     assert h.edges == g.edges
     assert h.n == top + 1
 
@@ -360,6 +363,42 @@ def parse_outcome(parse, text):
     except GraphParseError as err:
         return "error", str(err), err.line
     return "graph", layout(g), g.nbrs
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    mixed_graph_texts()
+    | dimacs_texts()
+    | text_lines(EDGE_LIST_LINES, EDGE_LIST_FAULTS)
+)
+@example("comment line\np edge 2 1\ne 1 2\n")  # 'c' starts a DIMACS comment
+@example("# c\n\n0 1\n")  # '#' an edge-list one
+@example("")
+def test_auto_reads_the_one_format_that_parses(text):
+    outcomes = [parse_outcome(partial(parse_graph, fmt=fmt), text) for fmt in FORMATS]
+    auto = parse_outcome(partial(parse_graph, fmt="auto"), text)
+    # auto gives one format's outcome, errors included, and the graph
+    # whenever just one format reads the text
+    assert auto in outcomes
+    parsed = [outcome for outcome in outcomes if outcome[0] == "graph"]
+    if len(parsed) == 1:
+        assert auto == parsed[0]
+
+
+@pytest.mark.parametrize(
+    "text, fmt",
+    [
+        ("", "edgelist"),
+        ("c note\n# note\n\n0 1\n", "edgelist"),
+        ("# note\nc note\np edge 2 1\ne 1 2\n", "dimacs"),
+        ("cx\n e 1 2\n", "dimacs"),
+    ],
+)
+def test_auto_reads_the_format_of_the_first_line_neither_parser_skips(text, fmt):
+    # on these texts the two formats' outcomes differ, errors included
+    outcomes = {f: parse_outcome(partial(parse_graph, fmt=f), text) for f in FORMATS}
+    assert len(set(map(repr, outcomes.values()))) == 2
+    assert parse_outcome(partial(parse_graph, fmt="auto"), text) == outcomes[fmt]
 
 
 @settings(deadline=None, max_examples=400)

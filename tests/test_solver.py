@@ -372,7 +372,7 @@ def test_one_block_graph_is_its_own_vertex_cover(monkeypatch, g, backend):
     assert calls == [(g, 0)] and calls[0][0] is g
     vc = min_vertex_cover(g, backend)
     assert report.solution == vc.cover == residual[0]
-    assert report.backends == (vc.backend,) == (residual[1],)
+    assert report.backends == vc.backends == residual[1]
     assert report.block_log == ()
 
 

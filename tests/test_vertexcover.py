@@ -1,3 +1,4 @@
+import argparse
 import random
 
 import pytest
@@ -14,7 +15,9 @@ from simdom import (
     min_vertex_cover,
 )
 from simdom.oracle import min_vc_bruteforce
+from simdom.cli import build_parser
 from simdom.vertexcover import (
+    BACKENDS,
     KERNEL_VERTEX_LIMIT,
     bipartition,
     greedy_matching,
@@ -72,7 +75,7 @@ def test_bnb_matches_bruteforce():
         res = min_vc_branch_and_bound(g)
         assert is_vertex_cover(g, res.cover)
         assert len(res.cover) == len(min_vc_bruteforce(g))
-        assert res.backend == "bnb"
+        assert res.backends == ("bnb",)
         assert res.nodes >= 1
         matched = len(greedy_matching(g))
         assert matched <= len(res.cover) <= 2 * matched
@@ -170,7 +173,7 @@ def test_treewidth_backend_matches_bruteforce():
         res = min_vertex_cover(g, "treewidth")
         assert is_vertex_cover(g, res.cover)
         assert len(res.cover) == len(min_vc_bruteforce(g))
-        assert res.backend == "treewidth"
+        assert res.backends == ("treewidth",)
 
 
 def test_auto_dispatch_mixes_backends():
@@ -180,7 +183,7 @@ def test_auto_dispatch_mixes_backends():
     g = Graph(9, edges)
     res = min_vertex_cover(g)
     assert len(res.cover) == len(min_vc_bruteforce(g))
-    assert "bipartite" in res.backend
+    assert "bipartite" in res.backends
     assert is_vertex_cover(g, res.cover)
 
 
@@ -193,10 +196,19 @@ def test_auto_on_isolated_vertices():
 def test_explicit_backends_agree():
     g = random_connected_graph(9, 13, seed=17)
     expected = len(min_vc_bruteforce(g))
-    for backend in ("auto", "bnb", "treewidth"):
-        assert len(min_vertex_cover(g, backend=backend).cover) == expected
+    for backend in BACKENDS:
+        # every name is taken; König only on a bipartite graph
+        assert len(min_vertex_cover(cycle(10), backend=backend).cover) == 5
+        if backend != "bipartite":
+            assert len(min_vertex_cover(g, backend=backend).cover) == expected
     with pytest.raises(ValueError):
         min_vertex_cover(g, backend="magic")
+    # `simdom solve --backend` offers exactly these names
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    option = next(a for a in commands.choices["solve"]._actions if a.dest == "backend")
+    assert tuple(option.choices) == BACKENDS
 
 
 def test_star_cover_is_centre():
@@ -230,7 +242,7 @@ def test_auto_builds_no_subgraph_for_an_isolated_vertex(monkeypatch):
     tri = [(0, 1), (1, 2), (0, 2)]
     g = Graph(9, tri + [(u + 4, v + 4) for u, v in tri])  # 3, 7 and 8 isolated
     res = min_vc_auto(g)
-    assert (len(res.cover), res.backend) == (4, "bnb")
+    assert (len(res.cover), res.backends) == (4, ("bnb",))
     assert calls == [[0, 1, 2], [4, 5, 6]]
 
 
@@ -297,7 +309,7 @@ def test_auto_reduces_first_and_matches_bruteforce(monkeypatch):
             res = min_vc_auto(g)
             assert is_vertex_cover(g, res.cover)
             assert len(res.cover) == expected
-            tags.update(res.backend.split("+"))
+            tags.update(res.backends)
     assert tags == {"bipartite", "bnb", "treewidth"}
 
 
@@ -316,7 +328,7 @@ def test_auto_covers_the_kernel_by_the_dp_without_branching():
     # root reductions leave a kernel that min-fill finds narrow
     g = chorded_cycle(1001, 600, seed=3)
     res = min_vc_auto(g, node_budget=1000)
-    assert (res.backend, res.nodes) == ("treewidth", 1)
+    assert (res.backends, res.nodes) == (("treewidth",), 1)
     assert is_vertex_cover(g, res.cover)
     assert len(res.cover) == len(min_vertex_cover(g, "treewidth").cover) == 545
 
@@ -337,7 +349,7 @@ def test_auto_does_not_reduce_a_component_above_the_size_limit(monkeypatch):
     res = min_vc_auto(g)
     assert searches == [9]
     assert len(res.cover) == (big + 1) // 2 + 5
-    assert res.backend == "bnb+treewidth" and res.nodes == 1
+    assert res.backends == ("bnb", "treewidth") and res.nodes == 1
     assert is_vertex_cover(g, res.cover)
 
 
@@ -363,7 +375,7 @@ def test_auto_branches_on_a_wide_component_above_the_size_limit(monkeypatch):
     res = min_vc_auto(clique(14))
     assert decompositions == [(14, {"max_width": 12})]
     assert searches == [(14, None)]
-    assert res.backend == "bnb"
+    assert res.backends == ("bnb",)
     assert len(res.cover) == 13
 
 
